@@ -22,7 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceededError, PreconditionError
-from .exactmath import Interval, ceil_sub_sqrt, floor_add_sqrt, log2_interval
+from .exactmath import Interval, log2_interval
+# unused here; kept bound because bench/spans.py names them as trace sites,
+# and removed together with those sites
+from .exactmath import ceil_sub_sqrt, floor_add_sqrt  # noqa: F401
 from .fractal import (
     CoveringConstants,
     IFSSpec,
@@ -42,7 +45,7 @@ from .ideals import (
 )
 from .membership import Coding, coding_of, is_member, verify_coding
 from .orders import LowerBoundSpec, c2_constant, order_lower_bound
-from .quadring import FieldElement, QuadInt
+from .quadring import FieldElement, QuadInt, mul_matrix
 
 UFD_FIELDS = frozenset({-1, -2, -3, -7, -11, -19, -43, -67, -163})
 
@@ -238,44 +241,32 @@ class IntersectionReport:
     lower_bound: LowerBoundSpec | None
 
 
-def _norm_le(z: QuadInt, bound: Fraction) -> bool:
-    return z.norm() * bound.denominator <= bound.numerator
-
-
 def _ball_candidates(
-    field,
-    center_num: QuadInt,
-    center_den: int,
-    radius_sq: Fraction,
-    check,
-    out: set,
+    field, X: int, Y: int, D: int, rn: int, rd: int, out: set
 ) -> None:
-    """Lattice points within the given ball, by exact coordinate ranges.
+    """Add to ``out`` every (x, y) with |x + y*w - (X + Y*w)/D|^2 <= rn/rd.
 
-    center = center_num / center_den in omega-basis coordinates; the box
-    bounds come from real/imaginary parts, then ``check`` confirms the exact
-    norm inequality before a point is kept.
+    Everything sits over one common denominator, and each row y gets its
+    exact chord from ``isqrt``.  With s = 2 for the half basis (s = 1
+    otherwise) and a = y*D - Y, the disk test reads
+
+      rd*(s*D*x - s*X + (s-1)*a)^2 + rd*|d|*a^2 <= budget = s^2*rn*D^2,
+
+    so the rows are |a| <= isqrt(budget // (rd*|d|)) and each row keeps
+    s*D*x in [s*X - (s-1)*a - r, s*X - (s-1)*a + r] with
+    r = isqrt((budget - rd*|d|*a^2) // rd): exactly the lattice points of
+    the closed ball.
     """
-    cx = Fraction(center_num.x, center_den)
-    cy = Fraction(center_num.y, center_den)
-    dabs = -field.d
-    if field.half_basis:
-        t2 = 4 * radius_sq / dabs
-        re_omega = Fraction(1, 2)
-    else:
-        t2 = radius_sq / dabs
-        re_omega = Fraction(0)
-    y_lo = ceil_sub_sqrt(cy, t2)
-    y_hi = floor_add_sqrt(cy, t2)
-    re_center = cx + cy * re_omega
-    for y in range(y_lo, y_hi + 1):
-        shift = re_center - y * re_omega
-        x_lo = ceil_sub_sqrt(shift, radius_sq)
-        x_hi = floor_add_sqrt(shift, radius_sq)
-        for x in range(x_lo, x_hi + 1):
-            key = (x, y)
-            if key not in out and check(x, y):
-                out.add(key)
+    s = 2 if field.half_basis else 1
+    budget = s * s * rn * D * D
+    rdd = rd * -field.d
+    amax = math.isqrt(budget // rdd)
+    sd = s * D
+    for y in range(-((amax - Y) // D), (Y + amax) // D + 1):
+        a = y * D - Y
+        r = math.isqrt((budget - rdd * a * a) // rd)
+        mid = s * X - (s - 1) * a
+        out.update([(x, y) for x in range(-((r - mid) // sd), (mid + r) // sd + 1)])
 
 
 def _candidate_numerators(
@@ -284,10 +275,10 @@ def _candidate_numerators(
     """All g with |g/alpha^level| <= R' that can lie on the attractor.
 
     The attractor is covered by (#A)^k balls of radius R'/|beta|^k around
-    the depth-k cylinder centers, so candidates are collected per ball; all
-    range and membership decisions are exact.
+    the depth-k cylinder centers alpha^level * W / beta^k.  The distinct
+    depth-k words W are built level by level as integer (x, y) pairs, and
+    each ball is scanned row by row with exact integer chords.
     """
-    field = spec.field
     beta = spec.beta
     r2 = bounding_radius_sq(spec)
     na = alpha.norm() ** level
@@ -302,34 +293,27 @@ def _candidate_numerators(
         scale *= beta_norm
         k += 1
 
-    alpha_n = alpha**level
-    beta_k = beta**k
-    conj_beta_k = beta_k.conj()
+    b00, b01, b10, b11 = mul_matrix(beta)
+    digits = [(a.x, a.y) for a in spec.digits]
+    words = {(0, 0)}
+    for _ in range(k):
+        words = {
+            (b00 * x + b01 * y + ax, b10 * x + b11 * y + ay)
+            for x, y in words
+            for ax, ay in digits
+        }
+
+    # ball around W: center alpha^N * W * conj(beta^k) / N(beta)^k and
+    # squared radius N(alpha)^N * R'^2 / N(beta)^k
+    c00, c01, c10, c11 = mul_matrix(alpha**level * (beta**k).conj())
     bk_norm = beta_norm**k
-    ball_radius_sq = na * r2 / bk_norm
-    check_bound = na * r2  # |g*beta^k - alpha^N W|^2 <= N(alpha)^N R'^2
-
+    rn = na * r2.numerator
+    rd = r2.denominator * bk_norm
     out: set[tuple[int, int]] = set()
-    seen_words: set[QuadInt] = set()
-
-    def visit(w_num: QuadInt, depth: int) -> None:
-        if depth == k:
-            if w_num in seen_words:
-                return
-            seen_words.add(w_num)
-            target = alpha_n * w_num
-            center = target * conj_beta_k
-
-            def check(x: int, y: int, _target=target) -> bool:
-                g = QuadInt(field, x, y)
-                return _norm_le(g * beta_k - _target, check_bound)
-
-            _ball_candidates(field, center, bk_norm, ball_radius_sq, check, out)
-            return
-        for a in spec.digits:
-            visit(w_num * beta + a, depth + 1)
-
-    visit(field.zero, 0)
+    for x, y in words:
+        _ball_candidates(
+            spec.field, c00 * x + c01 * y, c10 * x + c11 * y, bk_norm, rn, rd, out
+        )
     return out
 
 

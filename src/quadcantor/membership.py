@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fractal import IFSSpec, bounding_radius_sq
-from .quadring import FieldElement, QuadInt
+from .quadring import FieldElement, QuadInt, mul_matrix, norm_form
 
 
 @dataclass(frozen=True)
@@ -41,15 +41,15 @@ class _Space:
     def __init__(self, spec: IFSSpec, u: int, radius_sq: Fraction):
         self.spec = spec
         self.u = u
-        self.field = spec.field
-        self.beta = spec.beta
-        self.scaled_digits = [a * u for a in spec.digits]
+        self.beta_matrix = mul_matrix(spec.beta)
+        self.scaled_digits = [(a.x * u, a.y * u) for a in spec.digits]
+        self.nxy, self.nyy = norm_form(spec.field)
         self.bound_num = radius_sq.numerator * u * u
         self.bound_den = radius_sq.denominator
         self.nodes: dict[tuple[int, int], _Node] = {}
 
-    def inside(self, z: QuadInt) -> bool:
-        return z.norm() * self.bound_den <= self.bound_num
+    def inside(self, x: int, y: int) -> bool:
+        return (x * x + self.nxy * x * y + self.nyy * y * y) * self.bound_den <= self.bound_num
 
     def node(self, key: tuple[int, int]) -> _Node:
         n = self.nodes.get(key)
@@ -59,16 +59,22 @@ class _Space:
         return n
 
     def succ_keys(self, key: tuple[int, int]) -> list[tuple[int, tuple[int, int]]]:
-        n = self.nodes[key]
+        nodes = self.nodes
+        n = nodes[key]
         if n.succ is None:
-            v = QuadInt(self.field, key[0], key[1])
-            bv = self.beta * v
+            x, y = key
+            m00, m01, m10, m11 = self.beta_matrix
+            bx = m00 * x + m01 * y
+            by = m10 * x + m11 * y
+            inside = self.inside
             lst = []
-            for i, au in enumerate(self.scaled_digits):
-                w = bv - au
-                if self.inside(w):
-                    wk = (w.x, w.y)
-                    self.node(wk)
+            for i, (ax, ay) in enumerate(self.scaled_digits):
+                wx = bx - ax
+                wy = by - ay
+                if inside(wx, wy):
+                    wk = (wx, wy)
+                    if wk not in nodes:
+                        nodes[wk] = _Node()
                     lst.append((i, wk))
             n.succ = lst
         return n.succ
@@ -158,7 +164,7 @@ def _ensure_alive(space: _Space, root_key: tuple[int, int]) -> None:
 def is_member(v: QuadInt, u: int, spec: IFSSpec, radius_sq=None) -> bool:
     """Whether v/u lies in S(beta, A); exact, independent of R' enlargement."""
     space = _space(spec, u, radius_sq)
-    if not space.inside(v):
+    if not space.inside(v.x, v.y):
         return False
     key = (v.x, v.y)
     space.node(key)
@@ -198,7 +204,7 @@ class StateGraph:
 def build_state_graph(v: QuadInt, u: int, spec: IFSSpec, radius_sq=None) -> StateGraph:
     """Breadth-first closure of the edge rule from v/u with disk pruning."""
     space = _space(spec, u, radius_sq)
-    if not space.inside(v):
+    if not space.inside(v.x, v.y):
         return StateGraph(spec=spec, u=u, root=v, numerators=(), edges={}, alive={})
     root_key = (v.x, v.y)
     space.node(root_key)
@@ -235,7 +241,7 @@ def coding_of(v: QuadInt, u: int, spec: IFSSpec, radius_sq=None) -> Coding | Non
     returned coding deterministic.
     """
     space = _space(spec, u, radius_sq)
-    if not space.inside(v):
+    if not space.inside(v.x, v.y):
         return None
     root_key = (v.x, v.y)
     space.node(root_key)

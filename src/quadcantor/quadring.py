@@ -187,6 +187,27 @@ def exact_div(a: QuadInt, b: QuadInt) -> QuadInt | None:
     return QuadInt(a.field, p.x // n, p.y // n)
 
 
+def mul_matrix(q: QuadInt) -> tuple[int, int, int, int]:
+    """Integer matrix (m00, m01, m10, m11) of z -> q*z in the basis {1, w}.
+
+    q*(x + y*w) = (m00*x + m01*y) + (m10*x + m11*y)*w, which lets inner loops
+    multiply raw coordinate pairs without building QuadInt objects.
+    """
+    f = q.field
+    if f.half_basis:
+        # w^2 = w + (d-1)/4
+        return q.x, (f.d - 1) // 4 * q.y, q.y, q.x + q.y
+    # w^2 = d
+    return q.x, f.d * q.y, q.y, q.x
+
+
+def norm_form(field: FieldSpec) -> tuple[int, int]:
+    """Coefficients (nxy, nyy) with N(x + y*w) = x^2 + nxy*x*y + nyy*y^2."""
+    if field.half_basis:
+        return 1, (1 - field.d) // 4
+    return 0, -field.d
+
+
 def embed(z: QuadInt) -> complex:
     """Floating approximation of z; rendering and diagnostics only."""
     return z.to_complex()

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 import quadcantor as qc
 from quadcantor import CapExceededError, FieldElement, PreconditionError, make_field
+from quadcantor.intersection import _ball_candidates
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +45,16 @@ WALL_D10 = [
     Fraction(37, 40),
     Fraction(39, 40),
     Fraction(1),
+]
+
+# (d, beta, digits, alpha, level) with non-real alpha, beta and digits; every
+# case has intersection points at its level
+PREFILTER_CASES = [
+    (-1, (-1, 2), [(0, 0), (1, 0), (0, 1)], (1, 1), 4),
+    (-2, (1, 1), [(0, 0), (0, 1)], (0, 1), 4),
+    (-3, (1, 1), [(0, 0), (0, 1)], (1, 1), 4),
+    (-7, (0, 1), [(0, 0), (1, 1)], (0, 1), 4),
+    (-11, (0, 1), [(0, 0), (1, 1)], (0, 1), 4),
 ]
 
 
@@ -201,9 +213,45 @@ class TestEnumerateLevel:
 
     def test_prefilter_matches_full_scan(self, gauss, gaussian_four):
         # word_cap=1 degenerates to a single whole-disk ball
-        fast = qc.enumerate_level(2, gauss.element(-4, 1), gaussian_four)
-        slow = qc.enumerate_level(2, gauss.element(-4, 1), gaussian_four, word_cap=1)
-        assert [p.value for p in fast] == [p.value for p in slow]
+        cases = [(gaussian_four, gauss.element(-4, 1), 2)]
+        for d, beta, digits, alpha, level in PREFILTER_CASES:
+            field = make_field(d)
+            spec = qc.ifs_new(
+                field.element(*beta), [field.element(*a) for a in digits]
+            )
+            cases.append((spec, field.element(*alpha), level))
+        for spec, alpha, level in cases:
+            fast = qc.enumerate_level(level, alpha, spec)
+            slow = qc.enumerate_level(level, alpha, spec, word_cap=1)
+            assert fast
+            assert [p.value for p in fast] == [p.value for p in slow]
+
+
+class TestBallCandidates:
+    def test_matches_brute_force_disk(self):
+        rng = random.Random(7)
+        kept = 0
+        for d in (-1, -2, -3, -7, -11):
+            field = make_field(d)
+            for _ in range(40):
+                D = rng.randint(1, 12)
+                X = rng.randint(-40, 40)
+                Y = rng.randint(-40, 40)
+                rn = rng.randint(0, 60)
+                rd = rng.randint(1, 9)
+                got: set = set()
+                _ball_candidates(field, X, Y, D, rn, rd, got)
+                # |x - X/D| and |y - Y/D| are at most 2*radius inside the ball
+                reach = 2 * (math.isqrt(rn // rd) + 1) + 2
+                want = set()
+                for x in range(X // D - reach, X // D + reach + 1):
+                    for y in range(Y // D - reach, Y // D + reach + 1):
+                        gap = field.element(D * x - X, D * y - Y)
+                        if Fraction(gap.norm(), D * D) <= Fraction(rn, rd):
+                            want.add((x, y))
+                assert got == want
+                kept += len(want)
+        assert kept > 0
 
 
 class TestFullIntersection:

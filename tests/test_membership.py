@@ -212,6 +212,15 @@ class TestOracleEquivalence:
     def test_against_exhaustive_search(self, gauss, cantor, gaussian_four, half_field_spec):
         rng = random.Random(123)
         specs = [cantor, gaussian_four, half_field_spec]
+        # non-real beta and digits, so every term of both basis products runs
+        for d, beta in ((-2, (1, 1)), (-7, (1, 1)), (-11, (0, 1))):
+            field = make_field(d)
+            specs.append(
+                qc.ifs_new(
+                    field.element(*beta),
+                    [field.element(0), field.element(1), field.element(0, 1)],
+                )
+            )
         checked = 0
         for spec in specs:
             field = spec.field
@@ -220,7 +229,7 @@ class TestOracleEquivalence:
                 v = field.element(rng.randint(-2 * u, 2 * u), rng.randint(-u, u))
                 assert qc.is_member(v, u, spec) == exhaustive_member(v, u, spec)
                 checked += 1
-        assert checked == 120
+        assert checked == 240
 
     def test_alive_states_within_period_bound(self, gauss, cantor):
         for v, u in [(gauss.element(1), 4), (gauss.element(1), 2), (gauss.element(1), 1)]:
