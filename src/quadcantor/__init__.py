@@ -57,7 +57,6 @@ from .membership import (
     coding_of,
     coding_value,
     is_member,
-    membership_of_value,
     verify_coding,
 )
 from .orders import (
@@ -75,7 +74,6 @@ from .quadring import (
     FieldSpec,
     QuadInt,
     element_text,
-    embed,
     exact_div,
     make_field,
     parse_element,

@@ -26,6 +26,7 @@ from .fractal import (
 )
 from .ideals import IdealHNF, factor_element, factor_rational_prime
 from .intersection import (
+    DEFAULT_CAP,
     certified_bound,
     full_intersection,
     preconditions,
@@ -177,11 +178,8 @@ def _cmd_intersect(args) -> None:
     alpha = parse_element(args.alpha, field)
     mode = args.mode
     n_max = int(args.nmax) if args.nmax is not None else None
-    cap = int(args.cap) if args.cap is not None else 10**8
-    word_cap = int(args.word_cap) if args.word_cap is not None else 1 << 16
-    report = full_intersection(
-        alpha, spec, mode=mode, n_max=n_max, cap=cap, word_cap=word_cap
-    )
+    cap = int(args.cap) if args.cap is not None else DEFAULT_CAP
+    report = full_intersection(alpha, spec, mode=mode, n_max=n_max, cap=cap)
     points = []
     for pt in report.points:
         scaled = pt.value * alpha**pt.den_pow
@@ -432,8 +430,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, alpha=True, spec=True)
     p.add_argument("--mode", default=None, choices=["certified", "bounded"])
     p.add_argument("--nmax", default=None, help="level for bounded mode")
-    p.add_argument("--cap", default=None, help="candidate cap (default 10^8)")
-    p.add_argument("--word-cap", dest="word_cap", default=None)
+    p.add_argument(
+        "--cap", default=None, help="lattice points the sweep may touch (default 2^18)"
+    )
     p.set_defaults(func=_cmd_intersect)
 
     p = sub.add_parser("bound", help="certificate computation trace only")

@@ -79,11 +79,6 @@ class Interval:
             return Interval(self.lo * k, self.hi * k)
         return Interval(self.hi * k, self.lo * k)
 
-    @classmethod
-    def exact(cls, v) -> Interval:
-        f = Fraction(v)
-        return cls(f, f)
-
 
 def _floor_log2(p: int, q: int) -> int:
     """floor(log2(p/q)) for positive integers, exactly."""

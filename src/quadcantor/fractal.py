@@ -52,15 +52,8 @@ class CoveringConstants:
     """Explicit constants behind the covering chain for one spec."""
 
     radius_sq_bound: Fraction
-    sigma: float
     digit_count: int
     beta_norm: int
-
-    def c1_closed_form(self, u_norm: int) -> float:
-        """(3 |beta| R' sqrt(u_norm))^sigma, a float upper-bound diagnostic."""
-        return float(9 * self.beta_norm * self.radius_sq_bound * u_norm) ** (
-            self.sigma / 2
-        )
 
 
 def _radius_reached(q: Fraction, max_digit_norm: int, beta_norm: int) -> bool:
@@ -98,7 +91,6 @@ def similarity_dimension(spec: IFSSpec) -> float:
 def covering_constants(spec: IFSSpec) -> CoveringConstants:
     return CoveringConstants(
         radius_sq_bound=bounding_radius_sq(spec),
-        sigma=similarity_dimension(spec),
         digit_count=len(spec.digits),
         beta_norm=spec.beta.norm(),
     )

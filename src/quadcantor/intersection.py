@@ -13,6 +13,11 @@ two bounds cross at a computable level n0: every tuple with larger exponent
 sum gives an empty slice, so one lattice sweep at level n0 is exhaustive.
 The n0 search compares products of logarithms of rationals and is done with
 rigorous dyadic interval enclosures, never bare floating point.
+
+A level sweep scans the balls of a depth-k cylinder cover of the attractor.
+Its cost, the lattice rows plus points those balls can touch, is an exact
+integer bound (``_scan_plan``); the cap check and the level a capped
+certified run falls back to are both decided on it.
 """
 
 from __future__ import annotations
@@ -48,6 +53,8 @@ from .orders import LowerBoundSpec, c2_constant, order_lower_bound
 from .quadring import FieldElement, QuadInt, mul_matrix
 
 UFD_FIELDS = frozenset({-1, -2, -3, -7, -11, -19, -43, -67, -163})
+# lattice rows plus points one level sweep may touch, by ``_scan_plan``
+DEFAULT_CAP = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -269,8 +276,34 @@ def _ball_candidates(
         out.update([(x, y) for x in range(-((r - mid) // sd), (mid + r) // sd + 1)])
 
 
+def _scan_plan(spec: IFSSpec, alpha: QuadInt, level: int) -> tuple[int, int]:
+    """Word depth k of the level sweep and an upper bound on its work.
+
+    k is the least depth with N(beta)^k >= N(alpha)^level * R'^2, so each of
+    the (#A)^k balls has squared radius at most 1.  The cost is (#A)^k times
+    the rows plus lattice points that one closed ball of that radius can
+    touch, whatever its center: in the chord quantities of
+    ``_ball_candidates`` a ball spans at most 2*amax // D + 1 rows, each of
+    at most 2*r // (s*D) + 1 points with r taken at a = 0.
+    """
+    r2 = bounding_radius_sq(spec)
+    rn = alpha.norm() ** level * r2.numerator
+    beta_norm = spec.beta.norm()
+    k = 0
+    bk_norm = 1
+    while bk_norm * r2.denominator < rn:
+        bk_norm *= beta_norm
+        k += 1
+    s = 2 if spec.field.half_basis else 1
+    rd = r2.denominator * bk_norm
+    budget = s * s * rn * bk_norm * bk_norm
+    rows = 2 * math.isqrt(budget // (rd * -spec.field.d)) // bk_norm + 1
+    per_row = 2 * math.isqrt(budget // rd) // (s * bk_norm) + 1
+    return k, len(spec.digits) ** k * rows * (1 + per_row)
+
+
 def _candidate_numerators(
-    spec: IFSSpec, alpha: QuadInt, level: int, word_cap: int
+    spec: IFSSpec, alpha: QuadInt, level: int, k: int
 ) -> set[tuple[int, int]]:
     """All g with |g/alpha^level| <= R' that can lie on the attractor.
 
@@ -281,18 +314,6 @@ def _candidate_numerators(
     """
     beta = spec.beta
     r2 = bounding_radius_sq(spec)
-    na = alpha.norm() ** level
-    beta_norm = beta.norm()
-    n_digits = len(spec.digits)
-
-    k = 0
-    scale = 1
-    # deepen while the ball radius in numerator units exceeds ~1 and the
-    # word budget allows
-    while scale < na * r2 and n_digits ** (k + 1) <= word_cap:
-        scale *= beta_norm
-        k += 1
-
     b00, b01, b10, b11 = mul_matrix(beta)
     digits = [(a.x, a.y) for a in spec.digits]
     words = {(0, 0)}
@@ -306,8 +327,8 @@ def _candidate_numerators(
     # ball around W: center alpha^N * W * conj(beta^k) / N(beta)^k and
     # squared radius N(alpha)^N * R'^2 / N(beta)^k
     c00, c01, c10, c11 = mul_matrix(alpha**level * (beta**k).conj())
-    bk_norm = beta_norm**k
-    rn = na * r2.numerator
+    bk_norm = beta.norm() ** k
+    rn = alpha.norm() ** level * r2.numerator
     rd = r2.denominator * bk_norm
     out: set[tuple[int, int]] = set()
     for x, y in words:
@@ -317,33 +338,29 @@ def _candidate_numerators(
     return out
 
 
-def _level_estimate_log10(spec: IFSSpec, alpha: QuadInt, level: int) -> float:
-    """log10 of the approximate candidate count at the given level."""
-    r2 = float(bounding_radius_sq(spec))
-    density = 2.0 / math.sqrt(-spec.field.disc)
-    base = math.log10(math.pi * r2 * density + 1e-12)
-    return base + level * math.log10(alpha.norm())
-
-
 def enumerate_level(
     level: int,
     alpha: QuadInt,
     spec: IFSSpec,
-    cap: int = 10**8,
-    word_cap: int = 1 << 16,
+    cap: int = DEFAULT_CAP,
 ) -> tuple[IntersectionPoint, ...]:
-    """All attractor points with denominator dividing alpha^level."""
+    """All attractor points with denominator dividing alpha^level.
+
+    Raises ``CapExceededError`` when the sweep's cost bound from
+    ``_scan_plan`` (lattice rows and points it may touch) exceeds ``cap``.
+    """
     if level < 0:
         raise ValueError("level must be nonnegative")
     if alpha.field != spec.field:
         raise PreconditionError("alpha must lie in the spec's field")
     if alpha.norm() < 2:
         raise PreconditionError("|alpha| > 1 is required")
-    est_log = _level_estimate_log10(spec, alpha, level)
-    if est_log > math.log10(cap):
+    k, cost = _scan_plan(spec, alpha, level)
+    if cost > cap:
         raise CapExceededError(
-            f"level-{level} lattice (~10^{est_log:.1f} candidates) exceeds cap {cap}",
-            estimate=int(10 ** min(est_log, 18.0)),
+            f"level-{level} sweep may touch {cost} lattice rows and points, "
+            f"over cap {cap}",
+            estimate=cost,
             cap=cap,
         )
     fact = factor_element(alpha)
@@ -351,7 +368,7 @@ def enumerate_level(
     conj_alpha_n = alpha.conj() ** level
     alpha_n = alpha**level
     points = []
-    for x, y in sorted(_candidate_numerators(spec, alpha, level, word_cap)):
+    for x, y in sorted(_candidate_numerators(spec, alpha, level, k)):
         g = QuadInt(spec.field, x, y)
         v = g * conj_alpha_n
         if not is_member(v, u, spec):
@@ -388,15 +405,18 @@ def full_intersection(
     spec: IFSSpec,
     mode: str = "bounded",
     n_max: int | None = None,
-    cap: int = 10**8,
-    word_cap: int = 1 << 16,
+    cap: int = DEFAULT_CAP,
 ) -> IntersectionReport:
     """Intersection report in certified or bounded mode.
 
     Certified mode computes n0 and sweeps the single level n0 (every point
-    with tuple sum below n0 has denominator dividing alpha^n0); if that
-    lattice exceeds the cap it degrades to the largest affordable level and
-    reports the certificate with exhausted=False.
+    with tuple sum below n0 has denominator dividing alpha^n0).  When the
+    sweep's cost bound from ``_scan_plan`` exceeds ``cap`` it sweeps the
+    largest level below n0 whose cost fits instead, found by scanning down
+    (the cost is not monotone in the level), and reports the certificate
+    with exhausted=False.  Bounded mode sweeps level n_max and raises
+    ``CapExceededError`` when its cost is over the cap, as certified mode
+    does when even level 0 is.
     """
     report = preconditions(alpha, spec)
     covering = None
@@ -412,44 +432,23 @@ def full_intersection(
             raise PreconditionError(
                 "no applicable finiteness case; run in bounded mode"
             )
-        if _level_estimate_log10(spec, alpha, n0) <= math.log10(cap):
-            points = enumerate_level(n0, alpha, spec, cap=cap, word_cap=word_cap)
-            return IntersectionReport(
-                points=points,
-                preconditions=report,
-                certified_n0=n0,
-                level=n0,
-                exhausted=True,
-                covering=covering,
-                lower_bound=lb,
-            )
-        base = _level_estimate_log10(spec, alpha, 0)
-        step = math.log10(alpha.norm())
-        fallback = max(0, int((math.log10(cap) - base) / step))
-        while fallback > 0 and _level_estimate_log10(spec, alpha, fallback) > math.log10(cap):
-            fallback -= 1
-        points = enumerate_level(fallback, alpha, spec, cap=cap, word_cap=word_cap)
-        return IntersectionReport(
-            points=points,
-            preconditions=report,
-            certified_n0=n0,
-            level=fallback,
-            exhausted=False,
-            covering=covering,
-            lower_bound=lb,
-        )
-    if mode == "bounded":
+        level = n0
+        while level > 0 and _scan_plan(spec, alpha, level)[1] > cap:
+            level -= 1
+        exhausted = level == n0
+    elif mode == "bounded":
         if n_max is None or n_max < 0:
             raise PreconditionError("bounded mode needs n_max >= 0")
-        points = enumerate_level(n_max, alpha, spec, cap=cap, word_cap=word_cap)
+        level = n_max
         exhausted = n0 is not None and n_max >= n0
-        return IntersectionReport(
-            points=points,
-            preconditions=report,
-            certified_n0=n0,
-            level=n_max,
-            exhausted=exhausted,
-            covering=covering,
-            lower_bound=lb,
-        )
-    raise PreconditionError(f"unknown mode {mode!r}")
+    else:
+        raise PreconditionError(f"unknown mode {mode!r}")
+    return IntersectionReport(
+        points=enumerate_level(level, alpha, spec, cap=cap),
+        preconditions=report,
+        certified_n0=n0,
+        level=level,
+        exhausted=exhausted,
+        covering=covering,
+        lower_bound=lb,
+    )

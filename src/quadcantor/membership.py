@@ -90,8 +90,7 @@ def _space(spec: IFSSpec, u: int, radius_sq=None) -> _Space:
     key = (spec, u, r2)
     sp = _SPACES.get(key)
     if sp is None:
-        # setdefault gives get-or-insert semantics under concurrent queries
-        sp = _SPACES.setdefault(key, _Space(spec, u, r2))
+        sp = _SPACES[key] = _Space(spec, u, r2)
     return sp
 
 
@@ -170,10 +169,6 @@ def is_member(v: QuadInt, u: int, spec: IFSSpec, radius_sq=None) -> bool:
     space.node(key)
     _ensure_alive(space, key)
     return bool(space.nodes[key].alive)
-
-
-def membership_of_value(z: FieldElement, spec: IFSSpec, radius_sq=None) -> bool:
-    return is_member(z.num, z.den, spec, radius_sq)
 
 
 @dataclass

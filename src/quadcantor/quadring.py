@@ -4,7 +4,8 @@ For squarefree d < 0 the field Q(sqrt(d)) has ring of integers Z[w], where
 w = sqrt(d) when d = 2, 3 (mod 4) and w = (1 + sqrt(d))/2 when d = 1 (mod 4).
 Ring elements are stored in integral-basis coordinates (x, y), meaning
 x + y*w, with plain Python integers, so every decision taken here is
-integer-exact; floating point appears only in the embedding helpers.
+integer-exact; floating point appears only in the complex embeddings
+(``omega_complex``, ``to_complex``).
 
 Non-integral field elements are carried as a ring numerator over a positive
 rational-integer denominator (``FieldElement``); a denominator from the ring
@@ -206,11 +207,6 @@ def norm_form(field: FieldSpec) -> tuple[int, int]:
     if field.half_basis:
         return 1, (1 - field.d) // 4
     return 0, -field.d
-
-
-def embed(z: QuadInt) -> complex:
-    """Floating approximation of z; rendering and diagnostics only."""
-    return z.to_complex()
 
 
 class FieldElement:

@@ -104,7 +104,7 @@ class TestIntersect:
     def test_certified_falls_back_under_cap(self, capsys):
         record = run_json(
             capsys, "intersect", "-d", "-1", "--alpha", "2", "--beta", "3",
-            "--digits", "0,2", "--mode", "certified", "--cap", "100000",
+            "--digits", "0,2", "--mode", "certified", "--cap", "10000",
         )
         assert record["exhausted"] is False
         assert int(record["level"]) < int(record["n0"])

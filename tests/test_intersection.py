@@ -6,7 +6,8 @@ import pytest
 
 import quadcantor as qc
 from quadcantor import CapExceededError, FieldElement, PreconditionError, make_field
-from quadcantor.intersection import _ball_candidates
+from quadcantor import intersection
+from quadcantor.intersection import _ball_candidates, _scan_plan
 
 
 @pytest.fixture(scope="module")
@@ -211,8 +212,17 @@ class TestEnumerateLevel:
         with pytest.raises(CapExceededError):
             qc.enumerate_level(12, gauss.element(10), cantor, cap=10**4)
 
+    def test_cap_is_the_scan_cost(self, gauss, gaussian_four):
+        alpha = gauss.element(-4, 1)
+        _, cost = _scan_plan(gaussian_four, alpha, 2)
+        with pytest.raises(CapExceededError) as err:
+            qc.enumerate_level(2, alpha, gaussian_four, cap=cost - 1)
+        assert err.value.estimate == cost and err.value.cap == cost - 1
+        assert qc.enumerate_level(2, alpha, gaussian_four, cap=cost)
+
     def test_prefilter_matches_full_scan(self, gauss, gaussian_four):
-        # word_cap=1 degenerates to a single whole-disk ball
+        # reference: one whole-disk ball |g|^2 <= N(alpha)^level * R'^2,
+        # filtered by exact membership
         cases = [(gaussian_four, gauss.element(-4, 1), 2)]
         for d, beta, digits, alpha, level in PREFILTER_CASES:
             field = make_field(d)
@@ -222,9 +232,59 @@ class TestEnumerateLevel:
             cases.append((spec, field.element(*alpha), level))
         for spec, alpha, level in cases:
             fast = qc.enumerate_level(level, alpha, spec)
-            slow = qc.enumerate_level(level, alpha, spec, word_cap=1)
+            r2 = qc.bounding_radius_sq(spec)
+            u = alpha.norm() ** level
+            disk: set = set()
+            _ball_candidates(spec.field, 0, 0, 1, u * r2.numerator, r2.denominator, disk)
+            alpha_n = alpha**level
+            slow = set()
+            for x, y in disk:
+                g = spec.field.element(x, y)
+                if qc.is_member(g * alpha_n.conj(), u, spec):
+                    slow.add(FieldElement.from_ratio(g, alpha_n))
             assert fast
-            assert [p.value for p in fast] == [p.value for p in slow]
+            assert _values(fast) == slow
+
+
+class TestScanPlan:
+    def test_cost_bounds_the_scan(self, monkeypatch):
+        rng = random.Random(11)
+        touched = []
+
+        def counting(field, X, Y, D, rn, rd, out):
+            ball: set = set()
+            _ball_candidates(field, X, Y, D, rn, rd, ball)
+            # rows that yielded points plus the points themselves
+            touched.append(len({y for _, y in ball}) + len(ball))
+            out |= ball
+
+        monkeypatch.setattr(intersection, "_ball_candidates", counting)
+        for d in (-1, -2, -3, -7, -11):
+            field = make_field(d)
+            for _ in range(12):
+                beta = field.element(rng.randint(-3, 3), rng.randint(-2, 2))
+                while beta.norm() < 2:
+                    beta = field.element(rng.randint(-3, 3), rng.randint(-2, 2))
+                digits = {
+                    field.element(rng.randint(-2, 2), rng.randint(-1, 1))
+                    for _ in range(rng.randint(2, 4))
+                }
+                if len(digits) < 2:
+                    continue
+                spec = qc.ifs_new(beta, sorted(digits, key=lambda a: (a.x, a.y)))
+                alpha = field.element(rng.randint(-3, 3), rng.randint(-2, 2))
+                if alpha.norm() < 2:
+                    continue
+                level = rng.randint(0, 3)
+                k, cost = _scan_plan(spec, alpha, level)
+                # k is the least depth whose balls have squared radius <= 1
+                need = alpha.norm() ** level * qc.bounding_radius_sq(spec)
+                assert beta.norm() ** k >= need
+                assert k == 0 or beta.norm() ** (k - 1) < need
+                touched.clear()
+                intersection._candidate_numerators(spec, alpha, level, k)
+                assert len(touched) <= len(spec.digits) ** k
+                assert sum(touched) <= cost
 
 
 class TestBallCandidates:
@@ -262,7 +322,7 @@ class TestFullIntersection:
         assert not rep.exhausted  # n_max is far below n0
 
     def test_certified_wall_falls_back_on_cap(self, gauss, cantor):
-        rep = qc.full_intersection(gauss.element(2), cantor, mode="certified", cap=10**6)
+        rep = qc.full_intersection(gauss.element(2), cantor, mode="certified", cap=10**4)
         assert rep.certified_n0 is not None
         assert rep.level < rep.certified_n0
         assert not rep.exhausted
