@@ -65,7 +65,6 @@ from .orders import (
     c2_constant,
     ord_mod,
     ord_prime_power,
-    ord_prime_power_detail,
     order_lower_bound,
     stabilization,
 )

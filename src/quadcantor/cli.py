@@ -33,7 +33,7 @@ from .intersection import (
     tuple_is_excluded,
 )
 from .membership import build_state_graph, coding_of
-from .orders import c2_constant, ord_prime_power_detail
+from .orders import c2_constant, ord_prime_power, stabilization
 from .quadring import element_text, make_field, parse_element, parse_point
 
 SCHEMA = 1
@@ -118,7 +118,8 @@ def _cmd_order(args) -> None:
     beta = parse_element(args.beta, field)
     prime = _pick_prime(field, args)
     n = int(args.n) if args.n is not None else 1
-    order, stab = ord_prime_power_detail(beta, prime, n)
+    stab = stabilization(beta, prime)
+    order = ord_prime_power(beta, prime, n)
     _emit(
         {
             "command": "order",

@@ -11,6 +11,7 @@ box-counting diagnostics.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,11 +26,22 @@ from .quadring import FieldSpec, QuadInt
 
 @dataclass(frozen=True)
 class IFSSpec:
-    """A base beta with norm >= 2 and a digit set of at least two elements."""
+    """A base beta with norm >= 2 and a digit set of at least two elements.
+
+    The hash is computed once: specs key the membership and radius caches,
+    and rehashing the digit tuple on every lookup is measurable.
+    """
 
     field: FieldSpec
     beta: QuadInt
     digits: tuple[QuadInt, ...]
+    _hash: int = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.field, self.beta, self.digits)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def ifs_new(beta: QuadInt, digits) -> IFSSpec:
@@ -97,13 +109,17 @@ def covering_constants(spec: IFSSpec) -> CoveringConstants:
 
 
 def _covering_exponent(spec: IFSSpec, delta_sq: Fraction) -> int:
-    """Least k with N(beta)^k * delta^2 >= R'^2, decided exactly."""
+    """Least k with N(beta)^k * delta^2 >= R'^2, decided exactly.
+
+    Cross-multiplied into integers: b^k * dn * rd >= rn * dd.
+    """
     r2 = bounding_radius_sq(spec)
     b = spec.beta.norm()
+    lhs = delta_sq.numerator * r2.denominator
+    rhs = r2.numerator * delta_sq.denominator
     k = 0
-    scale = Fraction(1)
-    while scale * delta_sq < r2:
-        scale *= b
+    while lhs < rhs:
+        lhs *= b
         k += 1
     return k
 

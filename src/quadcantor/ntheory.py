@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-# Witnesses sufficient for deterministic Miller-Rabin below 3.3 * 10^24.
+import math
+
+# Witnesses sufficient for deterministic Miller-Rabin below 3.1 * 10^23.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -30,8 +32,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# Primes below this are found by trial division; composites left over have no
+# factor below it, so every rho call works on a product of two or more of them.
+_TRIAL_LIMIT = 1000
+
+
 def factor_int(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 by trial division, {p: exponent}."""
+    """Prime factorization of n >= 1, {p: exponent}.
+
+    Primes below ``_TRIAL_LIMIT`` are divided out first; every cofactor left
+    is then either found prime by ``is_prime`` or split by Pollard-Brent rho.
+    """
     if n < 1:
         raise ValueError("factor_int expects a positive integer")
     out: dict[int, int] = {}
@@ -40,15 +51,56 @@ def factor_int(n: int) -> dict[int, int]:
             out[p] = out.get(p, 0) + 1
             n //= p
     f = 5
-    while f * f <= n:
+    while f < _TRIAL_LIMIT and f * f <= n:
         for p in (f, f + 2):
             while n % p == 0:
                 out[p] = out.get(p, 0) + 1
                 n //= p
         f += 6
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            g = _brent_factor(m)
+            stack += [g, m // g]
     return out
+
+
+def _brent_factor(n: int) -> int:
+    """A nontrivial factor of an odd composite n by Pollard-Brent rho.
+
+    The walks x -> x^2 + c start from 2 with c = 1, 2, ... in turn, so the
+    factor returned is deterministic.  Products of |x - y| are batched into
+    one gcd every ``block`` steps; a batch that overshoots to n is replayed
+    one step at a time before moving on to the next c.
+    """
+    block = 128
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(block, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += block
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def is_squarefree(n: int) -> bool:

@@ -11,18 +11,13 @@ below.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .ideals import (
-    IdealHNF,
-    PrimeIdeal,
-    ideal_from_generators,
-    ideal_pow,
-    reduce_mod,
-    valuation,
-)
+from .ideals import IdealHNF, PrimeIdeal, ideal_from_generators, ideal_pow
+from .ntheory import factor_int
 from .quadring import QuadInt
 
 
@@ -53,68 +48,93 @@ def _check_invertible(beta: QuadInt, ideal: IdealHNF) -> None:
         raise PreconditionError(f"{beta} is not a unit modulo {ideal}")
 
 
-def ord_mod(beta: QuadInt, ideal: IdealHNF) -> int:
-    """Least n >= 1 with beta^n = 1 (mod ideal), by sequential powering."""
-    _check_invertible(beta, ideal)
+def _power_mod(ideal: IdealHNF):
+    """``pw(x, y, k)``: the residue of (x + y*w)^k modulo the ideal.
+
+    Square-and-multiply on raw integer pairs, reducing by the Hermite form
+    (a, b, c) after every product; ``pw(1, 0, 0)`` is the residue of 1.
+    """
     a, b, c = ideal.a, ideal.b, ideal.c
     f = ideal.field
-    br = reduce_mod(beta, ideal)
-    bx, by = br.x, br.y
-    one = reduce_mod(f.one, ideal)
-    ox, oy = one.x, one.y
-    x, y = bx, by
-    n = 1
-    cap = ideal.norm + 1
-    if f.half_basis:
-        t = (f.d - 1) // 4
-        while (x, y) != (ox, oy):
-            x, y = x * bx + t * y * by, x * by + y * bx + y * by
-            q, y = divmod(y, c)
-            x = (x - q * b) % a
-            n += 1
-            if n > cap:
-                raise ArithmeticError("order search exceeded the group size")
-    else:
-        d = f.d
-        while (x, y) != (ox, oy):
-            x, y = x * bx + d * y * by, x * by + y * bx
-            q, y = divmod(y, c)
-            x = (x - q * b) % a
-            n += 1
-            if n > cap:
-                raise ArithmeticError("order search exceeded the group size")
-    return n
+    t = (f.d - 1) // 4 if f.half_basis else f.d  # w^2 = s*w + t
+    s = 1 if f.half_basis else 0
+
+    def mul(x1, y1, x2, y2):
+        yy = y1 * y2
+        q, y = divmod(x1 * y2 + y1 * x2 + s * yy, c)
+        return (x1 * x2 + t * yy - q * b) % a, y
+
+    def pw(x, y, k):
+        rx, ry = mul(1, 0, 1, 0)
+        while k:
+            if k & 1:
+                rx, ry = mul(rx, ry, x, y)
+            k >>= 1
+            if k:
+                x, y = mul(x, y, x, y)
+        return rx, ry
+
+    return pw
+
+
+def ord_mod(beta: QuadInt, ideal: IdealHNF) -> int:
+    """Least n >= 1 with beta^n = 1 (mod ideal), from a group-order multiple.
+
+    The exponent of (O/I)^* divides M = N(I) * prod_{p | N(I)} (p^2 - 1):
+    each component (O/P^k)^* has order N(P)^(k-1) * (N(P) - 1), and N(P) - 1
+    divides p^2 - 1.  Each prime q of M is then stripped from m = M while
+    beta^(m/q) stays 1 (Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 1.4.3), so the cost is O(log^2 M) products, not N(I).
+    """
+    _check_invertible(beta, ideal)
+    pw = _power_mod(ideal)
+    one = pw(1, 0, 0)
+    bx, by = beta.x, beta.y
+    factors = Counter(factor_int(ideal.norm))
+    for p in list(factors):
+        factors.update(factor_int(p - 1))
+        factors.update(factor_int(p + 1))
+    m = math.prod(q**e for q, e in factors.items())
+    if pw(bx, by, m) != one:
+        raise ArithmeticError("beta^M != 1 for the group-order multiple M")
+    for q, e in factors.items():
+        m //= q**e
+        gx, gy = pw(bx, by, m)
+        while (gx, gy) != one:
+            gx, gy = pw(gx, gy, q)
+            m *= q
+    return m
 
 
 def stabilization(beta: QuadInt, prime: PrimeIdeal) -> StabilizationData:
-    """m = ord modulo prime^(e+1) and n0 = v(beta^m - 1) at that prime."""
+    """m = ord modulo prime^(e+1) and n0 = v(beta^m - 1) at that prime.
+
+    n0 is found by raising the power of the prime while beta^m stays 1
+    modulo it, so beta^m itself is never built.
+    """
     if prime.contains(beta):
         raise PreconditionError(f"{beta} lies in the prime {prime}")
     if beta.norm() <= 1:
         raise PreconditionError(f"{beta} must satisfy |beta| > 1")
-    m = ord_mod(beta, ideal_pow(prime.hnf, prime.e + 1))
-    n0 = valuation(beta**m - 1, prime)
-    if n0 < prime.e + 1:
-        raise ArithmeticError("stabilization level below e+1; internal error")
+    n0 = prime.e + 1
+    m = ord_mod(beta, ideal_pow(prime.hnf, n0))
+    while True:
+        pw = _power_mod(ideal_pow(prime.hnf, n0 + 1))
+        if pw(beta.x, beta.y, m) != pw(1, 0, 0):
+            break
+        n0 += 1
     return StabilizationData(prime=prime, beta=beta, n0=n0, m=m)
 
 
 def ord_prime_power(beta: QuadInt, prime: PrimeIdeal, n: int) -> int:
     """Order of beta modulo prime^n; closed form above the stable level."""
-    order, _ = ord_prime_power_detail(beta, prime, n)
-    return order
-
-
-def ord_prime_power_detail(
-    beta: QuadInt, prime: PrimeIdeal, n: int
-) -> tuple[int, StabilizationData]:
     if n < 1:
         raise ValueError("exponent must be positive")
     stab = stabilization(beta, prime)
     if n <= stab.n0:
-        return ord_mod(beta, ideal_pow(prime.hnf, n)), stab
+        return ord_mod(beta, ideal_pow(prime.hnf, n))
     lift = -(-(n - stab.n0) // prime.e)  # ceil((n - n0)/e)
-    return stab.m * prime.p**lift, stab
+    return stab.m * prime.p**lift
 
 
 def c2_constant(beta: QuadInt, primes: list[PrimeIdeal] | tuple[PrimeIdeal, ...]) -> LowerBoundSpec:

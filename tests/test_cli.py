@@ -41,6 +41,15 @@ class TestFactor:
         }
         assert got == want
 
+    def test_norm_two_primes_near_a_million(self, capsys):
+        # (408+913w)(134+991w), norm 1000033 * 1000037
+        record = run_json(capsys, "factor", "-d", "-1", "--", "-850111+526670*w")
+        assert record["norm"] == str(1000033 * 1000037)
+        assert [(f["p"], f["exponent"]) for f in record["factors"]] == [
+            ("1000033", "1"),
+            ("1000037", "1"),
+        ]
+
 
 class TestOrder:
     def test_known_order(self, capsys):

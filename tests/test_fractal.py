@@ -1,11 +1,12 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import quadcantor as qc
-from quadcantor import CapExceededError, PreconditionError, make_field
+from quadcantor import CapExceededError, PreconditionError, fractal, make_field
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +36,13 @@ class TestIfsNew:
             qc.ifs_new(gauss.element(3), [gauss.element(0)])
         with pytest.raises(PreconditionError):
             qc.ifs_new(gauss.element(3), [gauss.element(0), gauss.element(0)])
+
+    def test_equal_specs_hash_alike(self, gauss, cantor):
+        twin = qc.ifs_new(gauss.element(3), [gauss.element(0), gauss.element(2)])
+        other = qc.ifs_new(gauss.element(3), [gauss.element(0), gauss.element(1)])
+        assert twin == cantor and hash(twin) == hash(cantor)
+        assert twin != other
+        assert {cantor: 1}[twin] == 1
 
 
 class TestBoundingRadius:
@@ -123,6 +131,35 @@ class TestCoveringBound:
                 )
             )
             assert len(cells) <= qc.covering_bound(cantor, Fraction(1, 3**k))
+
+
+def _covering_exponent_by_fractions(spec, delta_sq):
+    """Reference: the least k with N(beta)^k * delta^2 >= R'^2 in Fractions."""
+    r2 = qc.bounding_radius_sq(spec)
+    k, scale = 0, Fraction(1)
+    while scale * delta_sq < r2:
+        scale *= spec.beta.norm()
+        k += 1
+    return k
+
+
+class TestCoveringExponent:
+    def test_matches_fraction_loop(self):
+        rng = random.Random(4711)
+        for _ in range(40):
+            field = make_field(rng.choice((-1, -2, -3, -7, -11)))
+            beta = field.element(rng.randint(-5, 5), rng.randint(-5, 5))
+            if beta.norm() < 2:
+                continue
+            digits = {field.element(rng.randint(-4, 4), rng.randint(-2, 2)) for _ in range(3)}
+            if len(digits) < 2:
+                continue
+            spec = qc.ifs_new(beta, sorted(digits, key=lambda a: (a.x, a.y)))
+            for _ in range(5):
+                den = rng.randint(1, 10 ** rng.randint(1, 60))
+                delta_sq = Fraction(rng.randint(1, 10**6), den)
+                got = fractal._covering_exponent(spec, delta_sq)
+                assert got == _covering_exponent_by_fractions(spec, delta_sq)
 
 
 class TestPeriodBound:

@@ -1,0 +1,50 @@
+"""Factoring and prime splitting against sympy as an independent oracle."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import quadcantor as qc
+from quadcantor import make_field
+from quadcantor.ntheory import factor_int
+
+FIELDS = (-1, -2, -3, -7, -11)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(("one", "prime power", "two primes", "mixed")),
+    a=st.integers(2, 10**9),
+    b=st.integers(2, 10**9),
+    k=st.integers(1, 4),
+    small=st.integers(1, 10**5),
+)
+def test_factor_int_matches_sympy(kind, a, b, k, small):
+    sympy = pytest.importorskip("sympy")
+    p, q = sympy.prevprime(a + 1), sympy.prevprime(b + 1)
+    n = {
+        "one": 1,
+        "prime power": p**k,
+        "two primes": p * q,
+        "mixed": small * p * q ** min(k, 2),
+    }[kind]
+    assert factor_int(n) == sympy.factorint(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from(FIELDS), a=st.integers(2, 5000))
+def test_factor_rational_prime_matches_sympy(d, a):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.numberfields.primes import prime_decomp
+
+    p = sympy.prevprime(a + 1)
+    field = make_field(d)
+    x = sympy.symbols("x")
+    # minimal polynomial of w over Q
+    if field.half_basis:
+        minpoly = sympy.Poly(x**2 - x + (1 - d) // 4, x)
+    else:
+        minpoly = sympy.Poly(x**2 - d, x)
+    expected = sorted((P.e, P.f) for P in prime_decomp(p, T=minpoly))
+    splitting = qc.factor_rational_prime(field, p)
+    assert sorted((P.e, P.f) for P in splitting.primes) == expected

@@ -1,9 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from order_oracle import brute_ord_mod
 
 import quadcantor as qc
 from quadcantor import PreconditionError, make_field
+
+FIELDS = (-1, -2, -3, -7, -11)
 
 
 def _prime(field, p, root=None):
@@ -11,18 +16,6 @@ def _prime(field, p, root=None):
     if root is None:
         return s.primes[0]
     return next(q for q in s.primes if q.root == root)
-
-
-def _brute_order(beta, ideal):
-    """Independent sequential-order oracle over canonical residues."""
-    acc = qc.reduce_mod(beta, ideal)
-    one = qc.reduce_mod(beta.field.one, ideal)
-    n = 1
-    while acc != one:
-        acc = qc.reduce_mod(acc * beta, ideal)
-        n += 1
-        assert n <= ideal.norm
-    return n
 
 
 class TestOrdMod:
@@ -34,7 +27,7 @@ class TestOrdMod:
     def test_one_plus_i_mod_three(self, gauss):
         ideal = qc.principal_ideal(gauss.element(3))
         # brute force in the 8-element unit group of the 9-element field
-        assert _brute_order(gauss.element(1, 1), ideal) == 8
+        assert brute_ord_mod(gauss.element(1, 1), ideal) == 8
         assert qc.ord_mod(gauss.element(1, 1), ideal) == 8
 
     def test_order_of_one(self, gauss):
@@ -47,13 +40,90 @@ class TestOrdMod:
             qc.ord_mod(gauss.element(1, 1), p2.hnf)
 
 
+# Rational primes small enough that the brute-force oracle stays cheap; over
+# FIELDS they split, stay inert and ramify (2 in d = -1, -2; 3, 7, 11 in the
+# fields of that discriminant).
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+NORM_LIMIT = 20_000
+
+
+def _draw_prime(data, field):
+    p = data.draw(st.sampled_from(SMALL_PRIMES), label="p")
+    return data.draw(st.sampled_from(qc.factor_rational_prime(field, p).primes))
+
+
+def _check_against_brute(beta, ideal, primes):
+    if any(prime.contains(beta) for prime in primes):
+        with pytest.raises(PreconditionError):
+            qc.ord_mod(beta, ideal)
+        with pytest.raises(ArithmeticError):
+            brute_ord_mod(beta, ideal)
+    else:
+        assert qc.ord_mod(beta, ideal) == brute_ord_mod(beta, ideal)
+
+
+class TestOrdModDifferential:
+    """ord_mod from the group order against the sequential oracle."""
+
+    @pytest.mark.parametrize("d", FIELDS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), x=st.integers(-40, 40), y=st.integers(-40, 40))
+    def test_prime_powers(self, d, data, x, y):
+        field = make_field(d)
+        prime = _draw_prime(data, field)
+        k = data.draw(st.integers(1, 4), label="k")
+        ideal = qc.ideal_pow(prime.hnf, k)
+        if ideal.norm > NORM_LIMIT:
+            ideal = prime.hnf
+        if data.draw(st.booleans(), label="in prime"):
+            x, y = x * prime.p, y * prime.p
+        _check_against_brute(field.element(x, y), ideal, [prime])
+
+    @pytest.mark.parametrize("d", FIELDS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), x=st.integers(-40, 40), y=st.integers(-40, 40))
+    def test_products_of_two_primes(self, d, data, x, y):
+        field = make_field(d)
+        p1 = _draw_prime(data, field)
+        p2 = _draw_prime(data, field)
+        assume(p1 != p2)
+        k1 = data.draw(st.integers(1, 2), label="k1")
+        k2 = data.draw(st.integers(1, 2), label="k2")
+        ideal = qc.ideal_mul(qc.ideal_pow(p1.hnf, k1), qc.ideal_pow(p2.hnf, k2))
+        if ideal.norm > NORM_LIMIT:
+            ideal = qc.ideal_mul(p1.hnf, p2.hnf)
+        _check_against_brute(field.element(x, y), ideal, [p1, p2])
+
+    def test_kinds_covered(self):
+        kinds = {
+            (qc.factor_rational_prime(make_field(d), p).kind, p)
+            for d in FIELDS
+            for p in SMALL_PRIMES
+        }
+        assert {kind for kind, _ in kinds} == {"split", "inert", "ramified"}
+        assert ("ramified", 2) in kinds
+
+    @pytest.mark.parametrize("d", FIELDS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), x=st.integers(-9, 9), y=st.integers(-9, 9))
+    def test_stabilization_level_is_the_valuation(self, d, data, x, y):
+        field = make_field(d)
+        p = data.draw(st.sampled_from((2, 3, 5, 7)), label="p")
+        prime = data.draw(st.sampled_from(qc.factor_rational_prime(field, p).primes))
+        beta = field.element(x, y)
+        assume(beta.norm() > 1 and not prime.contains(beta))
+        stab = qc.stabilization(beta, prime)
+        assert stab.m == brute_ord_mod(beta, qc.ideal_pow(prime.hnf, prime.e + 1))
+        assert stab.n0 == qc.valuation(beta**stab.m - 1, prime)
+
+
 class TestStabilization:
     def test_beta_three_at_split_five(self, gauss):
         # m = Ord mod p^2 = 20 (not 4: 3^4-1 = 80 has valuation 1 < 2);
         # 3^20 - 1 = 3486784400 = 2^4 * 5^2 * 11^2 * 61 * 1181, so n0 = 2
         p5 = _prime(gauss, 5, root=2)
         stab = qc.stabilization(gauss.element(3), p5)
-        assert _brute_order(gauss.element(3), qc.ideal_pow(p5.hnf, 2)) == 20
+        assert brute_ord_mod(gauss.element(3), qc.ideal_pow(p5.hnf, 2)) == 20
         assert (3**20 - 1) % 25 == 0 and (3**20 - 1) % 125 != 0
         assert (stab.m, stab.n0) == (20, 2)
 
@@ -83,20 +153,21 @@ class TestStabilization:
                         continue
                     stab = qc.stabilization(beta, prime)
                     assert stab.n0 >= prime.e + 1
-                    assert qc.ord_mod(beta, qc.ideal_pow(prime.hnf, stab.n0)) == stab.m
+                    ideal = qc.ideal_pow(prime.hnf, stab.n0)
+                    assert brute_ord_mod(beta, ideal) == stab.m
 
 
 class TestOrdPrimePower:
     def test_split_five_level_two(self, gauss):
         p5 = _prime(gauss, 5, root=2)
         assert qc.ord_prime_power(gauss.element(3), p5, 2) == 20
-        assert _brute_order(gauss.element(3), qc.ideal_pow(p5.hnf, 2)) == 20
+        assert brute_ord_mod(gauss.element(3), qc.ideal_pow(p5.hnf, 2)) == 20
 
     def test_ramified_two_level_six(self, gauss):
         p2 = _prime(gauss, 2)
         # n0 = 4, e = 2, m = 1: closed form 1 * 2^ceil(2/2) = 2
         assert qc.ord_prime_power(gauss.element(5), p2, 6) == 2
-        assert _brute_order(gauss.element(5), qc.ideal_pow(p2.hnf, 6)) == 2
+        assert brute_ord_mod(gauss.element(5), qc.ideal_pow(p2.hnf, 6)) == 2
 
     def test_at_stable_level_equals_m(self, gauss):
         p5 = _prime(gauss, 5, root=2)
@@ -117,7 +188,7 @@ class TestOrdPrimePower:
                             continue
                         for n in range(1, stab.n0 + 3 * prime.e + 1):
                             closed = qc.ord_prime_power(beta, prime, n)
-                            assert closed == _brute_order(
+                            assert closed == brute_ord_mod(
                                 beta, qc.ideal_pow(prime.hnf, n)
                             )
                         cases += 1
