@@ -52,11 +52,10 @@ from .intersection import (
 )
 from .membership import (
     Coding,
-    StateGraph,
-    build_state_graph,
     coding_of,
     coding_value,
     is_member,
+    state_count,
     verify_coding,
 )
 from .orders import (

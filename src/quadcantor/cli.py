@@ -32,7 +32,7 @@ from .intersection import (
     preconditions,
     tuple_is_excluded,
 )
-from .membership import build_state_graph, coding_of
+from .membership import coding_of, state_count
 from .orders import c2_constant, ord_prime_power, stabilization
 from .quadring import element_text, make_field, parse_element, parse_point
 
@@ -120,6 +120,18 @@ def _cmd_order(args) -> None:
     n = int(args.n) if args.n is not None else 1
     stab = stabilization(beta, prime)
     order = ord_prime_power(beta, prime, n)
+    limit = sys.get_int_max_str_digits()
+    if limit and order >= 10**limit:
+        log = math.log10(order)
+        digits = math.floor(log) + 1
+        if abs(log - round(log)) < 1e-6:  # at a power of ten, decide exactly
+            digits = round(log) + (order >= 10 ** round(log))
+        raise CapExceededError(
+            f"the order has {digits} decimal digits, over the interpreter's "
+            f"limit of {limit} for printing an integer",
+            estimate=digits,
+            cap=limit,
+        )
     _emit(
         {
             "command": "order",
@@ -142,17 +154,16 @@ def _cmd_member(args) -> None:
     spec = _spec_of(args, field)
     _require(args, "point")
     point = parse_point(args.point, field)
-    graph = build_state_graph(point.num, point.den, spec)
     coding = coding_of(point.num, point.den, spec)
     _emit(
         {
             "command": "member",
             "d": str(field.d),
             "point": str(point),
-            "member": graph.has_reachable_cycle,
+            "member": coding is not None,
             "preperiod": [element_text(a) for a in coding.preperiod] if coding else [],
             "period": [element_text(a) for a in coding.period] if coding else [],
-            "states": str(graph.state_count),
+            "states": str(state_count(point.num, point.den, spec)),
             "bound": str(period_bound(spec, point.den * point.den)),
         }
     )

@@ -1,10 +1,10 @@
 """Exact decision helpers for quantities involving one square root or log2.
 
-Predicates of the form A + B*sqrt(n) <= 0 with rational A, B are decided by
-sign analysis and squaring, never by floating point.  Logarithm comparisons
-needed by the certificate search are made rigorous with dyadic interval
-enclosures of log2 of a rational: directed-rounding mantissa squaring gives
-a provable [lo, hi] bracket whose width halves per extracted bit.
+Floors and ceilings of a +- sqrt(b) with rational a, b are fixed by exact
+squaring, never by floating point.  Logarithm comparisons needed by the
+certificate search are made rigorous with dyadic interval enclosures of log2
+of a rational: directed-rounding mantissa squaring gives a provable [lo, hi]
+bracket whose width halves per extracted bit.
 """
 
 from __future__ import annotations
@@ -12,17 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-
-def leq_zero_with_sqrt(a: Fraction, b: Fraction, n: int) -> bool:
-    """Whether a + b*sqrt(n) <= 0, exactly (n a nonnegative integer)."""
-    if n < 0:
-        raise ValueError("sqrt argument must be nonnegative")
-    if b == 0:
-        return a <= 0
-    if b > 0:
-        return a <= 0 and b * b * n <= a * a
-    return a <= 0 or a * a <= b * b * n
 
 
 def floor_add_sqrt(a: Fraction, b: Fraction) -> int:

@@ -20,7 +20,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapExceededError, PreconditionError
-from .exactmath import leq_zero_with_sqrt
 from .quadring import FieldSpec, QuadInt
 
 
@@ -68,31 +67,31 @@ class CoveringConstants:
     beta_norm: int
 
 
-def _radius_reached(q: Fraction, max_digit_norm: int, beta_norm: int) -> bool:
-    # q >= sqrt(M)/(sqrt(B)-1)  <=>  (M - q^2(B+1)) + 2 q^2 sqrt(B) <= 0
-    a = Fraction(max_digit_norm) - q * q * (beta_norm + 1)
-    b = 2 * q * q
-    return leq_zero_with_sqrt(a, b, beta_norm)
-
-
 @lru_cache(maxsize=None)
 def bounding_radius_sq(spec: IFSSpec) -> Fraction:
-    """R'^2 for the least rational R' >= R with denominator at most 64."""
+    """R'^2 for the least rational R' >= R with denominator at most 64.
+
+    For n >= 0, n/den >= R = sqrt(M)/(sqrt(B) - 1) squares into the integer
+    test t = n^2 (B - 1) - M den^2 >= 0 and t^2 >= 4 n^2 M den^2.
+    """
     m = max(a.norm() for a in spec.digits)
     b = spec.beta.norm()
     hint = math.sqrt(m) / (math.sqrt(b) - 1)
-    best: Fraction | None = None
+
+    def reached(num: int, md2: int) -> bool:
+        t = num * num * (b - 1) - md2
+        return t >= 0 and t * t >= 4 * num * num * md2
+
+    radii = []
     for den in range(1, 65):
+        md2 = m * den * den
         num = max(0, int(hint * den) - 2)
-        while not _radius_reached(Fraction(num, den), m, b):
+        while not reached(num, md2):
             num += 1
-        while num > 0 and _radius_reached(Fraction(num - 1, den), m, b):
+        while num > 0 and reached(num - 1, md2):
             num -= 1
-        q = Fraction(num, den)
-        if best is None or q < best:
-            best = q
-    assert best is not None
-    return best * best
+        radii.append(Fraction(num, den))
+    return min(radii) ** 2
 
 
 def similarity_dimension(spec: IFSSpec) -> float:

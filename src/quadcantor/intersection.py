@@ -374,7 +374,7 @@ def enumerate_level(
         if not is_member(v, u, spec):
             continue
         value = FieldElement.from_ratio(g, alpha_n)
-        coding = coding_of(value.num, value.den, spec)
+        coding = coding_of(v, u, spec)
         assert coding is not None
         exps = minimal_tuple(value, fact)
         points.append(

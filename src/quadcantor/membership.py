@@ -13,7 +13,6 @@ since intersection sweeps ask about many points over one denominator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .fractal import IFSSpec, bounding_radius_sq
 from .quadring import FieldElement, QuadInt, mul_matrix, norm_form
@@ -38,25 +37,17 @@ class _Node:
 class _Space:
     """Lazily explored orbit graph over the lattice (1/u)*O_K."""
 
-    def __init__(self, spec: IFSSpec, u: int, radius_sq: Fraction):
-        self.spec = spec
-        self.u = u
+    def __init__(self, spec: IFSSpec, u: int):
+        r2 = bounding_radius_sq(spec)
         self.beta_matrix = mul_matrix(spec.beta)
         self.scaled_digits = [(a.x * u, a.y * u) for a in spec.digits]
         self.nxy, self.nyy = norm_form(spec.field)
-        self.bound_num = radius_sq.numerator * u * u
-        self.bound_den = radius_sq.denominator
+        self.bound_num = r2.numerator * u * u
+        self.bound_den = r2.denominator
         self.nodes: dict[tuple[int, int], _Node] = {}
 
     def inside(self, x: int, y: int) -> bool:
         return (x * x + self.nxy * x * y + self.nyy * y * y) * self.bound_den <= self.bound_num
-
-    def node(self, key: tuple[int, int]) -> _Node:
-        n = self.nodes.get(key)
-        if n is None:
-            n = _Node()
-            self.nodes[key] = n
-        return n
 
     def succ_keys(self, key: tuple[int, int]) -> list[tuple[int, tuple[int, int]]]:
         nodes = self.nodes
@@ -80,17 +71,16 @@ class _Space:
         return n.succ
 
 
-_SPACES: dict[tuple[IFSSpec, int, Fraction], _Space] = {}
+_SPACES: dict[tuple[IFSSpec, int], _Space] = {}
 
 
-def _space(spec: IFSSpec, u: int, radius_sq=None) -> _Space:
+def _space(spec: IFSSpec, u: int) -> _Space:
     if u < 1:
         raise ValueError("denominator u must be a positive integer")
-    r2 = bounding_radius_sq(spec) if radius_sq is None else Fraction(radius_sq)
-    key = (spec, u, r2)
+    key = (spec, u)
     sp = _SPACES.get(key)
     if sp is None:
-        sp = _SPACES[key] = _Space(spec, u, r2)
+        sp = _SPACES[key] = _Space(spec, u)
     return sp
 
 
@@ -160,87 +150,63 @@ def _ensure_alive(space: _Space, root_key: tuple[int, int]) -> None:
                 nodes[w].alive = alive
 
 
-def is_member(v: QuadInt, u: int, spec: IFSSpec, radius_sq=None) -> bool:
-    """Whether v/u lies in S(beta, A); exact, independent of R' enlargement."""
-    space = _space(spec, u, radius_sq)
+def _explore(v: QuadInt, u: int, spec: IFSSpec) -> tuple[_Space, tuple[int, int]] | None:
+    """The query's space and root key, or None when v/u lies outside the disk.
+
+    This is each query's one exploration: on return every state reachable
+    from the root carries its successor list and its alive flag.
+    """
+    space = _space(spec, u)
     if not space.inside(v.x, v.y):
-        return False
+        return None
     key = (v.x, v.y)
-    space.node(key)
+    if key not in space.nodes:
+        space.nodes[key] = _Node()
     _ensure_alive(space, key)
-    return bool(space.nodes[key].alive)
+    return space, key
 
 
-@dataclass
-class StateGraph:
-    """Materialized reachable orbit graph of one query, for inspection."""
-
-    spec: IFSSpec
-    u: int
-    root: QuadInt
-    numerators: tuple[QuadInt, ...]
-    edges: dict[tuple[int, int], tuple[tuple[int, tuple[int, int]], ...]]
-    alive: dict[tuple[int, int], bool]
-
-    @property
-    def state_count(self) -> int:
-        return len(self.numerators)
-
-    @property
-    def alive_count(self) -> int:
-        return sum(1 for v in self.alive.values() if v)
-
-    @property
-    def has_reachable_cycle(self) -> bool:
-        key = (self.root.x, self.root.y)
-        return bool(self.alive.get(key))
+def is_member(v: QuadInt, u: int, spec: IFSSpec) -> bool:
+    """Whether v/u lies in S(beta, A); exact, independent of R' enlargement."""
+    found = _explore(v, u, spec)
+    if found is None:
+        return False
+    space, root_key = found
+    return bool(space.nodes[root_key].alive)
 
 
-def build_state_graph(v: QuadInt, u: int, spec: IFSSpec, radius_sq=None) -> StateGraph:
-    """Breadth-first closure of the edge rule from v/u with disk pruning."""
-    space = _space(spec, u, radius_sq)
-    if not space.inside(v.x, v.y):
-        return StateGraph(spec=spec, u=u, root=v, numerators=(), edges={}, alive={})
-    root_key = (v.x, v.y)
-    space.node(root_key)
-    _ensure_alive(space, root_key)
-    order = [root_key]
+def state_count(v: QuadInt, u: int, spec: IFSSpec) -> int:
+    """Number of orbit states reachable from v/u, 0 outside the disk.
+
+    The walk reads only the successor lists that exploration cached, so it
+    creates no states and makes no disk test.
+    """
+    found = _explore(v, u, spec)
+    if found is None:
+        return 0
+    space, root_key = found
+    nodes = space.nodes
     seen = {root_key}
-    edges = {}
-    i = 0
-    while i < len(order):
-        key = order[i]
-        i += 1
-        succs = tuple(space.succ_keys(key))
-        edges[key] = succs
-        for _, w in succs:
+    stack = [root_key]
+    while stack:
+        for _, w in nodes[stack.pop()].succ:
             if w not in seen:
                 seen.add(w)
-                order.append(w)
-    field = spec.field
-    return StateGraph(
-        spec=spec,
-        u=u,
-        root=v,
-        numerators=tuple(QuadInt(field, x, y) for x, y in order),
-        edges=edges,
-        alive={k: bool(space.nodes[k].alive) for k in order},
-    )
+                stack.append(w)
+    return len(seen)
 
 
-def coding_of(v: QuadInt, u: int, spec: IFSSpec, radius_sq=None) -> Coding | None:
+def coding_of(v: QuadInt, u: int, spec: IFSSpec) -> Coding | None:
     """An eventually periodic coding of v/u, or None for non-members.
 
     The walk always takes the lowest digit index whose successor still
     reaches a cycle, then cuts at the first repeated state, which makes the
     returned coding deterministic.
     """
-    space = _space(spec, u, radius_sq)
-    if not space.inside(v.x, v.y):
+    found = _explore(v, u, spec)
+    if found is None:
         return None
-    root_key = (v.x, v.y)
-    space.node(root_key)
-    _ensure_alive(space, root_key)
+    space, root_key = found
     if not space.nodes[root_key].alive:
         return None
     pos = {root_key: 0}

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 
+from .errors import CapExceededError
+
 # Witnesses sufficient for deterministic Miller-Rabin below 3.1 * 10^23.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -36,12 +38,19 @@ def is_prime(n: int) -> bool:
 # factor below it, so every rho call works on a product of two or more of them.
 _TRIAL_LIMIT = 1000
 
+# Rho steps (x -> x^2 + c) allowed for splitting one cofactor, over all its
+# walks.  A walk needs about sqrt(p) steps to find a prime factor p, so the
+# budget splits off prime factors up to about 10^12.
+_RHO_STEP_BUDGET = 1 << 22
+
 
 def factor_int(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1, {p: exponent}.
 
     Primes below ``_TRIAL_LIMIT`` are divided out first; every cofactor left
     is then either found prime by ``is_prime`` or split by Pollard-Brent rho.
+    Raises ``CapExceededError`` when rho spends ``_RHO_STEP_BUDGET`` steps on
+    a cofactor without splitting it.
     """
     if n < 1:
         raise ValueError("factor_int expects a positive integer")
@@ -74,14 +83,25 @@ def _brent_factor(n: int) -> int:
     The walks x -> x^2 + c start from 2 with c = 1, 2, ... in turn, so the
     factor returned is deterministic.  Products of |x - y| are batched into
     one gcd every ``block`` steps; a batch that overshoots to n is replayed
-    one step at a time before moving on to the next c.
+    one step at a time before moving on to the next c.  A round with r
+    doubled costs 2r steps, counted against ``_RHO_STEP_BUDGET`` before it
+    starts.
     """
     block = 128
+    steps = 0
     c = 0
     while True:
         c += 1
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            if steps + 2 * r > _RHO_STEP_BUDGET:
+                raise CapExceededError(
+                    f"Pollard-Brent rho found no factor of {n} "
+                    f"within {_RHO_STEP_BUDGET} steps",
+                    estimate=steps + 2 * r,
+                    cap=_RHO_STEP_BUDGET,
+                )
+            steps += 2 * r
             x = y
             for _ in range(r):
                 y = (y * y + c) % n

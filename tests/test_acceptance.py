@@ -167,8 +167,8 @@ def test_criterion_5_operational_period_bound():
                 coding = qc.coding_of(value.num, u, CANTOR)
                 assert coding is not None
                 assert len(coding.period) <= qc.period_bound(CANTOR, u * u)
-                graph = qc.build_state_graph(value.num, u, CANTOR)
-                nodes = graph.numerators
+                seen, _ = _exhaustive_graph(value.num, u, CANTOR)
+                nodes = [GAUSS.element(*key) for key in sorted(seen)]
                 for i in range(len(nodes)):
                     for j in range(i + 1, len(nodes)):
                         assert (nodes[i] - nodes[j]).norm() >= 1
@@ -204,13 +204,14 @@ def test_criterion_6_certified_case_two():
         print(f"          (n0 = {n0}, {len(result.points)} points at level 3)", flush=True)
 
 
-def _exhaustive_member(v, u, spec):
-    r2 = qc.bounding_radius_sq(spec)
+def _exhaustive_graph(v, u, spec, radius_sq=None):
+    """Reachable states of v/u and those among them that reach a cycle."""
+    r2 = qc.bounding_radius_sq(spec) if radius_sq is None else radius_sq
     bn, bd = r2.numerator * u * u, r2.denominator
     beta = spec.beta
     scaled = [a * u for a in spec.digits]
     if v.norm() * bd > bn:
-        return False
+        return set(), set()
     field = spec.field
     seen = {(v.x, v.y)}
     frontier = [v]
@@ -238,7 +239,11 @@ def _exhaustive_member(v, u, spec):
         can = nxt
         if not can:
             break
-    return (v.x, v.y) in can
+    return seen, can
+
+
+def _exhaustive_member(v, u, spec, radius_sq=None):
+    return (v.x, v.y) in _exhaustive_graph(v, u, spec, radius_sq)[1]
 
 
 def test_criterion_7_membership_oracle_equivalence():
@@ -258,7 +263,7 @@ def test_criterion_7_membership_oracle_equivalence():
                 v = field.element(rng.randint(-2 * u, 2 * u), rng.randint(-u, u))
                 fast = qc.is_member(v, u, spec)
                 assert fast == _exhaustive_member(v, u, spec)
-                assert fast == qc.is_member(v, u, spec, radius_sq=4 * base)
+                assert fast == _exhaustive_member(v, u, spec, radius_sq=4 * base)
                 checked += 1
         assert checked >= 500
         print(f"          ({checked} queries checked)", flush=True)

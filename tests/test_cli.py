@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import quadcantor as qc
+from quadcantor import ntheory
 from quadcantor.cli import main
 
 
@@ -198,6 +199,29 @@ class TestExitCodes:
             "--depth", "25", "--out", "/dev/null", "--cap", "1000",
         )
         assert code == 3
+
+    def test_order_too_long_to_print(self, capsys):
+        # 20 * 5^9998 has 6,990 digits, over the interpreter's default 4,300
+        code, out, err = run_cli(
+            capsys, "order", "-d", "-1", "--beta", "3", "--p", "5", "--root", "2",
+            "--n", "10000",
+        )
+        assert code == 3
+        assert out == ""
+        assert "6990 decimal digits" in err
+
+    def test_factoring_over_rho_budget(self, capsys, monkeypatch):
+        monkeypatch.setattr(ntheory, "_RHO_STEP_BUDGET", 64)
+        norm = str(1000033 * 1000037)
+        code, _, err = run_cli(capsys, "factor", "-d", "-1", "--", "-850111+526670*w")
+        assert code == 3
+        assert norm in err
+        code, _, err = run_cli(
+            capsys, "bound", "-d", "-1", "--alpha", "-850111+526670*w",
+            "--beta", "-2+w", "--digits", "0,1",
+        )
+        assert code == 3
+        assert norm in err
 
     def test_invalid_field(self, capsys):
         code, _, err = run_cli(capsys, "factor", "-d", "-4", "10")

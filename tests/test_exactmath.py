@@ -8,32 +8,8 @@ from quadcantor.exactmath import (
     Interval,
     ceil_sub_sqrt,
     floor_add_sqrt,
-    leq_zero_with_sqrt,
     log2_interval,
 )
-
-
-class TestSqrtPredicate:
-    def test_equality_boundary(self):
-        # 3 - 1*sqrt(9) = 0 and -3 + 1*sqrt(9) = 0 are both <= 0
-        assert leq_zero_with_sqrt(Fraction(-3), Fraction(1), 9)
-        assert leq_zero_with_sqrt(Fraction(3), Fraction(-1), 9)
-
-    def test_strict_cases(self):
-        assert leq_zero_with_sqrt(Fraction(-4), Fraction(1), 9)  # -4 + 3
-        assert not leq_zero_with_sqrt(Fraction(-2), Fraction(1), 9)  # -2 + 3
-        assert leq_zero_with_sqrt(Fraction(2), Fraction(-1), 9)  # 2 - 3
-        assert not leq_zero_with_sqrt(Fraction(4), Fraction(-1), 9)  # 4 - 3
-
-    def test_against_floats(self):
-        rng = random.Random(1)
-        for _ in range(500):
-            a = Fraction(rng.randint(-50, 50), rng.randint(1, 9))
-            b = Fraction(rng.randint(-50, 50), rng.randint(1, 9))
-            n = rng.randint(0, 60)
-            value = float(a) + float(b) * math.sqrt(n)
-            if abs(value) > 1e-9:  # away from the boundary floats decide too
-                assert leq_zero_with_sqrt(a, b, n) == (value < 0)
 
 
 class TestFloorCeilWithSqrt:

@@ -63,6 +63,47 @@ class TestBoundingRadius:
         )
         assert r2 == best * best
 
+    def test_matches_fraction_loop(self):
+        rng = random.Random(2718)
+        checked = 0
+        while checked < 120:
+            field = make_field(rng.choice((-1, -2, -3, -7, -11)))
+            beta = field.element(rng.randint(-6, 6), rng.randint(-4, 4))
+            digits = {
+                field.element(rng.randint(-9, 9), rng.randint(-5, 5))
+                for _ in range(rng.randint(2, 5))
+            }
+            if beta.norm() < 2 or len(digits) < 2:
+                continue
+            spec = qc.ifs_new(beta, sorted(digits, key=lambda a: (a.x, a.y)))
+            assert qc.bounding_radius_sq(spec) == _bounding_radius_sq_by_fractions(spec)
+            checked += 1
+
+
+def _bounding_radius_sq_by_fractions(spec):
+    """Reference: the Fraction search with a sign-and-square sqrt predicate."""
+    m = max(a.norm() for a in spec.digits)
+    b = spec.beta.norm()
+
+    def reached(q):
+        # q >= sqrt(m)/(sqrt(b)-1)  <=>  (m - q^2(b+1)) + 2 q^2 sqrt(b) <= 0
+        lhs, coef = Fraction(m) - q * q * (b + 1), 2 * q * q
+        if coef == 0:
+            return lhs <= 0
+        return lhs <= 0 and coef * coef * b <= lhs * lhs
+
+    hint = math.sqrt(m) / (math.sqrt(b) - 1)
+    best = None
+    for den in range(1, 65):
+        num = max(0, int(hint * den) - 2)
+        while not reached(Fraction(num, den)):
+            num += 1
+        while num > 0 and reached(Fraction(num - 1, den)):
+            num -= 1
+        if best is None or Fraction(num, den) < best:
+            best = Fraction(num, den)
+    return best * best
+
 
 class TestSimilarityDimension:
     def test_cantor(self, cantor):

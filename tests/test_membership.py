@@ -1,10 +1,12 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 import quadcantor as qc
-from quadcantor import Coding, FieldElement, make_field
+from quadcantor import Coding, FieldElement, make_field, membership
+from quadcantor.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -23,11 +25,13 @@ def half_field_spec():
     return qc.ifs_new(field.element(2), [field.element(0), field.element(1)])
 
 
-def exhaustive_member(v, u, spec, radius_sq=None):
-    """Depth-limited exhaustive digit search with the same disk pruning.
+def exhaustive_graph(v, u, spec, radius_sq=None):
+    """Reachable states and cycle-reaching states of v/u, by brute force.
 
-    A path longer than the number of retained states must revisit one, so
-    searching to depth (#states + 1) is equivalent to cycle reachability.
+    The same disk pruning as the library, a full breadth-first closure
+    (``seen``), then ``can``: the states from which a path of length
+    #seen + 1 leaves.  Such a path must revisit a state, so ``can`` is
+    exactly the set of states that reach a cycle.
     """
     r2 = radius_sq if radius_sq is not None else qc.bounding_radius_sq(spec)
     bn = r2.numerator * u * u
@@ -35,7 +39,7 @@ def exhaustive_member(v, u, spec, radius_sq=None):
     beta = spec.beta
     scaled = [a * u for a in spec.digits]
     if v.norm() * bd > bn:
-        return False
+        return set(), set()
     seen = {(v.x, v.y)}
     frontier = [v]
     while frontier:
@@ -51,10 +55,11 @@ def exhaustive_member(v, u, spec, radius_sq=None):
     depth = len(seen) + 1
     field = spec.field
     # can_reach[key] = a path of length >= L leaves key; iterate L times
+    # (the sets only shrink, so a repeat is the fixed point)
     can = set(seen)
     for _ in range(depth):
         nxt = set()
-        for key in seen:
+        for key in can:
             z = field.element(*key)
             bz = beta * z
             for a in scaled:
@@ -62,39 +67,80 @@ def exhaustive_member(v, u, spec, radius_sq=None):
                 if w.norm() * bd <= bn and (w.x, w.y) in can:
                     nxt.add(key)
                     break
+        if nxt == can:
+            break
         can = nxt
-    return (v.x, v.y) in can
+    return seen, can
+
+
+def exhaustive_member(v, u, spec, radius_sq=None):
+    return (v.x, v.y) in exhaustive_graph(v, u, spec, radius_sq)[1]
 
 
 class TestStateGraph:
     def test_quarter_cycle(self, gauss, cantor):
-        graph = qc.build_state_graph(gauss.element(1), 4, cantor)
-        keys = {(z.x, z.y) for z in graph.numerators}
-        assert keys == {(1, 0), (3, 0)}
-        assert graph.has_reachable_cycle
+        v = gauss.element(1)
+        seen, can = exhaustive_graph(v, 4, cantor)
+        assert seen == {(1, 0), (3, 0)}
+        assert qc.state_count(v, 4, cantor) == 2
+        assert (1, 0) in can and qc.is_member(v, 4, cantor)
 
     def test_half_no_cycle(self, gauss, cantor):
-        graph = qc.build_state_graph(gauss.element(1), 2, cantor)
-        assert not graph.has_reachable_cycle
-        assert graph.state_count >= 1
+        assert not qc.is_member(gauss.element(1), 2, cantor)
+        assert qc.state_count(gauss.element(1), 2, cantor) >= 1
 
     def test_zero_self_loop(self, gauss, cantor):
-        graph = qc.build_state_graph(gauss.element(0), 1, cantor)
-        key = (0, 0)
-        assert any(s == key for _, s in graph.edges[key])
-        assert graph.has_reachable_cycle
+        # 3*0 - 0 = 0: the root is its own successor under digit 0
+        assert qc.state_count(gauss.element(0), 1, cantor) == 1
+        assert qc.is_member(gauss.element(0), 1, cantor)
 
     def test_root_outside_disk(self, gauss, cantor):
-        graph = qc.build_state_graph(gauss.element(9), 2, cantor)
-        assert graph.state_count == 0
-        assert not graph.has_reachable_cycle
+        assert qc.state_count(gauss.element(9), 2, cantor) == 0
+        assert not qc.is_member(gauss.element(9), 2, cantor)
 
     def test_separation(self, gauss, cantor):
-        graph = qc.build_state_graph(gauss.element(1), 4, cantor)
-        nodes = graph.numerators
+        seen, _ = exhaustive_graph(gauss.element(1), 4, cantor)
+        nodes = [gauss.element(*key) for key in sorted(seen)]
         for i in range(len(nodes)):
             for j in range(i + 1, len(nodes)):
                 assert (nodes[i] - nodes[j]).norm() >= 1
+
+    def test_matches_exhaustive_closure(self, gauss, cantor, gaussian_four, half_field_spec):
+        rng = random.Random(41)
+        outside = 0
+        for spec in (cantor, gaussian_four, half_field_spec):
+            field = spec.field
+            for _ in range(40):
+                u = rng.randint(1, 30)
+                v = field.element(rng.randint(-3 * u, 3 * u), rng.randint(-2 * u, 2 * u))
+                seen, _ = exhaustive_graph(v, u, spec)
+                assert qc.state_count(v, u, spec) == len(seen)
+                outside += not seen
+        assert outside > 0
+
+    def test_cli_states_match_exhaustive_closure(self, capsys):
+        rng = random.Random(8)
+        specs = (("-1", "3", "0,2"), ("-1", "-2+w", "0,1,2,3"), ("-3", "2", "0,1"))
+        outside = 0
+        for d, beta, digits in specs:
+            field = make_field(int(d))
+            spec = qc.ifs_new(
+                qc.parse_element(beta, field),
+                [qc.parse_element(t, field) for t in digits.split(",")],
+            )
+            for _ in range(12):
+                u = rng.randint(1, 20)
+                v = field.element(rng.randint(-3 * u, 3 * u), rng.randint(-2 * u, 2 * u))
+                point = FieldElement(v, u)
+                assert main(
+                    ["member", "-d", d, "--beta", beta, "--digits", digits,
+                     "--point", f"{qc.element_text(point.num)}/{point.den}"]
+                ) == 0
+                record = json.loads(capsys.readouterr().out)
+                seen, _ = exhaustive_graph(point.num, point.den, spec)
+                assert record["states"] == str(len(seen))
+                outside += record["states"] == "0"
+        assert outside > 0
 
 
 class TestIsMember:
@@ -118,7 +164,7 @@ class TestIsMember:
                 u = rng.randint(1, 32)
                 v = gauss.element(rng.randint(-2 * u, 2 * u), rng.randint(-u, u))
                 got = qc.is_member(v, u, spec)
-                assert got == qc.is_member(v, u, spec, radius_sq=4 * base)
+                assert got == exhaustive_member(v, u, spec, radius_sq=4 * base)
 
 
 class TestCoding:
@@ -159,6 +205,38 @@ class TestCoding:
                 coding = qc.coding_of(v, u, spec)
                 if coding is not None:
                     assert len(coding.period) <= qc.period_bound(spec, u * u)
+
+
+    def test_unreduced_fraction_codes_alike(self):
+        # (v*k)/(u*k) explores the same rational states as v/u, so the
+        # lowest-alive-digit walk must pick the same digits
+        rng = random.Random(606)
+        members = 0
+        for d, beta in ((-1, (-1, 1)), (-2, (1, 1)), (-3, (1, 1)), (-7, (0, 1)), (-11, (0, 1))):
+            field = make_field(d)
+            spec = qc.ifs_new(
+                field.element(*beta), [field.element(0), field.element(1), field.element(0, 1)]
+            )
+            for _ in range(12):
+                coding = Coding(
+                    tuple(rng.choice(spec.digits) for _ in range(rng.randint(0, 3))),
+                    tuple(rng.choice(spec.digits) for _ in range(rng.randint(1, 4))),
+                )
+                z = qc.coding_value(coding, spec.beta)
+                for v in (z.num, z.num + 1):
+                    k = rng.randint(2, 9)
+                    reduced = qc.coding_of(v, z.den, spec)
+                    assert qc.coding_of(v * k, z.den * k, spec) == reduced
+                    members += reduced is not None
+        assert members >= 60
+
+
+class TestSpaceCache:
+    def test_wall_sweep_explores_one_space(self, gauss, cantor):
+        membership._SPACES.clear()
+        points = qc.enumerate_level(4, gauss.element(2), cantor)
+        assert [str(p.value) for p in points] == ["0", "1/4", "3/4", "1"]
+        assert list(membership._SPACES) == [(cantor, 2**8)]
 
 
 class TestVerifyCoding:
@@ -233,8 +311,8 @@ class TestOracleEquivalence:
 
     def test_alive_states_within_period_bound(self, gauss, cantor):
         for v, u in [(gauss.element(1), 4), (gauss.element(1), 2), (gauss.element(1), 1)]:
-            graph = qc.build_state_graph(v, u, cantor)
-            assert graph.alive_count <= qc.period_bound(cantor, u * u)
+            _, can = exhaustive_graph(v, u, cantor)
+            assert len(can) <= qc.period_bound(cantor, u * u)
 
     def test_state_counts_within_bound(self, gauss, cantor, gaussian_four, half_field_spec):
         # cycle-reaching states fit the bound by the covering argument; the
@@ -245,7 +323,7 @@ class TestOracleEquivalence:
             for _ in range(80):
                 u = rng.randint(1, 48)
                 v = field.element(rng.randint(-2 * u, 2 * u), rng.randint(-u, u))
-                graph = qc.build_state_graph(v, u, spec)
+                _, can = exhaustive_graph(v, u, spec)
                 bound = qc.period_bound(spec, u * u)
-                assert graph.alive_count <= bound
-                assert graph.state_count <= bound
+                assert len(can) <= bound
+                assert qc.state_count(v, u, spec) <= bound

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quadcantor as qc
-from quadcantor import make_field
+from quadcantor import CapExceededError, make_field, ntheory
 from quadcantor.ntheory import factor_int
 
 FIELDS = (-1, -2, -3, -7, -11)
@@ -48,3 +48,14 @@ def test_factor_rational_prime_matches_sympy(d, a):
     expected = sorted((P.e, P.f) for P in prime_decomp(p, T=minpoly))
     splitting = qc.factor_rational_prime(field, p)
     assert sorted((P.e, P.f) for P in splitting.primes) == expected
+
+
+def test_rho_budget_names_the_cofactor(monkeypatch):
+    monkeypatch.setattr(ntheory, "_RHO_STEP_BUDGET", 64)
+    n = 1000033 * 1000037
+    with pytest.raises(CapExceededError) as exc:
+        factor_int(12 * n)
+    assert str(n) in str(exc.value)
+    assert exc.value.cap == 64 and exc.value.estimate > 64
+    monkeypatch.undo()  # the same cofactor splits within the real budget
+    assert factor_int(12 * n) == {2: 2, 3: 1, 1000033: 1, 1000037: 1}
