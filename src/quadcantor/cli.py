@@ -10,6 +10,7 @@ precondition, 3 size cap exceeded.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import math
 import sys
@@ -112,6 +113,18 @@ def _pick_prime(field, args):
     raise PreconditionError(f"{p} splits; disambiguate with --root or --hnf")
 
 
+def _decimal_digits(m: int, p: int, lift: int) -> int:
+    """Decimal digits of m * p^lift, building the number only at a power of ten."""
+    with decimal.localcontext() as ctx:
+        # 30 fractional digits beyond the integer part of the logarithm
+        ctx.prec = 30 + (lift * p.bit_length()).bit_length() // 3
+        log = decimal.Decimal(m).log10() + lift * decimal.Decimal(p).log10()
+        k = int(log.to_integral_value())
+        if abs(log - k) < decimal.Decimal("1e-20"):  # at a power of ten, decide exactly
+            return k + (m * p**lift >= 10**k)
+        return int(log) + 1
+
+
 def _cmd_order(args) -> None:
     field = _field_of(args)
     _require(args, "beta")
@@ -119,19 +132,20 @@ def _cmd_order(args) -> None:
     prime = _pick_prime(field, args)
     n = int(args.n) if args.n is not None else 1
     stab = stabilization(beta, prime)
-    order = ord_prime_power(beta, prime, n)
+    if n > stab.n0:  # ord_prime_power's closed form m * p^lift, sized before it is built
+        m, lift = stab.m, -(-(n - stab.n0) // prime.e)
+    else:
+        m, lift = ord_prime_power(beta, prime, n), 0
     limit = sys.get_int_max_str_digits()
-    if limit and order >= 10**limit:
-        log = math.log10(order)
-        digits = math.floor(log) + 1
-        if abs(log - round(log)) < 1e-6:  # at a power of ten, decide exactly
-            digits = round(log) + (order >= 10 ** round(log))
+    digits = _decimal_digits(m, prime.p, lift)
+    if limit and digits > limit:
         raise CapExceededError(
             f"the order has {digits} decimal digits, over the interpreter's "
             f"limit of {limit} for printing an integer",
             estimate=digits,
             cap=limit,
         )
+    order = m * prime.p**lift
     _emit(
         {
             "command": "order",

@@ -26,49 +26,28 @@ class Coding:
     period: tuple[QuadInt, ...]
 
 
-class _Node:
-    __slots__ = ("succ", "alive")
-
-    def __init__(self):
-        self.succ: list[tuple[int, tuple[int, int]]] | None = None
-        self.alive: bool | None = None
-
-
 class _Space:
-    """Lazily explored orbit graph over the lattice (1/u)*O_K."""
+    """The lazily explored orbit graph over the lattice (1/u)*O_K.
+
+    ``succ`` maps each explored state to the tuple of its (digit index,
+    successor) pairs in digit order, and ``alive`` maps it to whether an
+    infinite path leaves it.  Both dicts always have the same keys: a region
+    enters them only after ``_ensure_alive`` has explored and labelled all
+    of it, so every successor of a state in ``succ`` is in ``succ`` too.
+    """
 
     def __init__(self, spec: IFSSpec, u: int):
         r2 = bounding_radius_sq(spec)
         self.beta_matrix = mul_matrix(spec.beta)
-        self.scaled_digits = [(a.x * u, a.y * u) for a in spec.digits]
+        self.scaled_digits = tuple((i, a.x * u, a.y * u) for i, a in enumerate(spec.digits))
         self.nxy, self.nyy = norm_form(spec.field)
         self.bound_num = r2.numerator * u * u
         self.bound_den = r2.denominator
-        self.nodes: dict[tuple[int, int], _Node] = {}
+        self.succ: dict[tuple[int, int], tuple[tuple[int, tuple[int, int]], ...]] = {}
+        self.alive: dict[tuple[int, int], bool] = {}
 
     def inside(self, x: int, y: int) -> bool:
         return (x * x + self.nxy * x * y + self.nyy * y * y) * self.bound_den <= self.bound_num
-
-    def succ_keys(self, key: tuple[int, int]) -> list[tuple[int, tuple[int, int]]]:
-        nodes = self.nodes
-        n = nodes[key]
-        if n.succ is None:
-            x, y = key
-            m00, m01, m10, m11 = self.beta_matrix
-            bx = m00 * x + m01 * y
-            by = m10 * x + m11 * y
-            inside = self.inside
-            lst = []
-            for i, (ax, ay) in enumerate(self.scaled_digits):
-                wx = bx - ax
-                wy = by - ay
-                if inside(wx, wy):
-                    wk = (wx, wy)
-                    if wk not in nodes:
-                        nodes[wk] = _Node()
-                    lst.append((i, wk))
-            n.succ = lst
-        return n.succ
 
 
 _SPACES: dict[tuple[IFSSpec, int], _Space] = {}
@@ -84,86 +63,86 @@ def _space(spec: IFSSpec, u: int) -> _Space:
     return sp
 
 
-def _ensure_alive(space: _Space, root_key: tuple[int, int]) -> None:
-    """Assign alive flags on the whole unknown region reachable from the root.
+def _ensure_alive(space: _Space, root: tuple[int, int]) -> None:
+    """Explore and label the unlabelled region the root reaches, in one pass.
 
-    A node is alive when some infinite path leaves it, i.e. when it reaches a
-    nontrivial strongly connected component or a self-loop.  Iterative Tarjan
-    emits components in reverse topological order, so each component only
-    needs the flags of already-emitted or previously-known nodes.
+    A state is alive when an infinite path leaves it; in a finite graph that
+    is the same as reaching a cycle.  Explore: a DFS over the new region
+    records for each state its successors, its count of successors not
+    known dead (known-alive ones and those inside the region), and its
+    predecessors inside the region.  Peel: a state whose count is 0 is dead,
+    and its death lowers the count of each of its predecessors.  A state
+    left with a positive count is alive.
+
+    Proof.  A state is peeled only once all its successors are known dead or
+    peeled before it, so by induction on the peeling order no infinite path
+    leaves a peeled state.  An unpeeled state has a successor that is known
+    alive or unpeeled itself, so following such successors never stops.  A
+    self-loop counts like any other edge and keeps its state's count
+    positive, as for 0 when 0 is a digit.
     """
-    nodes = space.nodes
-    if nodes[root_key].alive is not None:
+    alive = space.alive
+    if root in alive:
         return
-    index_of: dict[tuple[int, int], int] = {}
-    low: dict[tuple[int, int], int] = {}
-    on_stack: set[tuple[int, int]] = set()
-    scc_stack: list[tuple[int, int]] = []
-    next_index = 0
-    work: list[tuple[tuple[int, int], int]] = [(root_key, 0)]
-    while work:
-        v, pi = work.pop()
-        if pi == 0:
-            if v in index_of:
-                continue
-            index_of[v] = low[v] = next_index
-            next_index += 1
-            scc_stack.append(v)
-            on_stack.add(v)
-        succs = space.succ_keys(v)
-        descended = False
-        while pi < len(succs):
-            w = succs[pi][1]
-            pi += 1
-            if nodes[w].alive is not None:
-                continue
-            wi = index_of.get(w)
-            if wi is None:
-                work.append((v, pi))
-                work.append((w, 0))
-                descended = True
-                break
-            if w in on_stack and wi < low[v]:
-                low[v] = wi
-        if descended:
-            continue
-        if work:
-            parent = work[-1][0]
-            if low[v] < low[parent]:
-                low[parent] = low[v]
-        if low[v] == index_of[v]:
-            comp = []
-            while True:
-                w = scc_stack.pop()
-                on_stack.discard(w)
-                comp.append(w)
-                if w == v:
-                    break
-            alive = len(comp) > 1
-            if not alive:
-                only = comp[0]
-                for _, s in space.succ_keys(only):
-                    if s == only or nodes[s].alive:
-                        alive = True
-                        break
-            for w in comp:
-                nodes[w].alive = alive
+    m00, m01, m10, m11 = space.beta_matrix
+    nxy, nyy = space.nxy, space.nyy
+    bound_num, bound_den = space.bound_num, space.bound_den
+    digits = space.scaled_digits
+    succ = {}
+    count = {}
+    dead = []
+    preds: dict[tuple[int, int], list[tuple[int, int]]] = {root: []}
+    stack = [root]
+    while stack:
+        key = stack.pop()
+        x, y = key
+        bx = m00 * x + m01 * y
+        by = m10 * x + m11 * y
+        out = []
+        n = 0
+        for i, ax, ay in digits:
+            wx = bx - ax
+            wy = by - ay
+            if (wx * wx + nxy * wx * wy + nyy * wy * wy) * bound_den <= bound_num:  # inside()
+                w = (wx, wy)
+                out.append((i, w))
+                known = alive.get(w)
+                if known is None:
+                    n += 1
+                    into = preds.get(w)
+                    if into is None:
+                        preds[w] = [key]
+                        stack.append(w)
+                    else:
+                        into.append(key)
+                elif known:
+                    n += 1
+        succ[key] = tuple(out)
+        count[key] = n
+        if not n:
+            dead.append(key)
+    while dead:
+        for p in preds[dead.pop()]:
+            count[p] -= 1
+            if not count[p]:
+                dead.append(p)
+    # successors first: a reader that finds a label also finds the successors
+    space.succ.update(succ)
+    alive.update({key: n > 0 for key, n in count.items()})
 
 
 def _explore(v: QuadInt, u: int, spec: IFSSpec) -> tuple[_Space, tuple[int, int]] | None:
-    """The query's space and root key, or None when v/u lies outside the disk.
+    """The query's space and root, or None when v/u lies outside the disk.
 
     This is each query's one exploration: on return every state reachable
-    from the root carries its successor list and its alive flag.
+    from the root has its successors in ``succ`` and its label in ``alive``.
     """
     space = _space(spec, u)
     if not space.inside(v.x, v.y):
         return None
-    key = (v.x, v.y)
-    if key not in space.nodes:
-        space.nodes[key] = _Node()
-    _ensure_alive(space, key)
-    return space, key
+    root = (v.x, v.y)
+    _ensure_alive(space, root)
+    return space, root
 
 
 def is_member(v: QuadInt, u: int, spec: IFSSpec) -> bool:
@@ -171,25 +150,25 @@ def is_member(v: QuadInt, u: int, spec: IFSSpec) -> bool:
     found = _explore(v, u, spec)
     if found is None:
         return False
-    space, root_key = found
-    return bool(space.nodes[root_key].alive)
+    space, root = found
+    return space.alive[root]
 
 
 def state_count(v: QuadInt, u: int, spec: IFSSpec) -> int:
     """Number of orbit states reachable from v/u, 0 outside the disk.
 
-    The walk reads only the successor lists that exploration cached, so it
+    The walk reads only the successors that exploration stored, so it
     creates no states and makes no disk test.
     """
     found = _explore(v, u, spec)
     if found is None:
         return 0
-    space, root_key = found
-    nodes = space.nodes
-    seen = {root_key}
-    stack = [root_key]
+    space, root = found
+    succ = space.succ
+    seen = {root}
+    stack = [root]
     while stack:
-        for _, w in nodes[stack.pop()].succ:
+        for _, w in succ[stack.pop()]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -206,16 +185,17 @@ def coding_of(v: QuadInt, u: int, spec: IFSSpec) -> Coding | None:
     found = _explore(v, u, spec)
     if found is None:
         return None
-    space, root_key = found
-    if not space.nodes[root_key].alive:
+    space, root = found
+    succ, alive = space.succ, space.alive
+    if not alive[root]:
         return None
-    pos = {root_key: 0}
+    pos = {root: 0}
     digit_indices: list[int] = []
-    cur = root_key
+    cur = root
     while True:
         nxt = None
-        for i, s in space.succ_keys(cur):
-            if space.nodes[s].alive:
+        for i, s in succ[cur]:
+            if alive[s]:
                 nxt = (i, s)
                 break
         assert nxt is not None, "alive node must have an alive successor"

@@ -1,11 +1,12 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
 import quadcantor as qc
 from quadcantor import ntheory
-from quadcantor.cli import main
+from quadcantor.cli import _decimal_digits, main
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +62,16 @@ class TestOrder:
         assert record["order"] == "100"  # 20 * 5 above the stable level 2
         assert record["used_closed_form"] is True
         assert record["n0"] == "2" and record["m"] == "20"
+
+    def test_orders_match_the_library(self, capsys, gauss):
+        # the CLI sizes the closed form itself; the printed order must agree
+        prime = next(q for q in qc.factor_rational_prime(gauss, 5).primes if q.root == 2)
+        for n in range(1, 8):
+            record = run_json(
+                capsys, "order", "-d", "-1", "--beta", "3", "--p", "5", "--root", "2",
+                "--n", str(n),
+            )
+            assert record["order"] == str(qc.ord_prime_power(gauss.element(3), prime, n))
 
     def test_split_prime_needs_root(self, capsys):
         code, _, err = run_cli(capsys, "order", "-d", "-1", "--beta", "3", "--p", "5")
@@ -209,6 +220,30 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert "6990 decimal digits" in err
+
+    def test_huge_order_refused_before_it_is_built(self, capsys):
+        # 20 * 5^9999998 has 6,989,700 digits; building it alone takes seconds,
+        # and a float logarithm of the order at --n 10^400 overflows
+        for n, message in (
+            ("10000000", "has 6989700 decimal digits"),
+            ("1" + "0" * 400, "has 69897000433"),
+        ):
+            start = time.perf_counter()
+            code, out, err = run_cli(
+                capsys, "order", "-d", "-1", "--beta", "3", "--p", "5", "--root", "2",
+                "--n", n,
+            )
+            assert time.perf_counter() - start < 1.0
+            assert code == 3
+            assert out == ""
+            assert message in err
+
+    def test_decimal_digits_match_the_printed_number(self):
+        # powers of ten and their neighbours take the exact branch
+        for m in (1, 2, 3, 7, 9, 10, 20, 99, 999999, 10**6, 10**6 + 1):
+            for p in (2, 3, 5, 7, 10, 9973):
+                for lift in (*range(40), 997, 1000):
+                    assert _decimal_digits(m, p, lift) == len(str(m * p**lift))
 
     def test_factoring_over_rho_budget(self, capsys, monkeypatch):
         monkeypatch.setattr(ntheory, "_RHO_STEP_BUDGET", 64)

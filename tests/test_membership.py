@@ -237,6 +237,76 @@ class TestSpaceCache:
         points = qc.enumerate_level(4, gauss.element(2), cantor)
         assert [str(p.value) for p in points] == ["0", "1/4", "3/4", "1"]
         assert list(membership._SPACES) == [(cantor, 2**8)]
+        space = membership._SPACES[(cantor, 2**8)]
+        assert space.succ.keys() == space.alive.keys()
+
+
+# beta of norm 2 or 3 with digits {0, 1, w}: overlapping or complete digit
+# sets, so orbit graphs fork into cycles beside dead branches, and digit 0
+# gives the state 0 a self-loop
+FORKING_SPECS = ((-1, (1, 1)), (-2, (0, 1)), (-3, (1, 1)), (-7, (0, 1)), (-11, (0, 1)))
+
+
+class TestKernelQueryOrder:
+    @staticmethod
+    def queries():
+        rng = random.Random(4242)
+        out = []
+        for d, beta in FORKING_SPECS:
+            field = make_field(d)
+            spec = qc.ifs_new(
+                field.element(*beta), [field.element(0), field.element(1), field.element(0, 1)]
+            )
+            for _ in range(10):
+                coding = Coding(
+                    tuple(rng.choice(spec.digits) for _ in range(rng.randint(0, 3))),
+                    tuple(rng.choice(spec.digits) for _ in range(rng.randint(1, 3))),
+                )
+                z = qc.coding_value(coding, spec.beta)
+                out += [(spec, z.num, z.den), (spec, z.num + 1, z.den)]
+            for _ in range(14):
+                u = rng.randint(1, 12)
+                out.append(
+                    (spec, field.element(rng.randint(-2 * u, 2 * u), rng.randint(-u, u)), u)
+                )
+            out += [(spec, field.zero, u) for u in (1, 2, 3)]
+        return out
+
+    @staticmethod
+    def answers(queries):
+        membership._SPACES.clear()
+        got = {}
+        for spec, v, u in queries:
+            got[spec, v, u] = (
+                qc.is_member(v, u, spec),
+                qc.coding_of(v, u, spec),
+                qc.state_count(v, u, spec),
+            )
+            space = membership._SPACES[spec, u]
+            assert space.succ.keys() == space.alive.keys()
+        return got
+
+    def test_orders_agree_with_each_other_and_exhaustive_search(self):
+        queries = self.queries()
+        forward = self.answers(queries)
+        forks = 0  # states with an alive successor beside a dead one
+        for space in membership._SPACES.values():
+            for out in space.succ.values():
+                forks += {space.alive[w] for _, w in out} == {True, False}
+        shuffled = list(queries)
+        random.Random(7).shuffle(shuffled)
+        assert self.answers(shuffled) == forward
+        assert forks > 0
+        members = 0
+        for (spec, v, u), (member, coding, count) in forward.items():
+            seen, can = exhaustive_graph(v, u, spec)
+            assert member == ((v.x, v.y) in can)
+            assert count == len(seen)
+            assert (coding is not None) == member
+            if member:
+                assert qc.verify_coding(coding, v, u, spec)
+                members += 1
+        assert 0 < members < len(forward)
 
 
 class TestVerifyCoding:
