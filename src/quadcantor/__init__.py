@@ -5,6 +5,8 @@ The exact core works entirely over Python integers and fractions; floating
 point appears only in rendering and dimension diagnostics.
 """
 
+from types import ModuleType as _ModuleType
+
 from .cns import CnsBasis, cns_basis, dyadic_alpha_description, evaluate, expand
 from .errors import CapExceededError, FieldError, ParseError, PreconditionError
 from .fractal import (
@@ -80,4 +82,6 @@ from .quadring import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    k for k, v in globals().items() if k[0] != "_" and not isinstance(v, _ModuleType)
+]

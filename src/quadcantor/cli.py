@@ -137,12 +137,17 @@ def _cmd_order(args) -> None:
     else:
         m, lift = ord_prime_power(beta, prime, n), 0
     limit = sys.get_int_max_str_digits()
-    digits = _decimal_digits(m, prime.p, lift)
-    if limit and digits > limit:
+    # m p^lift >= 2^(lift (p.bit_length() - 1)) and 2^10 > 10^3 prove `over`.
+    # The exact count is a logarithm to as many digits as lift has, costing
+    # more than their square, so it is skipped past lift ~ 10^(limit/10).
+    over = limit and lift * (prime.p.bit_length() - 1) >= 10 * -(-limit // 3)
+    cheap = not over or lift.bit_length() <= limit // 3
+    digits = _decimal_digits(m, prime.p, lift) if cheap else None
+    if over or (limit and digits > limit):
         raise CapExceededError(
-            f"the order has {digits} decimal digits, over the interpreter's "
-            f"limit of {limit} for printing an integer",
-            estimate=digits,
+            f"the order has {digits or f'more than {limit}'} decimal digits, "
+            f"over the interpreter's limit of {limit} for printing an integer",
+            estimate=digits or limit + 1,
             cap=limit,
         )
     order = m * prime.p**lift
@@ -319,10 +324,8 @@ def _cmd_dim(args) -> None:
 def _render_svg(path: str, pts) -> None:
     size = 800
     margin = 20
-    re = pts.real
-    im = pts.imag
-    lo_x, hi_x = float(re.min()), float(re.max())
-    lo_y, hi_y = float(im.min()), float(im.max())
+    lo_x, hi_x = min(z.real for z in pts), max(z.real for z in pts)
+    lo_y, hi_y = min(z.imag for z in pts), max(z.imag for z in pts)
     span = max(hi_x - lo_x, hi_y - lo_y, 1e-9)
     scale = (size - 2 * margin) / span
     lines = [
@@ -330,9 +333,9 @@ def _render_svg(path: str, pts) -> None:
         f'viewBox="0 0 {size} {size}">',
         f'<rect width="{size}" height="{size}" fill="white"/>',
     ]
-    for x, y in zip(re, im):
-        px = margin + (float(x) - lo_x) * scale
-        py = size - margin - (float(y) - lo_y) * scale
+    for z in pts:
+        px = margin + (z.real - lo_x) * scale
+        py = size - margin - (z.imag - lo_y) * scale
         lines.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="1" fill="black"/>')
     lines.append("</svg>")
     with open(path, "w") as fh:

@@ -6,18 +6,17 @@ by a rational over-approximation R' and the Hausdorff dimension by the
 similarity dimension sigma = 2*log(#A)/log(N(beta)), so that every covering
 count is the explicit integer (#A)^k with k decided by the exact comparison
 N(beta)^k * delta^2 >= R'^2.  Floating point is confined to the sampling and
-box-counting diagnostics.
+box-counting diagnostics, which use plain Python complex numbers.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from .errors import CapExceededError, PreconditionError
 from .quadring import FieldSpec, QuadInt
@@ -142,8 +141,8 @@ def period_bound(spec: IFSSpec, u_norm: int) -> int:
     return len(spec.digits) ** _covering_exponent(spec, Fraction(1, 9 * u_norm))
 
 
-def sample_points(spec: IFSSpec, depth: int, cap: int = 1 << 20) -> np.ndarray:
-    """All (#A)^depth partial sums sum_{j<=depth} a_j beta^-j as complexes."""
+def sample_points(spec: IFSSpec, depth: int, cap: int = 1 << 20) -> list[complex]:
+    """All (#A)^depth partial sums sum_{j<=depth} a_j beta^-j, a_1 varying slowest."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
     count = len(spec.digits) ** depth
@@ -152,10 +151,10 @@ def sample_points(spec: IFSSpec, depth: int, cap: int = 1 << 20) -> np.ndarray:
             f"sample size {count} exceeds cap {cap}", estimate=count, cap=cap
         )
     bz = spec.beta.to_complex()
-    digs = np.array([a.to_complex() for a in spec.digits])
-    z = np.zeros(1, dtype=complex)
+    digs = [a.to_complex() for a in spec.digits]
+    z = [0j]
     for _ in range(depth):
-        z = ((z[None, :] + digs[:, None]) / bz).reshape(-1)
+        z = [(w + a) / bz for a in digs for w in z]
     return z
 
 
@@ -175,16 +174,13 @@ def box_dim_estimate(spec: IFSSpec, depths, cap: int = 1 << 20) -> BoxDimEstimat
     abs_beta = math.sqrt(spec.beta.norm())
     rows = []
     for depth in depths:
-        pts = sample_points(spec, depth, cap=cap)
         delta = abs_beta**-depth
-        cells = np.unique(
-            np.stack(
-                [np.floor(pts.real / delta), np.floor(pts.imag / delta)], axis=1
-            ),
-            axis=0,
-        )
+        cells = {
+            (math.floor(z.real / delta), math.floor(z.imag / delta))
+            for z in sample_points(spec, depth, cap=cap)
+        }
         rows.append((depth, delta, len(cells)))
-    xs = np.array([-math.log(delta) for _, delta, _ in rows])
-    ys = np.array([math.log(n) for _, _, n in rows])
-    slope = float(np.polyfit(xs, ys, 1)[0])
+    xs = [-math.log(delta) for _, delta, _ in rows]
+    ys = [math.log(n) for _, _, n in rows]
+    slope = statistics.linear_regression(xs, ys).slope
     return BoxDimEstimate(dimension=slope, counts=tuple(rows))

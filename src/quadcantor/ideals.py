@@ -148,10 +148,7 @@ class ElementFactorization:
         return len(self.factors)
 
     def product_hnf(self) -> IdealHNF:
-        out = unit_ideal(self.element.field)
-        for prime, b in self.factors:
-            out = ideal_mul(out, ideal_pow(prime.hnf, b))
-        return out
+        return prime_power_product(self.element.field, self.primes, self.exponents)
 
 
 def _from_rows(field: FieldSpec, rows: list[tuple[int, int]]) -> IdealHNF:
@@ -238,6 +235,14 @@ def ideal_pow(i: IdealHNF, k: int) -> IdealHNF:
     while len(powers) <= k:
         powers.append(ideal_mul(powers[-1], i))
     return powers[k]
+
+
+def prime_power_product(field: FieldSpec, primes, exponents) -> IdealHNF:
+    """prod P_j^{n_j} over paired primes and exponents, one ideal_pow each."""
+    out = unit_ideal(field)
+    for prime, n in zip(primes, exponents):
+        out = ideal_mul(out, ideal_pow(prime.hnf, n))
+    return out
 
 
 def _minpoly_roots_mod_p(field: FieldSpec, p: int) -> list[int]:

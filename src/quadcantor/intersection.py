@@ -31,6 +31,7 @@ from .exactmath import Interval, log2_interval
 # unused here; kept bound because bench/spans.py names them as trace sites,
 # and removed together with those sites
 from .exactmath import ceil_sub_sqrt, floor_add_sqrt  # noqa: F401
+from .ideals import ideal_pow  # noqa: F401
 from .fractal import (
     CoveringConstants,
     IFSSpec,
@@ -43,9 +44,7 @@ from .ideals import (
     ElementFactorization,
     are_coprime,
     factor_element,
-    ideal_mul,
-    ideal_pow,
-    unit_ideal,
+    prime_power_product,
     valuation,
 )
 from .membership import Coding, coding_of, is_member, verify_coding
@@ -125,22 +124,15 @@ def minimal_tuple(z: FieldElement, fact: ElementFactorization) -> tuple[int, ...
         vd = valuation(den_el, prime) if z.den > 1 else 0
         vn = valuation(z.num, prime)
         exps.append(max(0, vd - vn))
-    product = unit_ideal(field)
-    for (prime, _), n in zip(fact.factors, exps):
-        product = ideal_mul(product, ideal_pow(prime.hnf, n))
-    if not _scaled_into_ring(z, product):
+    if not _scaled_into_ring(z, prime_power_product(field, fact.primes, exps)):
         raise PreconditionError(
             f"{z} is not in D_alpha for alpha = {fact.element}"
         )
     for j, n in enumerate(exps):
         if n == 0:
             continue
-        smaller = unit_ideal(field)
-        for i, ((prime, _), ni) in enumerate(zip(fact.factors, exps)):
-            smaller = ideal_mul(
-                smaller, ideal_pow(prime.hnf, ni - 1 if i == j else ni)
-            )
-        if _scaled_into_ring(z, smaller):
+        smaller = [ni - 1 if i == j else ni for i, ni in enumerate(exps)]
+        if _scaled_into_ring(z, prime_power_product(field, fact.primes, smaller)):
             raise ArithmeticError("valuation tuple failed the minimality check")
     return tuple(exps)
 
@@ -394,9 +386,7 @@ def period_congruence_holds(
 ) -> bool:
     """beta^m - 1 lies in prod p_j^{n_j} for the point's period length m."""
     m = len(point.coding.period)
-    product = unit_ideal(beta.field)
-    for (prime, _), n in zip(fact.factors, point.exponents):
-        product = ideal_mul(product, ideal_pow(prime.hnf, n))
+    product = prime_power_product(beta.field, fact.primes, point.exponents)
     return product.contains(beta**m - 1)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 from fractions import Fraction
@@ -178,6 +179,24 @@ class TestDimRenderCns:
                  "--depth", "4", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv, csv_sha, svg_sha",
+        [
+            (("-d", "-1", "--beta", "3", "--digits", "0,2", "--depth", "8"),
+             "69cb957dcb42a9cf", "084fc564704f2646"),
+            (("-d", "-1", "--beta", "-2+w", "--digits", "0,1,2,3", "--depth", "6"),
+             "554b3d7fb4c71253", "337c84baa50b8627"),
+            (("-d", "-3", "--beta", "2", "--digits", "0,1,w", "--depth", "7"),
+             "6a18e9ccc9e843a2", "ac5531283a8b9b6d"),
+        ],
+    )
+    def test_render_bytes_pinned(self, capsys, tmp_path, argv, csv_sha, svg_sha):
+        # the bytes numpy-based sampling wrote; plain complex arithmetic matches them
+        out, svg = tmp_path / "pts.csv", tmp_path / "pts.svg"
+        run_json(capsys, "render", *argv, "--out", str(out), "--svg", str(svg))
+        assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == csv_sha
+        assert hashlib.sha256(svg.read_bytes()).hexdigest()[:16] == svg_sha
+
     def test_cns_expand(self, capsys):
         record = run_json(capsys, "cns", "--n", "2", "--expand", "5")
         assert record["digits"] == ["0", "1", "3", "1"]
@@ -237,6 +256,19 @@ class TestExitCodes:
             assert code == 3
             assert out == ""
             assert message in err
+
+    def test_parse_limit_n_refused_at_once(self, capsys):
+        # a 4,300-digit --n: the bit bound refuses it without the logarithm
+        # to 4,300 digits that an exact count would need
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "order", "-d", "-1", "--beta", "3", "--p", "5", "--root", "2",
+            "--n", "9" * 4300,
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert "more than 4300 decimal digits" in err
 
     def test_decimal_digits_match_the_printed_number(self):
         # powers of ten and their neighbours take the exact branch

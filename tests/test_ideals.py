@@ -4,7 +4,7 @@ import random
 import pytest
 
 import quadcantor as qc
-from quadcantor import IdealHNF, make_field
+from quadcantor import IdealHNF, ideals, make_field
 
 
 def _minpoly_value(field, r, p):
@@ -165,6 +165,17 @@ class TestFactorElement:
                 assert fact.product_hnf() == qc.principal_ideal(alpha)
                 assert math.prod(p.norm**b for p, b in fact.factors) == alpha.norm()
                 done += 1
+
+
+class TestPrimePowerProduct:
+    def test_matches_ideal_mul_of_powers(self, gauss):
+        fact = qc.factor_element(gauss.element(10))
+        for exps in ((0, 0, 0), (3, 0, 1), (1, 2, 4)):
+            want = qc.unit_ideal(gauss)
+            for prime, n in zip(fact.primes, exps):
+                want = qc.ideal_mul(want, qc.ideal_pow(prime.hnf, n))
+            assert ideals.prime_power_product(gauss, fact.primes, exps) == want
+        assert ideals.prime_power_product(gauss, (), ()) == qc.unit_ideal(gauss)
 
 
 class TestValuation:
