@@ -1,5 +1,6 @@
 """The two classical finite intersections with the middle-third Cantor set:
-dyadic rationals (denominators 2^n) and decimal rationals (10^n).
+dyadic rationals (denominators 2^n) and decimal rationals (10^n), first at
+fixed levels and then certified complete.
 
 Run:  python demos/04_wall_sets.py
 """
@@ -33,3 +34,15 @@ n0 = qc.certified_bound(rep, cov, lb)
 print(f"case: {rep.applicable_case}, sigma = {rep.sigma:.6f}, c2 = {lb.c2}")
 print(f"certified n0 = {n0}")
 print("tuple (n0,) excluded exactly:", qc.tuple_is_excluded(cantor, lb, "case_i", (n0,)))
+print()
+
+# certified runs: the exact order of 3 modulo prod P_j^{n_j} empties all but
+# a few tuple classes, and sweeping the lattices of the maximal survivors
+# finds every point
+for alpha_int in (2, 10):
+    report = qc.full_intersection(F.element(alpha_int), cantor, mode="certified")
+    print(f"alpha = {alpha_int}, certified: n0 = {report.certified_n0}, "
+          f"exhausted = {report.exhausted}")
+    for sweep in report.swept:
+        print(f"  survivor {sweep.exponents}: sweep cost {sweep.cost}")
+    print("  points:", ", ".join(str(pt.value) for pt in report.points))

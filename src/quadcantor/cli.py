@@ -243,8 +243,19 @@ def _cmd_intersect(args) -> None:
             "level": str(report.level),
             "exhausted": report.exhausted,
             "points": points,
+            "survivors": [[str(n) for n in s] for s in report.survivors],
+            "swept": [_sweep_record(s) for s in report.swept],
+            "fallback": [_sweep_record(s) for s in report.fallback] or None,
         }
     )
+
+
+def _sweep_record(sweep) -> dict:
+    return {
+        "tuple": [str(n) for n in sweep.exponents],
+        "cost": str(sweep.cost),
+        "swept": sweep.swept,
+    }
 
 
 def _cmd_bound(args) -> None:

@@ -2,29 +2,35 @@
 
 D_alpha is the set of field elements whose denominator divides some power of
 alpha.  Writing alpha*O_K as a product of prime-ideal powers, each z in
-D_alpha gets a minimal exponent tuple clearing its denominator, and two
-explicit constants squeeze the coding period of any intersection point:
+D_alpha gets a minimal exponent tuple n clearing its denominator, and two
+bounds squeeze the coding period m of any intersection point:
 
-  - period  <  (#A)^k, the exact covering count at radius 1/(3|u|), and
-  - period >= c2 * prod p^ceil(n_j/e_j), the order lower bound.
+  - m <= (#A)^k, the exact covering count at radius 1/(3|u|), and
+  - m is a multiple of ord(beta mod prod P_j^{n_j}), which is at least
+    c2 * prod p^ceil(n_j/e_j).
 
 For sigma < 1 (or sigma < 2 under the unique-factorization hypotheses) the
-two bounds cross at a computable level n0: every tuple with larger exponent
-sum gives an empty slice, so one lattice sweep at level n0 is exhaustive.
-The n0 search compares products of logarithms of rationals and is done with
-rigorous dyadic interval enclosures, never bare floating point.
+constant c2 makes the two bounds cross at a computable n0: every tuple with
+exponent sum n0 or more is empty.  The n0 search compares products of
+logarithms of rationals and is done with rigorous dyadic interval
+enclosures, never bare floating point.  Below n0 the exact order excludes
+far more: ``survivors`` finds the maximal tuples whose order does not beat
+the covering count, and each is swept as the lattice prod P_j^{-n_j}, so a
+certified run covers every point with a few small sweeps.
 
-A level sweep scans the balls of a depth-k cylinder cover of the attractor.
-Its cost, the lattice rows plus points those balls can touch, is an exact
-integer bound (``_scan_plan``); the cap check and the level a capped
-certified run falls back to are both decided on it.
+A sweep scans the balls of a depth-k cylinder cover of the attractor.  Its
+cost, the lattice rows plus points those balls can touch, is an exact
+integer bound (``_scan_plan``); the cap check and a capped certified run's
+fallback are both decided on it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import CapExceededError, PreconditionError
 from .exactmath import Interval, log2_interval
@@ -42,14 +48,17 @@ from .fractal import (
 )
 from .ideals import (
     ElementFactorization,
+    IdealHNF,
     are_coprime,
     factor_element,
+    ideal_mul,
     prime_power_product,
+    principal_ideal,
     valuation,
 )
 from .membership import Coding, coding_of, is_member, verify_coding
 from .orders import LowerBoundSpec, c2_constant, order_lower_bound
-from .quadring import FieldElement, QuadInt, mul_matrix
+from .quadring import FieldElement, QuadInt, mul_matrix, norm_form
 
 UFD_FIELDS = frozenset({-1, -2, -3, -7, -11, -19, -43, -67, -163})
 # lattice rows plus points one level sweep may touch, by ``_scan_plan``
@@ -210,15 +219,136 @@ def tuple_is_excluded(
     which forces the tuple's slice of D_alpha to miss the attractor.
     """
     low = order_lower_bound(lb, exponents)
-    if case == "case_ii":
-        u_norm = math.prod(p.p**n for p, n in zip(lb.primes, exponents))
-    else:
-        by_p: dict[int, int] = {}
-        for prime, n in zip(lb.primes, exponents):
-            by_p[prime.p] = max(by_p.get(prime.p, 0), -(-n // prime.e))
-        u = math.prod(p**m for p, m in by_p.items())
-        u_norm = u * u
-    return low > period_bound(spec, u_norm)
+    by_p: dict[int, int] = {}
+    for prime, n in zip(lb.primes, exponents):
+        by_p[prime.p] = max(by_p.get(prime.p, 0), -(-n // prime.e))
+    u = math.prod(p**m for p, m in by_p.items())
+    return low > period_bound(spec, _u_norm(case, u))
+
+
+def _u_norm(case: str, u: int) -> int:
+    """Norm of the denominator that ``period_bound`` sees for one tuple.
+
+    u = prod p^m_p, with m_p = max ceil(n_j/e_j) over the primes P_j above
+    each rational prime p, is the least positive integer in prod P_j^{n_j}.
+    Case (i) clears the denominator with u itself, of norm u^2.  Case (ii)
+    has a single split prime above each p, so u is the norm of
+    prod P_j^{n_j}, whose generator clears the denominator.
+    """
+    return u if case == "case_ii" else u * u
+
+
+def _u_limit(spec: IFSSpec, lb: LowerBoundSpec, case: str) -> int:
+    """An integer above every u = prod p^m_p that the c2 bound keeps.
+
+    ``tuple_is_excluded`` holds when c2*u > period_bound, and ord(n) is at
+    least c2*u, so a tuple with larger u is excluded by its exact order too.
+    period_bound is A^k for the u in (H_(k-1), H_k], with H_k the largest u
+    whose u_norm satisfies 9*u_norm*R'^2 <= N(beta)^k; there only u <= A^k/c2
+    escape.  H_(k+1) >= A*H_k: in case (ii) because A < N(beta), in case (i)
+    because A <= isqrt(N(beta)) and isqrt(N(beta)*Y) >= isqrt(N(beta))*isqrt(Y).
+    So once H_(k-1) >= A^k/c2, every later range is excluded as well.
+    """
+    r2 = bounding_radius_sq(spec)
+    a = len(spec.digits)
+    b = spec.beta.norm()
+    limit = high = k = 0
+    while high < lb.c2.denominator * a**k:
+        y = b**k * r2.denominator // (9 * r2.numerator)
+        high = y if case == "case_ii" else math.isqrt(y)
+        limit = max(limit, min(high, lb.c2.denominator * a**k))
+        k += 1
+    return limit
+
+
+def survivors(
+    report: PreconditionReport,
+    spec: IFSSpec,
+    lb: LowerBoundSpec | None,
+    n_max: int,
+    n0: int | None,
+) -> tuple[tuple[int, ...], ...]:
+    """Maximal tuples n <= n_max*b with sum(n) < n0 that are not excluded.
+
+    A point with minimal tuple n has a coding period m with beta^m = 1
+    modulo prod P_j^{n_j} (``period_congruence_holds``), so m is a multiple
+    of ord(n) = lcm_j ord(beta mod P_j^{n_j}), the primes being coprime;
+    and m is at most period_bound(u_norm(n)), the state count.  So a tuple
+    with ord(n) > period_bound holds no point, nor does one with sum >= n0,
+    and every point's tuple lies below one of the returned tuples.  With no
+    applicable case nothing is excluded and n_max*b is the one maximal
+    tuple.
+
+    The tuples are visited in groups with equal m_p for every rational
+    prime p, which share u = prod p^m_p and so one period bound; groups
+    with u above ``_u_limit`` are never visited.  A whole group is dropped
+    when a lower bound on ord(n) over it beats that bound.  Proof
+    of the lower bound: for each p with m_p > 0 some P_j above p has
+    ceil(n_j/e_j) = m_p, that is n_j >= lo_j = e_j*(m_p - 1) + 1; the order
+    modulo P^lo divides the order modulo P^n for lo <= n, so ord(n) is a
+    multiple of ord(beta mod P_j^lo_j) for that j, for every p at once, and
+    so of the lcm of those orders.  Which P_j attains m_p is not known, so
+    the bound is the least such lcm over the choices of one P_j per p.  It
+    is at least the largest per-prime order of any single choice.
+    """
+    fact = report.alpha_factorization
+    top = tuple(n_max * b for b in fact.exponents)
+    case = report.applicable_case
+    if case is None:
+        return (top,)
+    top = tuple(min(t, n0 - 1) for t in top)
+    primes = fact.primes
+    orders = [
+        [1] + [st.order(n) for n in range(1, t + 1)]
+        for st, t in zip(lb.stabilizations, top)
+    ]
+    above: dict[int, list[int]] = {}
+    for j, prime in enumerate(primes):
+        above.setdefault(prime.p, []).append(j)
+    # per rational prime p, one row per m_p: (the primes js above p, m_p,
+    # p^m_p, least exponent sum at p, orders ord(beta mod P_j^lo_j) of the
+    # P_j that can attain m_p)
+    u_max = _u_limit(spec, lb, case)
+    levels = []
+    for p, js in above.items():
+        rows = [(js, 0, 1, 0, [1])]
+        m_max = max(-(-top[j] // primes[j].e) for j in js)
+        for m in itertools.takewhile(lambda m: p**m <= u_max, range(1, m_max + 1)):
+            lows = [(primes[j].e * (m - 1) + 1, j) for j in js]
+            lows = [(lo, j) for lo, j in lows if lo <= top[j]]
+            least = min(lo for lo, _ in lows)
+            rows.append((js, m, p**m, least, [orders[j][lo] for lo, j in lows]))
+        levels.append(rows)
+
+    def exact(js, m):
+        """Exponents at the primes js whose lifted exponent is exactly m."""
+        spans = [range(min(top[j], primes[j].e * m) + 1) for j in js]
+        for ns in itertools.product(*spans):
+            if max(-(-n // primes[j].e) for n, j in zip(ns, js)) == m:
+                yield ns
+
+    kept = []
+    for group in itertools.product(*levels):
+        jss, ms, pms, leasts, lowss = zip(*group)
+        u = math.prod(pms)
+        if u > u_max or sum(leasts) >= n0:
+            continue
+        bound = period_bound(spec, _u_norm(case, u))
+        if min(math.lcm(*c) for c in itertools.product(*lowss)) > bound:
+            continue
+        for parts in itertools.product(*map(exact, jss, ms)):
+            n = [0] * len(primes)
+            for js, ns in zip(jss, parts):
+                for j, nj in zip(js, ns):
+                    n[j] = nj
+            if sum(n) < n0 and math.lcm(*(o[nj] for o, nj in zip(orders, n))) <= bound:
+                kept.append(tuple(n))
+    kept.sort(key=sum, reverse=True)
+    maximal: list[tuple[int, ...]] = []
+    for n in kept:
+        if not any(all(a <= b for a, b in zip(n, t)) for t in maximal):
+            maximal.append(n)
+    return tuple(sorted(maximal))
 
 
 @dataclass(frozen=True)
@@ -229,8 +359,25 @@ class IntersectionPoint:
     coding: Coding
 
 
+class Sweep(NamedTuple):
+    """The lattice prod P_j^{-n_j} of one tuple, its scan cost and whether it ran."""
+
+    exponents: tuple[int, ...]
+    cost: int
+    swept: bool
+
+
 @dataclass(frozen=True)
 class IntersectionReport:
+    """Points found, with the certificate and the sweeps behind them.
+
+    Every point whose denominator divides alpha^level is in ``points``.
+    ``survivors`` are the maximal tuples the exact order does not exclude,
+    and ``swept`` lists each sweep in the order planned: a survivor over the
+    cap (certified mode only) appears unswept, followed by the part of it
+    that fitted.
+    """
+
     points: tuple[IntersectionPoint, ...]
     preconditions: PreconditionReport
     certified_n0: int | None
@@ -238,71 +385,138 @@ class IntersectionReport:
     exhausted: bool
     covering: CoveringConstants | None
     lower_bound: LowerBoundSpec | None
+    survivors: tuple[tuple[int, ...], ...]
+    swept: tuple[Sweep, ...]
+
+    @property
+    def fallback(self) -> tuple[Sweep, ...]:
+        """The survivors skipped for being over the cap."""
+        return tuple(s for s in self.swept if not s.swept)
+
+
+class _Lattice(NamedTuple):
+    """The lattice I^-1 for I = prod P_j^{n_j}, written as (1/delta) * sub.
+
+    delta is an element of I of least norm, so sub = delta * I^-1 is an
+    integral ideal of norm N(delta)/N(I): the whole ring when I is
+    principal, as every ideal is in a UFD.  u = N(I) clears every point's
+    denominator, z = v/u with v in conj(I).
+    """
+
+    delta: QuadInt
+    sub: IdealHNF
+    u: int
+
+
+def _shortest(ideal: IdealHNF) -> QuadInt:
+    """A nonzero element of least norm in the ideal.
+
+    Lagrange-Gauss reduction of the basis {a, b + c*w} under the norm form:
+    once |2B(u, v)| <= Q(u) <= Q(v), u is a shortest vector.
+    """
+    nxy, nyy = norm_form(ideal.field)
+
+    def q(x, y):
+        return x * x + nxy * x * y + nyy * y * y
+
+    (ux, uy), (vx, vy) = (ideal.a, 0), (ideal.b, ideal.c)
+    qu, qv = q(ux, uy), q(vx, vy)
+    while True:
+        if qv < qu:
+            ux, uy, vx, vy, qu, qv = vx, vy, ux, uy, qv, qu
+        # v -= mu*u with mu the integer nearest to B(u, v)/Q(u), where
+        # 2B(u, v) = Q(u + v) - Q(u) - Q(v)
+        mu = (q(ux + vx, uy + vy) - qv) // (2 * qu)
+        if not mu:
+            return QuadInt(ideal.field, ux, uy)
+        vx, vy = vx - mu * ux, vy - mu * uy
+        qv = q(vx, vy)
+
+
+def _lattice(fact: ElementFactorization, exponents: tuple[int, ...]) -> _Lattice:
+    field = fact.element.field
+    ideal = prime_power_product(field, fact.primes, exponents)
+    delta = _shortest(ideal)
+    # delta * conj(I) lies in I * conj(I) = N(I) * O_K
+    scaled = ideal_mul(principal_ideal(delta), ideal.conjugate())
+    u = ideal.norm
+    if scaled.a % u or scaled.b % u or scaled.c % u:
+        raise ArithmeticError("delta * conj(I) is not divisible by N(I)")
+    return _Lattice(delta, IdealHNF(field, scaled.a // u, scaled.b // u, scaled.c // u), u)
 
 
 def _ball_candidates(
-    field, X: int, Y: int, D: int, rn: int, rd: int, out: set
+    field, X: int, Y: int, D: int, rn: int, rd: int, out: set, hnf: tuple[int, int, int]
 ) -> None:
-    """Add to ``out`` every (x, y) with |x + y*w - (X + Y*w)/D|^2 <= rn/rd.
+    """Add to ``out`` every (x, y) with |x + y*w - (X + Y*w)/D|^2 <= rn/rd
+    in the ideal whose Hermite form is hnf = (a, b, c).
 
     Everything sits over one common denominator, and each row y gets its
     exact chord from ``isqrt``.  With s = 2 for the half basis (s = 1
-    otherwise) and a = y*D - Y, the disk test reads
+    otherwise) and a' = y*D - Y, the disk test reads
 
-      rd*(s*D*x - s*X + (s-1)*a)^2 + rd*|d|*a^2 <= budget = s^2*rn*D^2,
+      rd*(s*D*x - s*X + (s-1)*a')^2 + rd*|d|*a'^2 <= budget = s^2*rn*D^2,
 
-    so the rows are |a| <= isqrt(budget // (rd*|d|)) and each row keeps
-    s*D*x in [s*X - (s-1)*a - r, s*X - (s-1)*a + r] with
-    r = isqrt((budget - rd*|d|*a^2) // rd): exactly the lattice points of
-    the closed ball.
+    so the rows are |a'| <= isqrt(budget // (rd*|d|)) and each row keeps
+    s*D*x in [s*X - (s-1)*a' - r, s*X - (s-1)*a' + r] with
+    r = isqrt((budget - rd*|d|*a'^2) // rd).  The ideal's rows are y = c*t,
+    and row t holds the x = b*t (mod a): exactly its points in the closed
+    ball.
     """
+    a, b, c = hnf
     s = 2 if field.half_basis else 1
     budget = s * s * rn * D * D
     rdd = rd * -field.d
     amax = math.isqrt(budget // rdd)
     sd = s * D
-    for y in range(-((amax - Y) // D), (Y + amax) // D + 1):
-        a = y * D - Y
-        r = math.isqrt((budget - rdd * a * a) // rd)
-        mid = s * X - (s - 1) * a
-        out.update([(x, y) for x in range(-((r - mid) // sd), (mid + r) // sd + 1)])
+    cd = c * D
+    for t in range(-((amax - Y) // cd), (Y + amax) // cd + 1):
+        y = c * t
+        dy = y * D - Y
+        r = math.isqrt((budget - rdd * dy * dy) // rd)
+        mid = s * X - (s - 1) * dy
+        lo = -((r - mid) // sd)
+        lo += (b * t - lo) % a
+        out.update([(x, y) for x in range(lo, (mid + r) // sd + 1, a)])
 
 
-def _scan_plan(spec: IFSSpec, alpha: QuadInt, level: int) -> tuple[int, int]:
-    """Word depth k of the level sweep and an upper bound on its work.
+def _scan_plan(spec: IFSSpec, lattice: _Lattice) -> tuple[int, int]:
+    """Word depth k of the lattice's sweep and an upper bound on its work.
 
-    k is the least depth with N(beta)^k >= N(alpha)^level * R'^2, so each of
-    the (#A)^k balls has squared radius at most 1.  The cost is (#A)^k times
-    the rows plus lattice points that one closed ball of that radius can
-    touch, whatever its center: in the chord quantities of
-    ``_ball_candidates`` a ball spans at most 2*amax // D + 1 rows, each of
-    at most 2*r // (s*D) + 1 points with r taken at a = 0.
+    k is the least depth with N(beta)^k >= u * R'^2, so each of the (#A)^k
+    balls, scaled by delta, has squared radius at most N(sub).  The cost is
+    (#A)^k times the rows plus points of ``sub`` that one closed ball of
+    that radius can touch, whatever its center: in the chord quantities of
+    ``_ball_candidates`` a ball spans at most 2*amax // (c*D) + 1 rows, each
+    of at most 2*r // (s*D*a) + 1 points with r taken at a' = 0.
     """
     r2 = bounding_radius_sq(spec)
-    rn = alpha.norm() ** level * r2.numerator
     beta_norm = spec.beta.norm()
     k = 0
     bk_norm = 1
-    while bk_norm * r2.denominator < rn:
+    while bk_norm * r2.denominator < lattice.u * r2.numerator:
         bk_norm *= beta_norm
         k += 1
+    rn = lattice.delta.norm() * r2.numerator
     s = 2 if spec.field.half_basis else 1
     rd = r2.denominator * bk_norm
     budget = s * s * rn * bk_norm * bk_norm
-    rows = 2 * math.isqrt(budget // (rd * -spec.field.d)) // bk_norm + 1
-    per_row = 2 * math.isqrt(budget // rd) // (s * bk_norm) + 1
+    sub = lattice.sub
+    rows = 2 * math.isqrt(budget // (rd * -spec.field.d)) // (sub.c * bk_norm) + 1
+    per_row = 2 * math.isqrt(budget // rd) // (s * bk_norm * sub.a) + 1
     return k, len(spec.digits) ** k * rows * (1 + per_row)
 
 
 def _candidate_numerators(
-    spec: IFSSpec, alpha: QuadInt, level: int, k: int
+    spec: IFSSpec, lattice: _Lattice, k: int
 ) -> set[tuple[int, int]]:
-    """All g with |g/alpha^level| <= R' that can lie on the attractor.
+    """All g in ``sub`` with |g/delta| <= R' that can lie on the attractor.
 
     The attractor is covered by (#A)^k balls of radius R'/|beta|^k around
-    the depth-k cylinder centers alpha^level * W / beta^k.  The distinct
-    depth-k words W are built level by level as integer (x, y) pairs, and
-    each ball is scanned row by row with exact integer chords.
+    the depth-k cylinder centers W / beta^k, that is delta * W / beta^k in
+    g.  The distinct depth-k words W are built level by level as integer
+    (x, y) pairs, and each ball is scanned row by row with exact integer
+    chords.
     """
     beta = spec.beta
     r2 = bounding_radius_sq(spec)
@@ -316,18 +530,24 @@ def _candidate_numerators(
             for ax, ay in digits
         }
 
-    # ball around W: center alpha^N * W * conj(beta^k) / N(beta)^k and
-    # squared radius N(alpha)^N * R'^2 / N(beta)^k
-    c00, c01, c10, c11 = mul_matrix(alpha**level * (beta**k).conj())
+    # ball around W: center delta * W * conj(beta^k) / N(beta)^k and
+    # squared radius N(delta) * R'^2 / N(beta)^k
+    c00, c01, c10, c11 = mul_matrix(lattice.delta * (beta**k).conj())
     bk_norm = beta.norm() ** k
-    rn = alpha.norm() ** level * r2.numerator
+    rn = lattice.delta.norm() * r2.numerator
     rd = r2.denominator * bk_norm
+    sub = lattice.sub
+    hnf = (sub.a, sub.b, sub.c)
     out: set[tuple[int, int]] = set()
     for x, y in words:
         _ball_candidates(
-            spec.field, c00 * x + c01 * y, c10 * x + c11 * y, bk_norm, rn, rd, out
+            spec.field, c00 * x + c01 * y, c10 * x + c11 * y, bk_norm, rn, rd, out, hnf
         )
     return out
+
+
+def _point_order(p: IntersectionPoint):
+    return (p.value.norm(), p.value.num.x, p.value.num.y)
 
 
 def enumerate_level(
@@ -335,11 +555,15 @@ def enumerate_level(
     alpha: QuadInt,
     spec: IFSSpec,
     cap: int = DEFAULT_CAP,
+    exponents: tuple[int, ...] | None = None,
 ) -> tuple[IntersectionPoint, ...]:
     """All attractor points with denominator dividing alpha^level.
 
-    Raises ``CapExceededError`` when the sweep's cost bound from
-    ``_scan_plan`` (lattice rows and points it may touch) exceeds ``cap``.
+    Given ``exponents`` n (at most level*b), only the points whose minimal
+    tuple is at most n: the sweep then scans the lattice prod P_j^{-n_j}
+    in place of alpha^-level.  Raises ``CapExceededError`` when the sweep's
+    cost bound from ``_scan_plan`` (lattice rows and points it may touch)
+    exceeds ``cap``.
     """
     if level < 0:
         raise ValueError("level must be nonnegative")
@@ -347,25 +571,37 @@ def enumerate_level(
         raise PreconditionError("alpha must lie in the spec's field")
     if alpha.norm() < 2:
         raise PreconditionError("|alpha| > 1 is required")
-    k, cost = _scan_plan(spec, alpha, level)
+    fact = factor_element(alpha)
+    whole = tuple(level * b for b in fact.exponents)
+    if exponents is None:
+        exponents = whole
+    elif len(exponents) != fact.ell or not all(
+        0 <= n <= t for n, t in zip(exponents, whole)
+    ):
+        raise ValueError(f"exponents must lie between 0 and {whole}")
+    lattice = _lattice(fact, exponents)
+    k, cost = _scan_plan(spec, lattice)
     if cost > cap:
+        what = f"level-{level}" if exponents == whole else f"tuple-{exponents}"
         raise CapExceededError(
-            f"level-{level} sweep may touch {cost} lattice rows and points, "
+            f"{what} sweep may touch {cost} lattice rows and points, "
             f"over cap {cap}",
             estimate=cost,
             cap=cap,
         )
-    fact = factor_element(alpha)
-    u = alpha.norm() ** level
-    conj_alpha_n = alpha.conj() ** level
-    alpha_n = alpha**level
+    u = lattice.u
+    conj_delta = lattice.delta.conj()
+    sub_norm = lattice.sub.norm
     points = []
-    for x, y in sorted(_candidate_numerators(spec, alpha, level, k)):
+    for x, y in sorted(_candidate_numerators(spec, lattice, k)):
         g = QuadInt(spec.field, x, y)
-        v = g * conj_alpha_n
+        # z = g/delta = v/u with v = g * conj(delta) / N(sub)
+        v = g * conj_delta
+        if sub_norm > 1:
+            v = QuadInt(spec.field, v.x // sub_norm, v.y // sub_norm)
         if not is_member(v, u, spec):
             continue
-        value = FieldElement.from_ratio(g, alpha_n)
+        value = FieldElement.from_ratio(g, lattice.delta)
         coding = coding_of(v, u, spec)
         assert coding is not None
         exps = minimal_tuple(value, fact)
@@ -377,7 +613,7 @@ def enumerate_level(
                 coding=coding,
             )
         )
-    points.sort(key=lambda p: (p.value.norm(), p.value.num.x, p.value.num.y))
+    points.sort(key=_point_order)
     return tuple(points)
 
 
@@ -399,14 +635,15 @@ def full_intersection(
 ) -> IntersectionReport:
     """Intersection report in certified or bounded mode.
 
-    Certified mode computes n0 and sweeps the single level n0 (every point
-    with tuple sum below n0 has denominator dividing alpha^n0).  When the
-    sweep's cost bound from ``_scan_plan`` exceeds ``cap`` it sweeps the
-    largest level below n0 whose cost fits instead, found by scanning down
-    (the cost is not monotone in the level), and reports the certificate
-    with exhausted=False.  Bounded mode sweeps level n_max and raises
-    ``CapExceededError`` when its cost is over the cap, as certified mode
-    does when even level 0 is.
+    Both modes search the tuples n <= N*b with sum(n) < n0 for the maximal
+    ones the exact order does not exclude (``survivors``), with N = n_max
+    in bounded mode and N = n0 in certified mode, and sweep the lattice
+    prod P_j^{-n_j} of each.  Bounded mode so returns exactly the points of
+    level n_max, and raises ``CapExceededError`` when a survivor's sweep
+    cost from ``_scan_plan`` is over the cap.  Certified mode skips such a
+    survivor s and sweeps in its place min(s, L*b) for the largest level L
+    whose cost fits; it then reports the least such L as ``level``, with
+    exhausted=False.  Its certificate n0 is reported either way.
     """
     report = preconditions(alpha, spec)
     covering = None
@@ -423,22 +660,57 @@ def full_intersection(
                 "no applicable finiteness case; run in bounded mode"
             )
         level = n0
-        while level > 0 and _scan_plan(spec, alpha, level)[1] > cap:
-            level -= 1
-        exhausted = level == n0
     elif mode == "bounded":
         if n_max is None or n_max < 0:
             raise PreconditionError("bounded mode needs n_max >= 0")
         level = n_max
-        exhausted = n0 is not None and n_max >= n0
     else:
         raise PreconditionError(f"unknown mode {mode!r}")
+    fact = report.alpha_factorization
+
+    def cost(n):
+        return _scan_plan(spec, _lattice(fact, n))[1]
+
+    found = survivors(report, spec, lb, level, n0)
+    sweeps = []
+    for s in found:
+        c = cost(s)
+        if c <= cap:
+            sweeps.append(Sweep(s, c, True))
+            continue
+        if mode == "bounded":
+            raise CapExceededError(
+                f"sweep of survivor {s} may touch {c} lattice rows and points, "
+                f"over cap {cap}",
+                estimate=c,
+                cap=cap,
+            )
+        sweeps.append(Sweep(s, c, False))
+        fit = _den_power(s, fact) - 1
+        while fit > 0 and cost(_clip(s, fit, fact)) > cap:
+            fit -= 1
+        part = _clip(s, fit, fact)
+        sweeps.append(Sweep(part, cost(part), True))
+        level = min(level, fit)
+    points: dict[FieldElement, IntersectionPoint] = {}
+    for sweep in sweeps:
+        if sweep.swept:
+            n = sweep.exponents
+            for p in enumerate_level(_den_power(n, fact), alpha, spec, cap, n):
+                points.setdefault(p.value, p)
     return IntersectionReport(
-        points=enumerate_level(level, alpha, spec, cap=cap),
+        points=tuple(sorted(points.values(), key=_point_order)),
         preconditions=report,
         certified_n0=n0,
         level=level,
-        exhausted=exhausted,
+        exhausted=n0 is not None and level >= n0,
         covering=covering,
         lower_bound=lb,
+        survivors=found,
+        swept=tuple(sweeps),
     )
+
+
+def _clip(n: tuple[int, ...], level: int, fact: ElementFactorization) -> tuple[int, ...]:
+    """min(n, level*b): the part of n's lattice inside alpha^-level."""
+    return tuple(min(nj, level * b) for nj, b in zip(n, fact.exponents))

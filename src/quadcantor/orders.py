@@ -30,14 +30,28 @@ class StabilizationData:
     n0: int
     m: int
 
+    def order(self, n: int) -> int:
+        """Order of beta modulo prime^n; closed form above the stable level."""
+        if n < 1:
+            raise ValueError("exponent must be positive")
+        if n <= self.n0:
+            return ord_mod(self.beta, ideal_pow(self.prime.hnf, n))
+        lift = -(-(n - self.n0) // self.prime.e)  # ceil((n - n0)/e)
+        return self.m * self.prime.p**lift
+
 
 @dataclass(frozen=True)
 class LowerBoundSpec:
-    """Explicit constant c2 = 1/prod(p_j^m_j) for the order lower bound."""
+    """Explicit constant c2 = 1/prod(p_j^m_j) for the order lower bound.
+
+    ``stabilizations`` keeps each prime's stabilization data, from which
+    the exact order modulo any power of that prime follows.
+    """
 
     primes: tuple[PrimeIdeal, ...]
     m_exponents: tuple[int, ...]
     c2: Fraction
+    stabilizations: tuple[StabilizationData, ...]
 
 
 def _check_invertible(beta: QuadInt, ideal: IdealHNF) -> None:
@@ -130,11 +144,7 @@ def ord_prime_power(beta: QuadInt, prime: PrimeIdeal, n: int) -> int:
     """Order of beta modulo prime^n; closed form above the stable level."""
     if n < 1:
         raise ValueError("exponent must be positive")
-    stab = stabilization(beta, prime)
-    if n <= stab.n0:
-        return ord_mod(beta, ideal_pow(prime.hnf, n))
-    lift = -(-(n - stab.n0) // prime.e)  # ceil((n - n0)/e)
-    return stab.m * prime.p**lift
+    return stabilization(beta, prime).order(n)
 
 
 def c2_constant(beta: QuadInt, primes: list[PrimeIdeal] | tuple[PrimeIdeal, ...]) -> LowerBoundSpec:
@@ -144,9 +154,12 @@ def c2_constant(beta: QuadInt, primes: list[PrimeIdeal] | tuple[PrimeIdeal, ...]
         raise PreconditionError("need at least one prime")
     if len(set(primes)) != len(primes):
         raise PreconditionError("primes must be distinct")
-    ms = tuple(stabilization(beta, p).n0 for p in primes)
+    stabs = tuple(stabilization(beta, p) for p in primes)
+    ms = tuple(s.n0 for s in stabs)
     den = math.prod(p.p**m for p, m in zip(primes, ms))
-    return LowerBoundSpec(primes=primes, m_exponents=ms, c2=Fraction(1, den))
+    return LowerBoundSpec(
+        primes=primes, m_exponents=ms, c2=Fraction(1, den), stabilizations=stabs
+    )
 
 
 def order_lower_bound(spec: LowerBoundSpec, exponents: tuple[int, ...]) -> Fraction:

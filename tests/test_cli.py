@@ -8,6 +8,7 @@ import pytest
 import quadcantor as qc
 from quadcantor import ntheory
 from quadcantor.cli import _decimal_digits, main
+from quadcantor.intersection import DEFAULT_CAP
 
 
 def run_cli(capsys, *argv):
@@ -124,13 +125,40 @@ class TestIntersect:
         assert out1 == out2
 
     def test_certified_falls_back_under_cap(self, capsys):
-        record = run_json(
-            capsys, "intersect", "-d", "-1", "--alpha", "2", "--beta", "3",
-            "--digits", "0,2", "--mode", "certified", "--cap", "10000",
+        argv = (
+            "intersect", "-d", "-1", "--alpha", "2", "--beta", "3",
+            "--digits", "0,2", "--mode", "certified",
         )
+        # the one survivor (20,) costs 256: a 10^4 cap exhausts
+        record = run_json(capsys, *argv, "--cap", "10000")
+        assert record["exhausted"] is True
+        assert record["level"] == record["n0"] == "44"
+        assert record["survivors"] == [["20"]]
+        assert record["swept"] == [{"tuple": ["20"], "cost": "256", "swept": True}]
+        assert record["fallback"] is None
+        assert {p["value"] for p in record["points"]} == {"0", "1/4", "3/4", "1"}
+        # a cap below 256 falls back to the largest level that fits
+        record = run_json(capsys, *argv, "--cap", "200")
         assert record["exhausted"] is False
         assert int(record["level"]) < int(record["n0"])
+        assert record["fallback"] == [{"tuple": ["20"], "cost": "256", "swept": False}]
         assert {p["value"] for p in record["points"]} == {"0", "1/4", "3/4", "1"}
+
+    def test_certified_case_two_names_the_over_cap_survivor(self, capsys):
+        record = run_json(
+            capsys, "intersect", "-d", "-1", "--alpha=-4+w", "--beta=-2+w",
+            "--digits", "0,1,2,3", "--mode", "certified",
+        )
+        assert record["exhausted"] is False
+        assert record["n0"] == "109"
+        assert record["survivors"] == [["12"]]
+        [skipped] = record["fallback"]
+        assert skipped["tuple"] == ["12"] and skipped["swept"] is False
+        assert int(skipped["cost"]) > DEFAULT_CAP
+        swept = [s for s in record["swept"] if s["swept"]]
+        assert swept == [{"tuple": [record["level"]], "cost": swept[0]["cost"], "swept": True}]
+        assert int(swept[0]["cost"]) <= DEFAULT_CAP
+        assert {p["value"] for p in record["points"]} == {"0"}
 
 
 class TestBound:
