@@ -1,7 +1,11 @@
 """Deciding exactly whether v/u lies in the middle-third Cantor set.
 
-The orbit xi -> 3*xi - a (a in {0, 2}) stays in a finite disk of lattice
-points; v/u belongs to the set exactly when the orbit graph reaches a cycle.
+The orbit z -> 3*z - a (a in {0, 2}) is pruned to a disk that contains the
+set, |z - c| <= r' with c = m/(beta - 1) for the digit centroid m: here
+c = 1/2 and r' = 1/2.  Over a denominator u the states are 1/u apart, so the
+orbit graph is finite, and v/u belongs to the set exactly when it reaches a
+cycle.  Any disk that contains the set gives the same answers; only the
+state counts depend on it.
 
 Run:  python demos/03_cantor_membership.py
 """
@@ -33,14 +37,14 @@ print("verify_coding:", qc.verify_coding(coding, F.element(1), 4, cantor))
 
 
 def orbit(v, u, spec):
-    """Numerators xi of the orbit xi -> beta*xi - a*u kept in the disk |xi| <= u*R'."""
-    r2 = qc.bounding_radius_sq(spec)
+    """Numerators xi of the orbit xi -> beta*xi - a*u with xi/u in the pruning disk."""
+    centre, r2 = qc.orbit_disk(spec)
     seen, todo = [v], [v]
     while todo:
         z = todo.pop()
         for a in spec.digits:
             w = spec.beta * z - a * u
-            if w.norm() * r2.denominator <= r2.numerator * u * u and w not in seen:
+            if (qc.FieldElement(w, u) - centre).norm() <= r2 and w not in seen:
                 seen.append(w)
                 todo.append(w)
     return seen
@@ -48,5 +52,12 @@ def orbit(v, u, spec):
 
 # state separation: distinct states over denominator u differ by >= 1/u,
 # which caps how many can fit in the disk -- the finiteness mechanism
-print("\nstates of 1/4 over u=4:", [str(z) for z in orbit(F.element(1), 4, cantor)])
+centre, r2 = qc.orbit_disk(cantor)
+print(f"\npruning disk: centre {centre}, radius^2 {r2} (R'^2 = {qc.bounding_radius_sq(cantor)})")
+states = orbit(F.element(1), 4, cantor)
+print(
+    "states of 1/4 over u=4:",
+    [str(z) for z in states],
+    f"(state_count {qc.state_count(F.element(1), 4, cantor)})",
+)
 print("period bound for u=4:", qc.period_bound(cantor, 16))

@@ -57,6 +57,7 @@ from .membership import (
     coding_of,
     coding_value,
     is_member,
+    orbit_disk,
     state_count,
     verify_coding,
 )

@@ -66,15 +66,13 @@ class CoveringConstants:
     beta_norm: int
 
 
-@lru_cache(maxsize=None)
-def bounding_radius_sq(spec: IFSSpec) -> Fraction:
-    """R'^2 for the least rational R' >= R with denominator at most 64.
+def least_radius_sq(m: int, b: int, dens) -> Fraction:
+    """r^2 for the least r = num/den >= sqrt(m)/(sqrt(b) - 1) over den in dens.
 
-    For n >= 0, n/den >= R = sqrt(M)/(sqrt(B) - 1) squares into the integer
-    test t = n^2 (B - 1) - M den^2 >= 0 and t^2 >= 4 n^2 M den^2.
+    This is the radius bound for digits of largest norm m and a base of norm
+    b.  For num >= 0, num/den >= sqrt(m)/(sqrt(b) - 1) squares into the
+    integer test t = num^2 (b - 1) - m den^2 >= 0 and t^2 >= 4 num^2 m den^2.
     """
-    m = max(a.norm() for a in spec.digits)
-    b = spec.beta.norm()
     hint = math.sqrt(m) / (math.sqrt(b) - 1)
 
     def reached(num: int, md2: int) -> bool:
@@ -82,7 +80,7 @@ def bounding_radius_sq(spec: IFSSpec) -> Fraction:
         return t >= 0 and t * t >= 4 * num * num * md2
 
     radii = []
-    for den in range(1, 65):
+    for den in dens:
         md2 = m * den * den
         num = max(0, int(hint * den) - 2)
         while not reached(num, md2):
@@ -91,6 +89,13 @@ def bounding_radius_sq(spec: IFSSpec) -> Fraction:
             num -= 1
         radii.append(Fraction(num, den))
     return min(radii) ** 2
+
+
+@lru_cache(maxsize=None)
+def bounding_radius_sq(spec: IFSSpec) -> Fraction:
+    """R'^2 for the least rational R' >= R with denominator at most 64."""
+    m = max(a.norm() for a in spec.digits)
+    return least_radius_sq(m, spec.beta.norm(), range(1, 65))
 
 
 def similarity_dimension(spec: IFSSpec) -> float:

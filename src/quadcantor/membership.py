@@ -1,10 +1,20 @@
 """Exact membership of v/u in S(beta, A) via a finite orbit graph.
 
 A query point v/u (u a positive rational integer after conjugate
-normalization) is the root of the edge relation xi -> beta*xi - a over
-numerators, pruned to the closed disk |xi| <= R'.  The graph is finite, and
-v/u lies in the attractor exactly when a cycle is reachable from the root:
-any infinite pruned orbit telescopes back to a convergent digit series.
+normalization) is the root of the edge relation z -> beta*z - a, pruned to
+a closed disk D(c, r') that contains the attractor.  The states are points
+over the denominator u, at least 1/u apart, so the graph is finite, and v/u
+lies in the attractor exactly when a cycle is reachable from the root.
+
+The disk is recentred on the attractor: c = m/(beta - 1) with m the digit
+centroid, since S - c is the attractor of the digits a - m.  Any bounded
+region K that contains S gives the same answers.  If v/u is in S, a coding
+of it keeps every tail in S, so inside K, and that is an infinite path.  An
+infinite path inside K makes v/u = sum_{j<=k} a_j beta^-j + beta^-k z_k with
+z_k bounded, which converges to a point of S.  So a state is alive exactly
+when it lies in S, whatever K is.  Membership does not depend on the disk,
+nor do codings, whose walk takes the lowest digit with a successor in S;
+only ``state_count`` does.
 
 Exploration state is shared between queries through a per-(spec, u) cache,
 since intersection sweeps ask about many points over one denominator.
@@ -13,8 +23,10 @@ since intersection sweeps ask about many points over one denominator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 
-from .fractal import IFSSpec, bounding_radius_sq
+from .fractal import IFSSpec, bounding_radius_sq, least_radius_sq
 from .quadring import FieldElement, QuadInt, mul_matrix, norm_form
 
 
@@ -26,8 +38,35 @@ class Coding:
     period: tuple[QuadInt, ...]
 
 
+@lru_cache(maxsize=None)
+def orbit_disk(spec: IFSSpec) -> tuple[FieldElement, Fraction]:
+    """Centre c and squared radius r'^2 of the disk that prunes orbit graphs.
+
+    c = m/(beta - 1) for the digit centroid m.  With n = #A, r'^2 is the
+    radius bound of the integral digits n*a - sum(A), divided by n^2.  Its
+    search tries the one denominator 64, which keeps the setup of each spec
+    short: one integer search in place of the 64 of ``bounding_radius_sq``.
+    When the disk is not smaller than R', the 0-centred disk of R' is kept.
+    ``state_count`` counts the states in this disk.
+    """
+    n = len(spec.digits)
+    total = sum(spec.digits, spec.field.zero)
+    m = max((a * n - total).norm() for a in spec.digits)
+    r2 = least_radius_sq(m, spec.beta.norm(), (64,)) / (n * n)
+    r0 = bounding_radius_sq(spec)
+    if r2 < r0:
+        return FieldElement.from_ratio(total, (spec.beta - 1) * n), r2
+    return FieldElement(spec.field.zero), r0
+
+
 class _Space:
-    """The lazily explored orbit graph over the lattice (1/u)*O_K.
+    """The lazily explored orbit graph over the denominator u.
+
+    With c = C/D in lowest terms, the point v/u has the state
+    s = D*v - C*u, so s/(D*u) = v/u - c.  The edge v -> beta*v - a*u becomes
+    s -> beta*s - D*(a - m)*u, whose digits D*(a - m) = D*a - (beta - 1)*C
+    are integral, and the disk test is N(s) * rd <= rn * D^2 * u^2 for
+    r'^2 = rn/rd.
 
     ``succ`` maps each explored state to the tuple of its (digit index,
     successor) pairs in digit order, and ``alive`` maps it to whether an
@@ -37,11 +76,17 @@ class _Space:
     """
 
     def __init__(self, spec: IFSSpec, u: int):
-        r2 = bounding_radius_sq(spec)
+        centre, r2 = orbit_disk(spec)
+        c, d = centre.num, centre.den
+        shift = (spec.beta - 1) * c
         self.beta_matrix = mul_matrix(spec.beta)
-        self.scaled_digits = tuple((i, a.x * u, a.y * u) for i, a in enumerate(spec.digits))
+        self.scaled_digits = tuple(
+            (i, (a.x * d - shift.x) * u, (a.y * d - shift.y) * u)
+            for i, a in enumerate(spec.digits)
+        )
+        self.d, self.cux, self.cuy = d, c.x * u, c.y * u
         self.nxy, self.nyy = norm_form(spec.field)
-        self.bound_num = r2.numerator * u * u
+        self.bound_num = r2.numerator * d * d * u * u
         self.bound_den = r2.denominator
         self.succ: dict[tuple[int, int], tuple[tuple[int, tuple[int, int]], ...]] = {}
         self.alive: dict[tuple[int, int], bool] = {}
@@ -138,15 +183,15 @@ def _explore(v: QuadInt, u: int, spec: IFSSpec) -> tuple[_Space, tuple[int, int]
     from the root has its successors in ``succ`` and its label in ``alive``.
     """
     space = _space(spec, u)
-    if not space.inside(v.x, v.y):
+    root = (space.d * v.x - space.cux, space.d * v.y - space.cuy)
+    if not space.inside(*root):
         return None
-    root = (v.x, v.y)
     _ensure_alive(space, root)
     return space, root
 
 
 def is_member(v: QuadInt, u: int, spec: IFSSpec) -> bool:
-    """Whether v/u lies in S(beta, A); exact, independent of R' enlargement."""
+    """Whether v/u lies in S(beta, A); exact, independent of the pruning disk."""
     found = _explore(v, u, spec)
     if found is None:
         return False
@@ -155,7 +200,7 @@ def is_member(v: QuadInt, u: int, spec: IFSSpec) -> bool:
 
 
 def state_count(v: QuadInt, u: int, spec: IFSSpec) -> int:
-    """Number of orbit states reachable from v/u, 0 outside the disk.
+    """Number of orbit states reachable from v/u in the disk, 0 outside it.
 
     The walk reads only the successors that exploration stored, so it
     creates no states and makes no disk test.

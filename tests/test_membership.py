@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -25,20 +26,29 @@ def half_field_spec():
     return qc.ifs_new(field.element(2), [field.element(0), field.element(1)])
 
 
-def exhaustive_graph(v, u, spec, radius_sq=None):
+def exhaustive_graph(v, u, spec, region=None):
     """Reachable states and cycle-reaching states of v/u, by brute force.
 
-    The same disk pruning as the library, a full breadth-first closure
-    (``seen``), then ``can``: the states from which a path of length
-    #seen + 1 leaves.  Such a path must revisit a state, so ``can`` is
-    exactly the set of states that reach a cycle.
+    The states are numerators over u, pruned to the closed disk
+    ``region = (centre, radius_sq)``, by default the 0-centred disk of R'.
+    A full breadth-first closure (``seen``), then ``can``: the states from
+    which a path of length #seen + 1 leaves.  Such a path must revisit a
+    state, so ``can`` is exactly the set of states that reach a cycle.
     """
-    r2 = radius_sq if radius_sq is not None else qc.bounding_radius_sq(spec)
-    bn = r2.numerator * u * u
-    bd = r2.denominator
+    if region is None:
+        region = (FieldElement(spec.field.zero), qc.bounding_radius_sq(spec))
+    centre, r2 = region
     beta = spec.beta
     scaled = [a * u for a in spec.digits]
-    if v.norm() * bd > bn:
+    memo = {}
+
+    def inside(w):
+        key = (w.x, w.y)
+        if key not in memo:
+            memo[key] = (FieldElement(w, u) - centre).norm() <= r2
+        return memo[key]
+
+    if not inside(v):
         return set(), set()
     seen = {(v.x, v.y)}
     frontier = [v]
@@ -48,7 +58,7 @@ def exhaustive_graph(v, u, spec, radius_sq=None):
             bz = beta * z
             for a in scaled:
                 w = bz - a
-                if w.norm() * bd <= bn and (w.x, w.y) not in seen:
+                if inside(w) and (w.x, w.y) not in seen:
                     seen.add((w.x, w.y))
                     new.append(w)
         frontier = new
@@ -64,7 +74,7 @@ def exhaustive_graph(v, u, spec, radius_sq=None):
             bz = beta * z
             for a in scaled:
                 w = bz - a
-                if w.norm() * bd <= bn and (w.x, w.y) in can:
+                if inside(w) and (w.x, w.y) in can:
                     nxt.add(key)
                     break
         if nxt == can:
@@ -73,8 +83,34 @@ def exhaustive_graph(v, u, spec, radius_sq=None):
     return seen, can
 
 
-def exhaustive_member(v, u, spec, radius_sq=None):
-    return (v.x, v.y) in exhaustive_graph(v, u, spec, radius_sq)[1]
+def exhaustive_member(v, u, spec, region=None):
+    return (v.x, v.y) in exhaustive_graph(v, u, spec, region)[1]
+
+
+def exhaustive_coding(v, u, spec, can):
+    """The lowest-alive-digit walk over the oracle's ``can`` set, or None.
+
+    From each state take the lowest digit index whose successor reaches a
+    cycle, and cut at the first repeated state.
+    """
+    if (v.x, v.y) not in can:
+        return None
+    pos = {(v.x, v.y): 0}
+    digits = []
+    z = v
+    while True:
+        for a in spec.digits:
+            w = spec.beta * z - a * u
+            if (w.x, w.y) in can:
+                break
+        else:
+            raise AssertionError("a state that reaches a cycle has a successor that does")
+        digits.append(a)
+        z = w
+        if (z.x, z.y) in pos:
+            cut = pos[z.x, z.y]
+            return Coding(tuple(digits[:cut]), tuple(digits[cut:]))
+        pos[z.x, z.y] = len(digits)
 
 
 class TestStateGraph:
@@ -113,7 +149,7 @@ class TestStateGraph:
             for _ in range(40):
                 u = rng.randint(1, 30)
                 v = field.element(rng.randint(-3 * u, 3 * u), rng.randint(-2 * u, 2 * u))
-                seen, _ = exhaustive_graph(v, u, spec)
+                seen, _ = exhaustive_graph(v, u, spec, qc.orbit_disk(spec))
                 assert qc.state_count(v, u, spec) == len(seen)
                 outside += not seen
         assert outside > 0
@@ -137,7 +173,9 @@ class TestStateGraph:
                      "--point", f"{qc.element_text(point.num)}/{point.den}"]
                 ) == 0
                 record = json.loads(capsys.readouterr().out)
-                seen, _ = exhaustive_graph(point.num, point.den, spec)
+                seen, _ = exhaustive_graph(
+                    point.num, point.den, spec, qc.orbit_disk(spec)
+                )
                 assert record["states"] == str(len(seen))
                 outside += record["states"] == "0"
         assert outside > 0
@@ -164,7 +202,8 @@ class TestIsMember:
                 u = rng.randint(1, 32)
                 v = gauss.element(rng.randint(-2 * u, 2 * u), rng.randint(-u, u))
                 got = qc.is_member(v, u, spec)
-                assert got == exhaustive_member(v, u, spec, radius_sq=4 * base)
+                region = (FieldElement(spec.field.zero), 4 * base)
+                assert got == exhaustive_member(v, u, spec, region)
 
 
 class TestCoding:
@@ -299,7 +338,7 @@ class TestKernelQueryOrder:
         assert forks > 0
         members = 0
         for (spec, v, u), (member, coding, count) in forward.items():
-            seen, can = exhaustive_graph(v, u, spec)
+            seen, can = exhaustive_graph(v, u, spec, qc.orbit_disk(spec))
             assert member == ((v.x, v.y) in can)
             assert count == len(seen)
             assert (coding is not None) == member
@@ -307,6 +346,85 @@ class TestKernelQueryOrder:
                 assert qc.verify_coding(coding, v, u, spec)
                 members += 1
         assert 0 < members < len(forward)
+
+
+def disk_specs():
+    """Seeded random specs over five fields, plus specs with known disks.
+
+    {-1, 1, w} over Z[i] keeps the 0-centred disk (its recentred one is
+    larger).  The Cantor set and {0, 1} over base 2 reach their recentred
+    disk's boundary at the fixed points 0 and 1, so a centre or radius that
+    is off by one step loses members there.
+    """
+    rng = random.Random(9090)
+    specs = []
+    for d in (-1, -2, -3, -7, -11):
+        field = make_field(d)
+        specs.append(
+            qc.ifs_new(field.element(1, 1), [field.element(-1), field.element(1), field.omega])
+        )
+    gauss, eisenstein = make_field(-1), make_field(-3)
+    specs.append(qc.ifs_new(gauss.element(3), [gauss.element(0), gauss.element(2)]))
+    specs.append(qc.ifs_new(eisenstein.element(2), [eisenstein.element(0), eisenstein.element(1)]))
+    while len(specs) < 19:
+        field = make_field(rng.choice((-1, -2, -3, -7, -11)))
+        beta = field.element(rng.randint(-2, 2), rng.randint(-2, 2))
+        digits = {
+            field.element(rng.randint(-2, 2), rng.randint(-1, 1))
+            for _ in range(rng.randint(2, 3))
+        }
+        if not 2 <= beta.norm() <= 3 or len(digits) < 2:
+            continue
+        specs.append(qc.ifs_new(beta, sorted(digits, key=lambda a: (a.x, a.y))))
+    return specs
+
+
+class TestRecentredDisk:
+    def test_answers_match_zero_centred_oracle(self):
+        rng = random.Random(5150)
+        kinds = set()
+        members = queries = 0
+        for spec in disk_specs():
+            centre, _ = qc.orbit_disk(spec)
+            kinds.add((centre.num.is_zero(), spec.field.half_basis))
+            field = spec.field
+            points = [FieldElement.from_ratio(a, spec.beta - 1) for a in spec.digits]
+            for _ in range(10):
+                coding = Coding(
+                    tuple(rng.choice(spec.digits) for _ in range(rng.randint(0, 2))),
+                    tuple(rng.choice(spec.digits) for _ in range(rng.randint(1, 3))),
+                )
+                z = qc.coding_value(coding, spec.beta)
+                points += [z, FieldElement(z.num + 1, z.den)]
+            for _ in range(10):
+                u = rng.randint(1, 12)
+                points.append(
+                    FieldElement(field.element(rng.randint(-2 * u, 2 * u), rng.randint(-u, u)), u)
+                )
+            for p in points:
+                v, u = p.num, p.den
+                _, can = exhaustive_graph(v, u, spec)
+                member = (v.x, v.y) in can
+                assert qc.is_member(v, u, spec) == member
+                assert qc.coding_of(v, u, spec) == exhaustive_coding(v, u, spec, can)
+                members += member
+                queries += 1
+        # both disks, in whole- and half-basis fields; members and non-members
+        assert {(True, False), (False, False), (False, True)} <= kinds
+        assert 0.2 < members / queries < 0.9
+
+    def test_short_periodic_points_inside(self):
+        for spec in disk_specs():
+            centre, r2 = qc.orbit_disk(spec)
+            assert r2 <= qc.bounding_radius_sq(spec)
+            for m in (1, 2, 3):
+                bm = spec.beta**m
+                for word in itertools.product(spec.digits, repeat=m):
+                    num = spec.field.zero
+                    for a in word:
+                        num = num * spec.beta + a
+                    p = FieldElement.from_ratio(num, bm - 1)
+                    assert (p - centre).norm() <= r2
 
 
 class TestVerifyCoding:
