@@ -18,10 +18,12 @@ far more: ``survivors`` finds the maximal tuples whose order does not beat
 the covering count, and each is swept as the lattice prod P_j^{-n_j}, so a
 certified run covers every point with a few small sweeps.
 
-A sweep scans the balls of a depth-k cylinder cover of the attractor.  Its
-cost, the lattice rows plus points those balls can touch, is an exact
-integer bound (``_scan_plan``); the cap check and a capped certified run's
-fallback are both decided on it.
+A sweep scans the balls of a depth-k cylinder cover of the attractor
+(``_cover``): the images D((W + c)/beta^k, r'/|beta|^k) of the disk
+D(c, r') of ``orbit_disk`` under the depth-k maps, with k the least depth
+with N(beta)^k >= u * r'^2.  Its cost, the lattice rows plus points those
+balls can touch, is an exact integer bound (``_scan_plan``); the cap check
+and a capped certified run's fallback are both decided on it.
 """
 
 from __future__ import annotations
@@ -56,7 +58,13 @@ from .ideals import (
     principal_ideal,
     valuation,
 )
-from .membership import Coding, coding_of, is_member, verify_coding
+from .membership import (
+    Coding,
+    coding_of,
+    is_member,
+    orbit_disk,
+    shifted_digits,
+)
 from .orders import LowerBoundSpec, c2_constant, order_lower_bound
 from .quadring import FieldElement, QuadInt, mul_matrix, norm_form
 
@@ -480,17 +488,18 @@ def _ball_candidates(
         out.update([(x, y) for x in range(lo, (mid + r) // sd + 1, a)])
 
 
-def _scan_plan(spec: IFSSpec, lattice: _Lattice) -> tuple[int, int]:
-    """Word depth k of the lattice's sweep and an upper bound on its work.
+def _cover(spec: IFSSpec, lattice: _Lattice) -> tuple[int, int, int, int]:
+    """Depth k, common denominator and squared radius of the sweep's balls.
 
-    k is the least depth with N(beta)^k >= u * R'^2, so each of the (#A)^k
-    balls, scaled by delta, has squared radius at most N(sub).  The cost is
-    (#A)^k times the rows plus points of ``sub`` that one closed ball of
-    that radius can touch, whatever its center: in the chord quantities of
-    ``_ball_candidates`` a ball spans at most 2*amax // (c*D) + 1 rows, each
-    of at most 2*r // (s*D*a) + 1 points with r taken at a' = 0.
+    S lies in the disk D(c, r') of ``orbit_disk``, and S is the union of
+    (W + S)/beta^k over the depth-k words W, so the (#A)^k balls
+    D((W + c)/beta^k, r'/|beta|^k) cover it.  k is the least depth with
+    N(beta)^k >= u * r'^2, so each ball, scaled by delta, has squared
+    radius at most N(sub).  For c = C/D the scaled ball around W is centred
+    at delta * (D*W + C) * conj(beta^k) over the denominator D * N(beta)^k,
+    with squared radius rn/rd = N(delta) * r'^2 / N(beta)^k.
     """
-    r2 = bounding_radius_sq(spec)
+    centre, r2 = orbit_disk(spec)
     beta_norm = spec.beta.norm()
     k = 0
     bk_norm = 1
@@ -498,31 +507,41 @@ def _scan_plan(spec: IFSSpec, lattice: _Lattice) -> tuple[int, int]:
         bk_norm *= beta_norm
         k += 1
     rn = lattice.delta.norm() * r2.numerator
+    return k, centre.den * bk_norm, rn, r2.denominator * bk_norm
+
+
+def _scan_plan(spec: IFSSpec, lattice: _Lattice) -> int:
+    """An upper bound on the work of the lattice's sweep over ``_cover``.
+
+    The cost is (#A)^k times the rows plus points of ``sub`` that one closed
+    ball of the cover's radius can touch, whatever its center: in the chord
+    quantities of ``_ball_candidates`` a ball spans at most
+    2*amax // (c*D) + 1 rows, each of at most 2*r // (s*D*a) + 1 points with
+    r taken at a' = 0.
+    """
+    k, den, rn, rd = _cover(spec, lattice)
     s = 2 if spec.field.half_basis else 1
-    rd = r2.denominator * bk_norm
-    budget = s * s * rn * bk_norm * bk_norm
+    budget = s * s * rn * den * den
     sub = lattice.sub
-    rows = 2 * math.isqrt(budget // (rd * -spec.field.d)) // (sub.c * bk_norm) + 1
-    per_row = 2 * math.isqrt(budget // rd) // (s * bk_norm * sub.a) + 1
-    return k, len(spec.digits) ** k * rows * (1 + per_row)
+    rows = 2 * math.isqrt(budget // (rd * -spec.field.d)) // (sub.c * den) + 1
+    per_row = 2 * math.isqrt(budget // rd) // (s * den * sub.a) + 1
+    return len(spec.digits) ** k * rows * (1 + per_row)
 
 
-def _candidate_numerators(
-    spec: IFSSpec, lattice: _Lattice, k: int
-) -> set[tuple[int, int]]:
-    """All g in ``sub`` with |g/delta| <= R' that can lie on the attractor.
+def _candidate_numerators(spec: IFSSpec, lattice: _Lattice) -> set[tuple[int, int]]:
+    """All g in ``sub`` in the balls of ``_cover``, scaled by delta.
 
-    The attractor is covered by (#A)^k balls of radius R'/|beta|^k around
-    the depth-k cylinder centers W / beta^k, that is delta * W / beta^k in
-    g.  The distinct depth-k words W are built level by level as integer
-    (x, y) pairs, and each ball is scanned row by row with exact integer
-    chords.
+    Every point of the attractor lies in one of them.  The distinct depth-k
+    words are built level by level as integer (x, y) pairs in the shifted
+    coordinate D*W + C, from C with the digits of ``shifted_digits``, and
+    each ball is scanned row by row with exact integer chords.
     """
     beta = spec.beta
-    r2 = bounding_radius_sq(spec)
+    k, den, rn, rd = _cover(spec, lattice)
+    centre, _ = orbit_disk(spec)
     b00, b01, b10, b11 = mul_matrix(beta)
-    digits = [(a.x, a.y) for a in spec.digits]
-    words = {(0, 0)}
+    digits = shifted_digits(spec)
+    words = {(centre.num.x, centre.num.y)}
     for _ in range(k):
         words = {
             (b00 * x + b01 * y + ax, b10 * x + b11 * y + ay)
@@ -530,18 +549,13 @@ def _candidate_numerators(
             for ax, ay in digits
         }
 
-    # ball around W: center delta * W * conj(beta^k) / N(beta)^k and
-    # squared radius N(delta) * R'^2 / N(beta)^k
     c00, c01, c10, c11 = mul_matrix(lattice.delta * (beta**k).conj())
-    bk_norm = beta.norm() ** k
-    rn = lattice.delta.norm() * r2.numerator
-    rd = r2.denominator * bk_norm
     sub = lattice.sub
     hnf = (sub.a, sub.b, sub.c)
     out: set[tuple[int, int]] = set()
     for x, y in words:
         _ball_candidates(
-            spec.field, c00 * x + c01 * y, c10 * x + c11 * y, bk_norm, rn, rd, out, hnf
+            spec.field, c00 * x + c01 * y, c10 * x + c11 * y, den, rn, rd, out, hnf
         )
     return out
 
@@ -580,7 +594,7 @@ def enumerate_level(
     ):
         raise ValueError(f"exponents must lie between 0 and {whole}")
     lattice = _lattice(fact, exponents)
-    k, cost = _scan_plan(spec, lattice)
+    cost = _scan_plan(spec, lattice)
     if cost > cap:
         what = f"level-{level}" if exponents == whole else f"tuple-{exponents}"
         raise CapExceededError(
@@ -593,7 +607,7 @@ def enumerate_level(
     conj_delta = lattice.delta.conj()
     sub_norm = lattice.sub.norm
     points = []
-    for x, y in sorted(_candidate_numerators(spec, lattice, k)):
+    for x, y in sorted(_candidate_numerators(spec, lattice)):
         g = QuadInt(spec.field, x, y)
         # z = g/delta = v/u with v = g * conj(delta) / N(sub)
         v = g * conj_delta
@@ -669,7 +683,7 @@ def full_intersection(
     fact = report.alpha_factorization
 
     def cost(n):
-        return _scan_plan(spec, _lattice(fact, n))[1]
+        return _scan_plan(spec, _lattice(fact, n))
 
     found = survivors(report, spec, lb, level, n0)
     sweeps = []

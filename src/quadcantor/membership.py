@@ -59,14 +59,27 @@ def orbit_disk(spec: IFSSpec) -> tuple[FieldElement, Fraction]:
     return FieldElement(spec.field.zero), r0
 
 
+def shifted_digits(spec: IFSSpec) -> tuple[tuple[int, int], ...]:
+    """The integral digits D*a - (beta - 1)*C, as (x, y), for c = C/D.
+
+    c is the centre of ``orbit_disk``.  In the coordinate s = D*z - C the
+    map z -> beta*z + a reads s -> beta*s + (D*a - (beta - 1)*C), which
+    keeps every word and every orbit state integral.
+    """
+    centre, _ = orbit_disk(spec)
+    c, d = centre.num, centre.den
+    shift = (spec.beta - 1) * c
+    return tuple((a.x * d - shift.x, a.y * d - shift.y) for a in spec.digits)
+
+
 class _Space:
     """The lazily explored orbit graph over the denominator u.
 
     With c = C/D in lowest terms, the point v/u has the state
     s = D*v - C*u, so s/(D*u) = v/u - c.  The edge v -> beta*v - a*u becomes
     s -> beta*s - D*(a - m)*u, whose digits D*(a - m) = D*a - (beta - 1)*C
-    are integral, and the disk test is N(s) * rd <= rn * D^2 * u^2 for
-    r'^2 = rn/rd.
+    (``shifted_digits``) are integral, and the disk test is
+    N(s) * rd <= rn * D^2 * u^2 for r'^2 = rn/rd.
 
     ``succ`` maps each explored state to the tuple of its (digit index,
     successor) pairs in digit order, and ``alive`` maps it to whether an
@@ -78,11 +91,9 @@ class _Space:
     def __init__(self, spec: IFSSpec, u: int):
         centre, r2 = orbit_disk(spec)
         c, d = centre.num, centre.den
-        shift = (spec.beta - 1) * c
         self.beta_matrix = mul_matrix(spec.beta)
         self.scaled_digits = tuple(
-            (i, (a.x * d - shift.x) * u, (a.y * d - shift.y) * u)
-            for i, a in enumerate(spec.digits)
+            (i, x * u, y * u) for i, (x, y) in enumerate(shifted_digits(spec))
         )
         self.d, self.cux, self.cuy = d, c.x * u, c.y * u
         self.nxy, self.nyy = norm_form(spec.field)

@@ -129,19 +129,20 @@ class TestIntersect:
             "intersect", "-d", "-1", "--alpha", "2", "--beta", "3",
             "--digits", "0,2", "--mode", "certified",
         )
-        # the one survivor (20,) costs 256: a 10^4 cap exhausts
+        # the one survivor (20,) costs 384, 2^6 balls of 6 rows and points
+        # each: a 10^4 cap exhausts
         record = run_json(capsys, *argv, "--cap", "10000")
         assert record["exhausted"] is True
         assert record["level"] == record["n0"] == "44"
         assert record["survivors"] == [["20"]]
-        assert record["swept"] == [{"tuple": ["20"], "cost": "256", "swept": True}]
+        assert record["swept"] == [{"tuple": ["20"], "cost": "384", "swept": True}]
         assert record["fallback"] is None
         assert {p["value"] for p in record["points"]} == {"0", "1/4", "3/4", "1"}
-        # a cap below 256 falls back to the largest level that fits
+        # a cap below 384 falls back to the largest level that fits
         record = run_json(capsys, *argv, "--cap", "200")
         assert record["exhausted"] is False
         assert int(record["level"]) < int(record["n0"])
-        assert record["fallback"] == [{"tuple": ["20"], "cost": "256", "swept": False}]
+        assert record["fallback"] == [{"tuple": ["20"], "cost": "384", "swept": False}]
         assert {p["value"] for p in record["points"]} == {"0", "1/4", "3/4", "1"}
 
     def test_certified_case_two_names_the_over_cap_survivor(self, capsys):

@@ -224,43 +224,92 @@ class TestEnumerateLevel:
 
     def test_cap_is_the_scan_cost(self, gauss, gaussian_four):
         alpha = gauss.element(-4, 1)
-        _, cost = _scan_plan(gaussian_four, _lattice(qc.factor_element(alpha), (2,)))
+        cost = _scan_plan(gaussian_four, _lattice(qc.factor_element(alpha), (2,)))
         with pytest.raises(CapExceededError) as err:
             qc.enumerate_level(2, alpha, gaussian_four, cap=cost - 1)
         assert err.value.estimate == cost and err.value.cap == cost - 1
         assert qc.enumerate_level(2, alpha, gaussian_four, cap=cost)
 
     def test_prefilter_matches_full_scan(self, gauss, gaussian_four):
-        # reference: one whole-disk ball |g|^2 <= N(alpha)^level * R'^2,
-        # filtered by exact membership
-        cases = [(gaussian_four, gauss.element(-4, 1), 2)]
+        # the sweep against one whole-disk scan per lattice: the PREFILTER
+        # cases and case (ii) at their level, the seeded specs of
+        # ``_scan_cases`` in nine fields on their sublattices, and a spec
+        # whose orbit disk falls back to the 0-centred one
+        cases = [(gaussian_four, gauss.element(-4, 1), 2, None)]
         for d, beta, digits, alpha, level in PREFILTER_CASES:
             field = make_field(d)
             spec = qc.ifs_new(
                 field.element(*beta), [field.element(*a) for a in digits]
             )
-            cases.append((spec, field.element(*alpha), level))
-        for spec, alpha, level in cases:
-            fast = qc.enumerate_level(level, alpha, spec)
-            r2 = qc.bounding_radius_sq(spec)
-            u = alpha.norm() ** level
-            disk: set = set()
-            _ball_candidates(
-                spec.field, 0, 0, 1, u * r2.numerator, r2.denominator, disk, (1, 0, 1)
-            )
-            alpha_n = alpha**level
-            slow = set()
-            for x, y in disk:
-                g = spec.field.element(x, y)
-                if qc.is_member(g * alpha_n.conj(), u, spec):
-                    slow.add(FieldElement.from_ratio(g, alpha_n))
-            assert fast
-            assert _values(fast) == slow
+            cases.append((spec, field.element(*alpha), level, None))
+        fallback = qc.ifs_new(
+            gauss.element(1, 2), [gauss.element(-1), gauss.element(1), gauss.element(0, 1)]
+        )
+        centre, r2 = qc.orbit_disk(fallback)
+        assert centre == 0 and r2 == qc.bounding_radius_sq(fallback)
+        cases.append((fallback, gauss.element(2), 3, None))
+        seeded_points = 0
+        for spec, alpha, level, exps in cases + list(_scan_cases()):
+            fast = qc.enumerate_level(level, alpha, spec, cap=10**6, exponents=exps)
+            assert _values(fast) == _whole_disk_points(spec, alpha, level, exps)
+            if exps is None:
+                assert fast  # every fixed case has points at its level
+            else:
+                seeded_points += len(fast)
+        assert seeded_points > 0
+
+
+def _whole_disk_points(spec, alpha, level, exps):
+    """The attractor points of the lattice prod P_j^{-n_j} (alpha^-level
+    when exps is None): the points g/delta with g in ``sub`` and
+    |g/delta| <= R', filtered by exact membership."""
+    fact = qc.factor_element(alpha)
+    if exps is None:
+        exps = tuple(level * b for b in fact.exponents)
+    lattice = _lattice(fact, exps)
+    r2 = qc.bounding_radius_sq(spec)
+    sub = lattice.sub
+    disk: set = set()
+    rn = lattice.delta.norm() * r2.numerator
+    _ball_candidates(spec.field, 0, 0, 1, rn, r2.denominator, disk, (sub.a, sub.b, sub.c))
+    conj_delta = lattice.delta.conj()
+    out = set()
+    for x, y in disk:
+        g = spec.field.element(x, y)
+        v = g * conj_delta
+        v = spec.field.element(v.x // sub.norm, v.y // sub.norm)
+        if qc.is_member(v, lattice.u, spec):
+            out.add(FieldElement.from_ratio(g, lattice.delta))
+    return out
+
+
+def _scan_cases():
+    """Seeded (spec, alpha, level, exponents) in nine fields; the last four
+    are not UFDs, so their sweeps run on sublattices."""
+    rng = random.Random(11)
+    for d in (-1, -2, -3, -7, -11, -5, -6, -10, -15):
+        field = make_field(d)
+        for _ in range(12):
+            beta = field.element(rng.randint(-3, 3), rng.randint(-2, 2))
+            while beta.norm() < 2:
+                beta = field.element(rng.randint(-3, 3), rng.randint(-2, 2))
+            digits = {
+                field.element(rng.randint(-2, 2), rng.randint(-1, 1))
+                for _ in range(rng.randint(2, 4))
+            }
+            if len(digits) < 2:
+                continue
+            spec = qc.ifs_new(beta, sorted(digits, key=lambda a: (a.x, a.y)))
+            alpha = field.element(rng.randint(-3, 3), rng.randint(-2, 2))
+            if alpha.norm() < 2:
+                continue
+            level = rng.randint(0, 3)
+            fact = qc.factor_element(alpha)
+            yield spec, alpha, level, tuple(rng.randint(0, level * b) for b in fact.exponents)
 
 
 class TestScanPlan:
     def test_cost_bounds_the_scan(self, monkeypatch):
-        rng = random.Random(11)
         touched = []
 
         def counting(field, X, Y, D, rn, rd, out, hnf):
@@ -271,37 +320,20 @@ class TestScanPlan:
             out |= ball
 
         monkeypatch.setattr(intersection, "_ball_candidates", counting)
-        # the last four fields are not UFDs: their sweeps run on sublattices
-        for d in (-1, -2, -3, -7, -11, -5, -6, -10, -15):
-            field = make_field(d)
-            for _ in range(12):
-                beta = field.element(rng.randint(-3, 3), rng.randint(-2, 2))
-                while beta.norm() < 2:
-                    beta = field.element(rng.randint(-3, 3), rng.randint(-2, 2))
-                digits = {
-                    field.element(rng.randint(-2, 2), rng.randint(-1, 1))
-                    for _ in range(rng.randint(2, 4))
-                }
-                if len(digits) < 2:
-                    continue
-                spec = qc.ifs_new(beta, sorted(digits, key=lambda a: (a.x, a.y)))
-                alpha = field.element(rng.randint(-3, 3), rng.randint(-2, 2))
-                if alpha.norm() < 2:
-                    continue
-                level = rng.randint(0, 3)
-                fact = qc.factor_element(alpha)
-                exps = tuple(rng.randint(0, level * b) for b in fact.exponents)
-                lattice = _lattice(fact, exps)
-                k, cost = _scan_plan(spec, lattice)
-                # k is the least depth whose balls, scaled by delta, have
-                # squared radius <= N(sub)
-                need = lattice.u * qc.bounding_radius_sq(spec)
-                assert beta.norm() ** k >= need
-                assert k == 0 or beta.norm() ** (k - 1) < need
-                touched.clear()
-                intersection._candidate_numerators(spec, lattice, k)
-                assert len(touched) <= len(spec.digits) ** k
-                assert sum(touched) <= cost
+        for spec, alpha, _, exps in _scan_cases():
+            beta = spec.beta
+            lattice = _lattice(qc.factor_element(alpha), exps)
+            k = intersection._cover(spec, lattice)[0]
+            cost = _scan_plan(spec, lattice)
+            # k is the least depth whose balls, scaled by delta, have
+            # squared radius <= N(sub)
+            need = lattice.u * qc.orbit_disk(spec)[1]
+            assert beta.norm() ** k >= need
+            assert k == 0 or beta.norm() ** (k - 1) < need
+            touched.clear()
+            intersection._candidate_numerators(spec, lattice)
+            assert len(touched) <= len(spec.digits) ** k
+            assert sum(touched) <= cost
 
 
 class TestBallCandidates:
@@ -630,7 +662,8 @@ class TestFullIntersection:
         assert not rep.exhausted  # n_max is far below n0
 
     def test_certified_wall_falls_back_on_cap(self, gauss, cantor):
-        # survivor (20,) is the level-10 lattice, of cost 256
+        # survivor (20,) is the level-10 lattice, of cost 384: 2^6 balls of
+        # 6 rows and points each
         rep = qc.full_intersection(gauss.element(2), cantor, mode="certified", cap=10**4)
         assert rep.certified_n0 == 44
         assert rep.level == rep.certified_n0
@@ -638,12 +671,12 @@ class TestFullIntersection:
         assert rep.survivors == ((20,),)
         assert rep.fallback == ()
         assert _values(rep.points) == _frac_values(gauss, WALL_D2)
-        # under a cap below 256 it sweeps the largest level that fits instead
+        # under a cap below 384 it sweeps the largest level that fits instead
         rep = qc.full_intersection(gauss.element(2), cantor, mode="certified", cap=200)
         assert rep.certified_n0 is not None
         assert rep.level < rep.certified_n0
         assert not rep.exhausted
-        assert [(s.exponents, s.cost) for s in rep.fallback] == [((20,), 256)]
+        assert [(s.exponents, s.cost) for s in rep.fallback] == [((20,), 384)]
         assert rep.swept[-1].swept and rep.swept[-1].exponents == (2 * rep.level,)
         assert rep.swept[-1].cost <= 200
         assert _values(rep.points) == _frac_values(gauss, WALL_D2)
@@ -661,14 +694,15 @@ class TestFullIntersection:
         assert rep.certified_n0 == 109 and not rep.exhausted
         lattice = _lattice(rep.preconditions.alpha_factorization, (12,))
         assert [(s.exponents, s.cost) for s in rep.fallback] == [
-            ((12,), _scan_plan(gaussian_four, lattice)[1])
+            ((12,), _scan_plan(gaussian_four, lattice))
         ]
         assert rep.points == qc.enumerate_level(rep.level, alpha, gaussian_four, cap=10**6)
 
     def test_bounded_over_cap_survivor_raises(self, gauss, cantor):
         with pytest.raises(CapExceededError) as err:
             qc.full_intersection(gauss.element(2), cantor, mode="bounded", n_max=22, cap=200)
-        assert err.value.estimate == 256
+        # the cost of survivor (20,)
+        assert err.value.estimate == 384
 
     def test_bounded_no_case_still_works(self, gauss):
         spec = qc.ifs_new(gauss.element(-2, 1), [gauss.element(k) for k in range(5)])
