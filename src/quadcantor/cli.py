@@ -34,7 +34,7 @@ from .intersection import (
     tuple_is_excluded,
 )
 from .membership import coding_of, state_count
-from .orders import c2_constant, ord_prime_power, stabilization
+from .orders import c2_constant, stabilization
 from .quadring import element_text, make_field, parse_element, parse_point
 
 SCHEMA = 1
@@ -132,10 +132,10 @@ def _cmd_order(args) -> None:
     prime = _pick_prime(field, args)
     n = int(args.n) if args.n is not None else 1
     stab = stabilization(beta, prime)
-    if n > stab.n0:  # ord_prime_power's closed form m * p^lift, sized before it is built
+    if n > stab.n0:  # stab.order's closed form m * p^lift, sized before it is built
         m, lift = stab.m, -(-(n - stab.n0) // prime.e)
     else:
-        m, lift = ord_prime_power(beta, prime, n), 0
+        m, lift = stab.order(n), 0
     limit = sys.get_int_max_str_digits()
     # m p^lift >= 2^(lift (p.bit_length() - 1)) and 2^10 > 10^3 prove `over`.
     # The exact count is a logarithm to as many digits as lift has, costing
@@ -519,15 +519,10 @@ def _merge_leading_dash_values(argv: list[str]) -> list[str]:
     while i < len(argv):
         tok = argv[i]
         nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if nxt is not None and nxt.startswith("-"):
-            if tok in _VALUE_OPTS:
-                out.append(f"{tok}={nxt}")
-                i += 2
-                continue
-            if tok == "-d":
-                out.append(f"-d{nxt}")
-                i += 2
-                continue
+        if nxt is not None and nxt.startswith("-") and tok in _VALUE_OPTS:
+            out.append(f"{tok}={nxt}")
+            i += 2
+            continue
         out.append(tok)
         i += 1
     return out

@@ -58,13 +58,9 @@ class IdealHNF:
         return (z.x - (z.y // self.c) * self.b) % self.a == 0
 
     def conjugate(self) -> IdealHNF:
-        rows = []
-        for g in self.basis():
-            gc = g.conj()
-            rows.append((gc.x, gc.y))
-            gw = gc * self.field.omega
-            rows.append((gw.x, gw.y))
-        return _from_rows(self.field, rows)
+        # conj(b + c*w) = (b + c*s) - c*w, and the lattice holds its negative
+        b = (-self.b - self.c * self.field.s) % self.a
+        return IdealHNF(self.field, self.a, b, self.c)
 
     def __str__(self) -> str:
         return f"({self.a}, {self.b}+{self.c}w)"
@@ -246,27 +242,20 @@ def prime_power_product(field: FieldSpec, primes, exponents) -> IdealHNF:
 
 
 def _minpoly_roots_mod_p(field: FieldSpec, p: int) -> list[int]:
-    """Roots of the minimal polynomial of w modulo p (0, 1 or 2 roots)."""
+    """Roots of the minimal polynomial x^2 - s*x - t of w modulo p (0, 1 or 2)."""
+    s, t = field.s, field.t
     if p == 2:
-        if field.half_basis:
-            c = ((1 - field.d) // 4) % 2
-            return [] if c else [0, 1]  # x^2 + x + c mod 2
-        dm = field.d % 2
-        return [0] if dm == 0 else [1]  # x^2 - d mod 2, double root
-    s = sqrt_mod(field.d % p, p)
-    if s is None:
+        return [r for r in (0, 1) if (r * r - s * r - t) % 2 == 0]
+    q = sqrt_mod(field.disc % p, p)
+    if q is None:
         return []
-    if field.half_basis:
-        inv2 = pow(2, -1, p)
-        r1, r2 = (1 + s) * inv2 % p, (1 - s) * inv2 % p
-    else:
-        r1, r2 = s % p, (-s) % p
-    return sorted({r1, r2})
+    inv2 = pow(2, -1, p)
+    return sorted({(s + q) * inv2 % p, (s - q) * inv2 % p})
 
 
 def _other_root(field: FieldSpec, p: int, r: int) -> int:
-    # roots of x^2 - d sum to 0; roots of x^2 - x + (1-d)/4 sum to 1
-    return (1 - r) % p if field.half_basis else (-r) % p
+    # the roots of x^2 - s*x - t sum to s
+    return (field.s - r) % p
 
 
 def _prime_from_root(field: FieldSpec, p: int, r: int, e: int) -> PrimeIdeal:

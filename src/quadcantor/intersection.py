@@ -460,32 +460,33 @@ def _ball_candidates(
     in the ideal whose Hermite form is hnf = (a, b, c).
 
     Everything sits over one common denominator, and each row y gets its
-    exact chord from ``isqrt``.  With s = 2 for the half basis (s = 1
-    otherwise) and a' = y*D - Y, the disk test reads
+    exact chord from ``isqrt``.  With w^2 = s*w + t, the scale m = 1 + s
+    (so w = (s + sqrt(d))/m) and a' = y*D - Y, the disk test reads
 
-      rd*(s*D*x - s*X + (s-1)*a')^2 + rd*|d|*a'^2 <= budget = s^2*rn*D^2,
+      rd*(m*D*x - m*X + s*a')^2 + rd*|d|*a'^2 <= budget = m^2*rn*D^2,
 
     so the rows are |a'| <= isqrt(budget // (rd*|d|)) and each row keeps
-    s*D*x in [s*X - (s-1)*a' - r, s*X - (s-1)*a' + r] with
+    m*D*x in [m*X - s*a' - r, m*X - s*a' + r] with
     r = isqrt((budget - rd*|d|*a'^2) // rd).  The ideal's rows are y = c*t,
     and row t holds the x = b*t (mod a): exactly its points in the closed
     ball.
     """
     a, b, c = hnf
-    s = 2 if field.half_basis else 1
-    budget = s * s * rn * D * D
+    s = field.s
+    m = 1 + s
+    budget = m * m * rn * D * D
     rdd = rd * -field.d
     amax = math.isqrt(budget // rdd)
-    sd = s * D
+    md = m * D
     cd = c * D
     for t in range(-((amax - Y) // cd), (Y + amax) // cd + 1):
         y = c * t
         dy = y * D - Y
         r = math.isqrt((budget - rdd * dy * dy) // rd)
-        mid = s * X - (s - 1) * dy
-        lo = -((r - mid) // sd)
+        mid = m * X - s * dy
+        lo = -((r - mid) // md)
         lo += (b * t - lo) % a
-        out.update([(x, y) for x in range(lo, (mid + r) // sd + 1, a)])
+        out.update([(x, y) for x in range(lo, (mid + r) // md + 1, a)])
 
 
 def _cover(spec: IFSSpec, lattice: _Lattice) -> tuple[int, int, int, int]:
@@ -516,15 +517,15 @@ def _scan_plan(spec: IFSSpec, lattice: _Lattice) -> int:
     The cost is (#A)^k times the rows plus points of ``sub`` that one closed
     ball of the cover's radius can touch, whatever its center: in the chord
     quantities of ``_ball_candidates`` a ball spans at most
-    2*amax // (c*D) + 1 rows, each of at most 2*r // (s*D*a) + 1 points with
+    2*amax // (c*D) + 1 rows, each of at most 2*r // (m*D*a) + 1 points with
     r taken at a' = 0.
     """
     k, den, rn, rd = _cover(spec, lattice)
-    s = 2 if spec.field.half_basis else 1
-    budget = s * s * rn * den * den
+    m = 1 + spec.field.s
+    budget = m * m * rn * den * den
     sub = lattice.sub
     rows = 2 * math.isqrt(budget // (rd * -spec.field.d)) // (sub.c * den) + 1
-    per_row = 2 * math.isqrt(budget // rd) // (s * den * sub.a) + 1
+    per_row = 2 * math.isqrt(budget // rd) // (m * den * sub.a) + 1
     return len(spec.digits) ** k * rows * (1 + per_row)
 
 

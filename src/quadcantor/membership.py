@@ -264,8 +264,8 @@ def coding_of(v: QuadInt, u: int, spec: IFSSpec) -> Coding | None:
         pos[cur] = len(digit_indices)
 
 
-def coding_value(coding: Coding, beta: QuadInt) -> FieldElement:
-    """Exact value of the coding in the field of beta."""
+def _coding_ratio(coding: Coding, beta: QuadInt) -> tuple[QuadInt, QuadInt]:
+    """The coding's value as a ring quotient num/den (den nonzero)."""
     field = beta.field
     wpre = field.zero
     for a in coding.preperiod:
@@ -275,15 +275,23 @@ def coding_value(coding: Coding, beta: QuadInt) -> FieldElement:
         wper = wper * beta + a
     bm = beta ** len(coding.period)
     bk = beta ** len(coding.preperiod)
-    return FieldElement.from_ratio(wpre * (bm - 1) + wper, bk * (bm - 1))
+    return wpre * (bm - 1) + wper, bk * (bm - 1)
+
+
+def coding_value(coding: Coding, beta: QuadInt) -> FieldElement:
+    """Exact value of the coding in the field of beta."""
+    return FieldElement.from_ratio(*_coding_ratio(coding, beta))
 
 
 def verify_coding(coding: Coding, v: QuadInt, u: int, spec: IFSSpec) -> bool:
     """Exact check that the coding re-evaluates to v/u in the field."""
     if not coding.period:
         raise ValueError("coding must have a nonempty period")
+    if u == 0:
+        raise ZeroDivisionError("zero denominator")
     allowed = set(spec.digits)
     for a in (*coding.preperiod, *coding.period):
         if a not in allowed:
             raise ValueError(f"digit {a} is not in the digit set")
-    return coding_value(coding, spec.beta) == FieldElement(v, u)
+    num, den = _coding_ratio(coding, spec.beta)
+    return num * u == v * den

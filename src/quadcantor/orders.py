@@ -69,9 +69,7 @@ def _power_mod(ideal: IdealHNF):
     (a, b, c) after every product; ``pw(1, 0, 0)`` is the residue of 1.
     """
     a, b, c = ideal.a, ideal.b, ideal.c
-    f = ideal.field
-    t = (f.d - 1) // 4 if f.half_basis else f.d  # w^2 = s*w + t
-    s = 1 if f.half_basis else 0
+    s, t = ideal.field.s, ideal.field.t  # w^2 = s*w + t
 
     def mul(x1, y1, x2, y2):
         yy = y1 * y2

@@ -2,6 +2,10 @@
 
 For squarefree d < 0 the field Q(sqrt(d)) has ring of integers Z[w], where
 w = sqrt(d) when d = 2, 3 (mod 4) and w = (1 + sqrt(d))/2 when d = 1 (mod 4).
+Either way w^2 = s*w + t, with s = 1, t = (d - 1)/4 when d = 1 (mod 4) and
+s = 0, t = d otherwise.  These two integers settle all arithmetic in Z[w],
+and ``FieldSpec`` is their one home: every product, conjugate, norm, root
+of w modulo p and lattice scan in the package reads them there.
 Ring elements are stored in integral-basis coordinates (x, y), meaning
 x + y*w, with plain Python integers, so every decision taken here is
 integer-exact; floating point appears only in the complex embeddings
@@ -14,6 +18,7 @@ is rationalized by multiplying through with its conjugate.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +34,13 @@ class FieldSpec:
     d: int
     half_basis: bool  # True exactly when d = 1 (mod 4), i.e. w = (1+sqrt(d))/2
     disc: int
+    s: int = dataclasses.field(init=False, compare=False)  # w^2 = s*w + t,
+    t: int = dataclasses.field(init=False, compare=False)  # both derived from d
+
+    def __post_init__(self):
+        s, t = (1, (self.d - 1) // 4) if self.d % 4 == 1 else (0, self.d)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "t", t)
 
     def element(self, x: int, y: int = 0) -> QuadInt:
         return QuadInt(self, x, y)
@@ -46,8 +58,7 @@ class FieldSpec:
         return QuadInt(self, 0, 1)
 
     def omega_complex(self) -> complex:
-        r = math.sqrt(-self.d)
-        return complex(0.5, r / 2) if self.half_basis else complex(0.0, r)
+        return complex(self.s / 2, math.sqrt(-self.disc) / 2)
 
     def __repr__(self) -> str:
         return f"FieldSpec(d={self.d})"
@@ -107,17 +118,9 @@ class QuadInt:
         if o is None:
             return NotImplemented
         f = self.field
-        if f.half_basis:
-            # w^2 = w + (d-1)/4
-            t = (f.d - 1) // 4
-            return QuadInt(
-                f,
-                self.x * o.x + t * self.y * o.y,
-                self.x * o.y + self.y * o.x + self.y * o.y,
-            )
-        # w^2 = d
+        yy = self.y * o.y
         return QuadInt(
-            f, self.x * o.x + f.d * self.y * o.y, self.x * o.y + self.y * o.x
+            f, self.x * o.x + f.t * yy, self.x * o.y + self.y * o.x + f.s * yy
         )
 
     __rmul__ = __mul__
@@ -147,17 +150,13 @@ class QuadInt:
         return hash((self.field.d, self.x, self.y))
 
     def conj(self) -> QuadInt:
-        """Complex conjugate, which again lies in the ring."""
-        if self.field.half_basis:
-            return QuadInt(self.field, self.x + self.y, -self.y)
-        return QuadInt(self.field, self.x, -self.y)
+        """Complex conjugate, which again lies in the ring: conj(w) = s - w."""
+        return QuadInt(self.field, self.x + self.field.s * self.y, -self.y)
 
     def norm(self) -> int:
         """The exact nonnegative integer |z|^2 = z * conj(z)."""
         f = self.field
-        if f.half_basis:
-            return self.x * self.x + self.x * self.y + ((1 - f.d) // 4) * self.y * self.y
-        return self.x * self.x - f.d * self.y * self.y
+        return self.x * self.x + f.s * self.x * self.y - f.t * self.y * self.y
 
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
@@ -195,18 +194,12 @@ def mul_matrix(q: QuadInt) -> tuple[int, int, int, int]:
     multiply raw coordinate pairs without building QuadInt objects.
     """
     f = q.field
-    if f.half_basis:
-        # w^2 = w + (d-1)/4
-        return q.x, (f.d - 1) // 4 * q.y, q.y, q.x + q.y
-    # w^2 = d
-    return q.x, f.d * q.y, q.y, q.x
+    return q.x, f.t * q.y, q.y, q.x + f.s * q.y
 
 
 def norm_form(field: FieldSpec) -> tuple[int, int]:
     """Coefficients (nxy, nyy) with N(x + y*w) = x^2 + nxy*x*y + nyy*y^2."""
-    if field.half_basis:
-        return 1, (1 - field.d) // 4
-    return 0, -field.d
+    return field.s, -field.t
 
 
 class FieldElement:

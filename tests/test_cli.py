@@ -75,6 +75,25 @@ class TestOrder:
             )
             assert record["order"] == str(qc.ord_prime_power(gauss.element(3), prime, n))
 
+    def test_stabilization_runs_once(self, capsys, monkeypatch):
+        from quadcantor import cli, orders
+
+        calls = []
+        original = orders.stabilization
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cli, "stabilization", counted)
+        monkeypatch.setattr(orders, "stabilization", counted)
+        record = run_json(
+            capsys, "order", "-d", "-1", "--beta", "3", "--p", "5", "--root", "2",
+            "--n", "1",
+        )
+        assert record["order"] == "4" and record["used_closed_form"] is False
+        assert len(calls) == 1
+
     def test_split_prime_needs_root(self, capsys):
         code, _, err = run_cli(capsys, "order", "-d", "-1", "--beta", "3", "--p", "5")
         assert code == 2
@@ -98,6 +117,14 @@ class TestMember:
         assert record["member"] is True
         assert record["period"] == ["0", "2"]
         assert int(record["states"]) <= int(record["bound"])
+
+    def test_negative_digit_after_its_option(self, capsys):
+        record = run_json(
+            capsys, "member", "-d", "-1", "--beta", "3", "--digits", "-1,1",
+            "--point", "1/2",
+        )
+        assert record["member"] is True
+        assert record["period"] == ["1"]
 
 
 class TestIntersect:

@@ -104,7 +104,8 @@ class TestPrimeSplitting:
         with pytest.raises(ValueError):
             qc.factor_rational_prime(gauss, 6)
 
-    @pytest.mark.parametrize("d", [-1, -2, -3, -7, -11])
+    # non-UFD fields: 2 ramifies in -5 and -6 and splits in -15
+    @pytest.mark.parametrize("d", [-1, -2, -3, -5, -6, -7, -11, -15])
     def test_agrees_with_root_search(self, d):
         field = make_field(d)
         for p in _primes_upto(200):
@@ -118,10 +119,33 @@ class TestPrimeSplitting:
             else:
                 assert s.kind == "split"
                 assert sorted(q.root for q in s.primes) == roots
+                assert s.primes[0].conjugate() == s.primes[1]
+                assert s.primes[1].conjugate() == s.primes[0]
             rebuilt = qc.unit_ideal(field)
             for prime, mult in s.factors():
                 rebuilt = qc.ideal_mul(rebuilt, qc.ideal_pow(prime.hnf, mult))
             assert rebuilt == qc.principal_ideal(field.element(p))
+
+
+class TestConjugate:
+    def test_closed_form_matches_generators(self):
+        rng = random.Random(11)
+        for d in (-1, -2, -3, -5, -6, -7, -11, -15, -21, -23):
+            field = make_field(d)
+            for _ in range(30):
+                gens = [
+                    field.element(rng.randint(-30, 30), rng.randint(-30, 30))
+                    for _ in range(rng.randint(1, 2))
+                ]
+                if all(g.is_zero() for g in gens):
+                    continue
+                ideal = qc.ideal_from_generators(gens)
+                conj = ideal.conjugate()
+                rebuilt = qc.ideal_from_generators([g.conj() for g in ideal.basis()])
+                assert conj == rebuilt
+                assert qc.ideal_mul(ideal, conj) == qc.principal_ideal(
+                    field.element(ideal.norm)
+                )
 
 
 class TestFactorElement:

@@ -441,6 +441,11 @@ class TestVerifyCoding:
         with pytest.raises(ValueError):
             qc.verify_coding(Coding((), ()), gauss.element(1), 4, cantor)
 
+    def test_zero_denominator_rejected(self, gauss, cantor):
+        coding = qc.coding_of(gauss.element(0), 1, cantor)
+        with pytest.raises(ZeroDivisionError):
+            qc.verify_coding(coding, gauss.element(0), 0, cantor)
+
     def test_foreign_digit_rejected(self, gauss, cantor):
         with pytest.raises(ValueError):
             qc.verify_coding(
