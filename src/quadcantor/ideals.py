@@ -91,17 +91,6 @@ class PrimeIdeal:
     def contains(self, z: QuadInt) -> bool:
         return self.hnf.contains(z)
 
-    def conjugate(self) -> PrimeIdeal:
-        if self.root is None or self.e == 2:
-            return self
-        return PrimeIdeal(
-            hnf=self.hnf.conjugate(),
-            p=self.p,
-            e=self.e,
-            f=self.f,
-            root=_other_root(self.field, self.p, self.root),
-        )
-
     def __str__(self) -> str:
         if self.root is None:
             return f"({self.p})"
@@ -251,11 +240,6 @@ def _minpoly_roots_mod_p(field: FieldSpec, p: int) -> list[int]:
         return []
     inv2 = pow(2, -1, p)
     return sorted({(s + q) * inv2 % p, (s - q) * inv2 % p})
-
-
-def _other_root(field: FieldSpec, p: int, r: int) -> int:
-    # the roots of x^2 - s*x - t sum to s
-    return (field.s - r) % p
 
 
 def _prime_from_root(field: FieldSpec, p: int, r: int, e: int) -> PrimeIdeal:

@@ -23,7 +23,11 @@ A sweep scans the balls of a depth-k cylinder cover of the attractor
 D(c, r') of ``orbit_disk`` under the depth-k maps, with k the least depth
 with N(beta)^k >= u * r'^2.  Its cost, the lattice rows plus points those
 balls can touch, is an exact integer bound (``_scan_plan``); the cap check
-and a capped certified run's fallback are both decided on it.
+and a capped certified run's fallback are both decided on it.  The lattice
+points in the balls are decided together by one counting peel over them
+(``_attractor_numerators``), at most #A set lookups each, so the cost
+bounds the whole sweep; only the points the peel keeps are confirmed by
+``is_member`` and coded by ``coding_of``.
 """
 
 from __future__ import annotations
@@ -561,6 +565,54 @@ def _candidate_numerators(spec: IFSSpec, lattice: _Lattice) -> set[tuple[int, in
     return out
 
 
+def _attractor_numerators(spec: IFSSpec, lattice: _Lattice) -> list[tuple[int, int]]:
+    """The g of ``_candidate_numerators`` with g/delta in S, by one counting peel.
+
+    The candidates C hold every g in ``sub`` whose point g/delta can lie in
+    S.  The successor beta*z - a of z = g/delta is g'/delta with
+    g' = beta*g - a*delta, which lies in ``sub`` because delta does, so each
+    candidate makes #A set lookups and no division.  Each candidate counts
+    its successors in C not yet peeled and records itself as their
+    predecessor.  One whose count is 0 is peeled, which lowers the count of
+    each of its predecessors, as in ``membership._ensure_alive``.  The
+    unpeeled candidates are returned.
+
+    Proof.  No infinite path inside C leaves a peeled candidate, and one
+    leaves each unpeeled one, so the unpeeled set Y is the largest subset of
+    C in which every point has a successor in it.  Y is S ∩ L, for L the
+    swept lattice.  S ∩ L lies in C, and each of its points has a successor
+    in S (a coding's first step), which lies in L because beta and the
+    digits are integral; so S ∩ L ⊆ Y.  An infinite path z_0, z_1, ...
+    inside the bounded set C gives z_0 = sum_{j<=k} a_j beta^-j +
+    beta^-k z_k for every k, which converges to a point of S; so Y ⊆ S.
+    """
+    cands = _candidate_numerators(spec, lattice)
+    b00, b01, b10, b11 = mul_matrix(spec.beta)
+    steps = [(t.x, t.y) for t in (a * lattice.delta for a in spec.digits)]
+    preds: dict[tuple[int, int], list[tuple[int, int]]] = {g: [] for g in cands}
+    count: dict[tuple[int, int], int] = {}
+    dead = []
+    for g in cands:
+        x, y = g
+        bx = b00 * x + b01 * y
+        by = b10 * x + b11 * y
+        n = 0
+        for ax, ay in steps:
+            into = preds.get((bx - ax, by - ay))
+            if into is not None:
+                into.append(g)
+                n += 1
+        count[g] = n
+        if not n:
+            dead.append(g)
+    while dead:
+        for p in preds[dead.pop()]:
+            count[p] -= 1
+            if not count[p]:
+                dead.append(p)
+    return [g for g, n in count.items() if n]
+
+
 def _point_order(p: IntersectionPoint):
     return (p.value.norm(), p.value.num.x, p.value.num.y)
 
@@ -578,7 +630,8 @@ def enumerate_level(
     tuple is at most n: the sweep then scans the lattice prod P_j^{-n_j}
     in place of alpha^-level.  Raises ``CapExceededError`` when the sweep's
     cost bound from ``_scan_plan`` (lattice rows and points it may touch)
-    exceeds ``cap``.
+    exceeds ``cap``, and ``ArithmeticError`` if ``is_member`` rejects a
+    point the peel kept.
     """
     if level < 0:
         raise ValueError("level must be nonnegative")
@@ -608,15 +661,15 @@ def enumerate_level(
     conj_delta = lattice.delta.conj()
     sub_norm = lattice.sub.norm
     points = []
-    for x, y in sorted(_candidate_numerators(spec, lattice)):
+    for x, y in _attractor_numerators(spec, lattice):
         g = QuadInt(spec.field, x, y)
         # z = g/delta = v/u with v = g * conj(delta) / N(sub)
         v = g * conj_delta
         if sub_norm > 1:
             v = QuadInt(spec.field, v.x // sub_norm, v.y // sub_norm)
-        if not is_member(v, u, spec):
-            continue
         value = FieldElement.from_ratio(g, lattice.delta)
+        if not is_member(v, u, spec):
+            raise ArithmeticError(f"the peel kept {value}, which is not in the attractor")
         coding = coding_of(v, u, spec)
         assert coding is not None
         exps = minimal_tuple(value, fact)

@@ -17,7 +17,9 @@ nor do codings, whose walk takes the lowest digit with a successor in S;
 only ``state_count`` does.
 
 Exploration state is shared between queries through a per-(spec, u) cache,
-since intersection sweeps ask about many points over one denominator.
+so repeated queries over one denominator explore each state once.  Level
+sweeps decide their candidates themselves (``intersection``) and query only
+the points they keep, so the cache holds just those points' orbits.
 """
 
 from __future__ import annotations

@@ -119,8 +119,8 @@ class TestPrimeSplitting:
             else:
                 assert s.kind == "split"
                 assert sorted(q.root for q in s.primes) == roots
-                assert s.primes[0].conjugate() == s.primes[1]
-                assert s.primes[1].conjugate() == s.primes[0]
+                assert s.primes[0].hnf.conjugate() == s.primes[1].hnf
+                assert s.primes[1].hnf.conjugate() == s.primes[0].hnf
             rebuilt = qc.unit_ideal(field)
             for prime, mult in s.factors():
                 rebuilt = qc.ideal_mul(rebuilt, qc.ideal_pow(prime.hnf, mult))

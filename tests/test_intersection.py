@@ -9,7 +9,7 @@ from order_oracle import brute_ord_mod
 
 import quadcantor as qc
 from quadcantor import CapExceededError, FieldElement, PreconditionError, make_field
-from quadcantor import intersection
+from quadcantor import intersection, membership
 from quadcantor.ideals import prime_power_product
 from quadcantor.intersection import (
     _ball_candidates,
@@ -235,19 +235,10 @@ class TestEnumerateLevel:
         # cases and case (ii) at their level, the seeded specs of
         # ``_scan_cases`` in nine fields on their sublattices, and a spec
         # whose orbit disk falls back to the 0-centred one
-        cases = [(gaussian_four, gauss.element(-4, 1), 2, None)]
-        for d, beta, digits, alpha, level in PREFILTER_CASES:
-            field = make_field(d)
-            spec = qc.ifs_new(
-                field.element(*beta), [field.element(*a) for a in digits]
-            )
-            cases.append((spec, field.element(*alpha), level, None))
-        fallback = qc.ifs_new(
-            gauss.element(1, 2), [gauss.element(-1), gauss.element(1), gauss.element(0, 1)]
-        )
+        cases = _fixed_cases(gauss, gaussian_four)
+        fallback = cases[-1][0]
         centre, r2 = qc.orbit_disk(fallback)
         assert centre == 0 and r2 == qc.bounding_radius_sq(fallback)
-        cases.append((fallback, gauss.element(2), 3, None))
         seeded_points = 0
         for spec, alpha, level, exps in cases + list(_scan_cases()):
             fast = qc.enumerate_level(level, alpha, spec, cap=10**6, exponents=exps)
@@ -257,6 +248,71 @@ class TestEnumerateLevel:
             else:
                 seeded_points += len(fast)
         assert seeded_points > 0
+
+    def test_points_match_candidate_oracle(self, gauss, gaussian_four):
+        # the peel against deciding every candidate of the sweep on its own,
+        # on whole points: value, exponents, den_pow and coding
+        for spec, alpha, level, exps in _fixed_cases(gauss, gaussian_four) + list(
+            _scan_cases()
+        ):
+            fast = qc.enumerate_level(level, alpha, spec, cap=10**6, exponents=exps)
+            assert {p.value: p for p in fast} == _candidate_oracle(spec, alpha, level, exps)
+
+    def test_sweep_stores_only_the_members_orbits(self, gauss, cantor):
+        # the peel decides the candidates of Wall level 22 itself, so only
+        # the members' own orbit graphs are explored and cached
+        membership._SPACES.clear()
+        pts = qc.enumerate_level(22, gauss.element(2), cantor, cap=10**30)
+        stored = sum(len(space.succ) for space in membership._SPACES.values())
+        assert len(pts) == 4
+        assert stored <= sum(
+            qc.state_count(p.value.num, p.value.den, cantor) for p in pts
+        )
+
+
+def _fixed_cases(gauss, gaussian_four):
+    """(spec, alpha, level, None): case (ii), the PREFILTER cases, and last
+    a spec whose orbit disk falls back to the 0-centred one."""
+    cases = [(gaussian_four, gauss.element(-4, 1), 2, None)]
+    for d, beta, digits, alpha, level in PREFILTER_CASES:
+        field = make_field(d)
+        spec = qc.ifs_new(field.element(*beta), [field.element(*a) for a in digits])
+        cases.append((spec, field.element(*alpha), level, None))
+    fallback = qc.ifs_new(
+        gauss.element(1, 2), [gauss.element(-1), gauss.element(1), gauss.element(0, 1)]
+    )
+    cases.append((fallback, gauss.element(2), 3, None))
+    return cases
+
+
+def _candidate_oracle(spec, alpha, level, exps):
+    """The sweep's points by value, each candidate of ``_candidate_numerators``
+    decided by ``is_member`` and coded by ``coding_of``; den_pow is the
+    least N with alpha^N * z integral."""
+    fact = qc.factor_element(alpha)
+    if exps is None:
+        exps = tuple(level * b for b in fact.exponents)
+    lattice = _lattice(fact, exps)
+    sub = lattice.sub
+    conj_delta = lattice.delta.conj()
+    out = {}
+    for x, y in intersection._candidate_numerators(spec, lattice):
+        g = spec.field.element(x, y)
+        v = g * conj_delta
+        v = spec.field.element(v.x // sub.norm, v.y // sub.norm)
+        if not qc.is_member(v, lattice.u, spec):
+            continue
+        value = FieldElement.from_ratio(g, lattice.delta)
+        den_pow = 0
+        while not (value * alpha**den_pow).is_integral():
+            den_pow += 1
+        out[value] = qc.IntersectionPoint(
+            value=value,
+            den_pow=den_pow,
+            exponents=qc.minimal_tuple(value, fact),
+            coding=qc.coding_of(v, lattice.u, spec),
+        )
+    return out
 
 
 def _whole_disk_points(spec, alpha, level, exps):
