@@ -33,7 +33,6 @@ from .ideals import (
     ideal_from_generators,
     ideal_mul,
     ideal_pow,
-    ideal_sum,
     principal_ideal,
     reduce_mod,
     unit_ideal,

@@ -200,15 +200,6 @@ def ideal_mul(i: IdealHNF, j: IdealHNF) -> IdealHNF:
     return _from_rows(i.field, rows)
 
 
-def ideal_sum(i: IdealHNF, j: IdealHNF) -> IdealHNF:
-    if i.field != j.field:
-        raise FieldError("ideals from different fields")
-    rows = []
-    for g in (*i.basis(), *j.basis()):
-        rows.append((g.x, g.y))
-    return _from_rows(i.field, rows)
-
-
 _POW_CACHE: dict[IdealHNF, list[IdealHNF]] = {}
 
 

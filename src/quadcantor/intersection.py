@@ -67,6 +67,7 @@ from .membership import (
     coding_of,
     is_member,
     orbit_disk,
+    peel,
     shifted_digits,
 )
 from .orders import LowerBoundSpec, c2_constant, order_lower_bound
@@ -231,10 +232,7 @@ def tuple_is_excluded(
     which forces the tuple's slice of D_alpha to miss the attractor.
     """
     low = order_lower_bound(lb, exponents)
-    by_p: dict[int, int] = {}
-    for prime, n in zip(lb.primes, exponents):
-        by_p[prime.p] = max(by_p.get(prime.p, 0), -(-n // prime.e))
-    u = math.prod(p**m for p, m in by_p.items())
+    u = int(low / lb.c2)  # the integer prod p^m_p of ``order_lower_bound``
     return low > period_bound(spec, _u_norm(case, u))
 
 
@@ -572,19 +570,17 @@ def _attractor_numerators(spec: IFSSpec, lattice: _Lattice) -> list[tuple[int, i
     S.  The successor beta*z - a of z = g/delta is g'/delta with
     g' = beta*g - a*delta, which lies in ``sub`` because delta does, so each
     candidate makes #A set lookups and no division.  Each candidate counts
-    its successors in C not yet peeled and records itself as their
-    predecessor.  One whose count is 0 is peeled, which lowers the count of
-    each of its predecessors, as in ``membership._ensure_alive``.  The
-    unpeeled candidates are returned.
+    its successors in C and records itself as their predecessor, and
+    ``peel`` leaves a positive count on exactly the candidates that an
+    infinite path inside C leaves.  Those are returned.
 
-    Proof.  No infinite path inside C leaves a peeled candidate, and one
-    leaves each unpeeled one, so the unpeeled set Y is the largest subset of
-    C in which every point has a successor in it.  Y is S ∩ L, for L the
-    swept lattice.  S ∩ L lies in C, and each of its points has a successor
-    in S (a coding's first step), which lies in L because beta and the
-    digits are integral; so S ∩ L ⊆ Y.  An infinite path z_0, z_1, ...
-    inside the bounded set C gives z_0 = sum_{j<=k} a_j beta^-j +
-    beta^-k z_k for every k, which converges to a point of S; so Y ⊆ S.
+    Proof.  The unpeeled set Y is S ∩ L, for L the swept lattice.  S ∩ L
+    lies in C, and each of its points has a successor in S (a coding's first
+    step), which lies in L because beta and the digits are integral; so an
+    infinite path inside C leaves each, and S ∩ L ⊆ Y.  An infinite path
+    z_0, z_1, ... inside the bounded set C gives z_0 = sum_{j<=k} a_j
+    beta^-j + beta^-k z_k for every k, which converges to a point of S; so
+    Y ⊆ S.
     """
     cands = _candidate_numerators(spec, lattice)
     b00, b01, b10, b11 = mul_matrix(spec.beta)
@@ -605,11 +601,7 @@ def _attractor_numerators(spec: IFSSpec, lattice: _Lattice) -> list[tuple[int, i
         count[g] = n
         if not n:
             dead.append(g)
-    while dead:
-        for p in preds[dead.pop()]:
-            count[p] -= 1
-            if not count[p]:
-                dead.append(p)
+    peel(count, preds, dead)
     return [g for g, n in count.items() if n]
 
 
@@ -710,8 +702,15 @@ def full_intersection(
     level n_max, and raises ``CapExceededError`` when a survivor's sweep
     cost from ``_scan_plan`` is over the cap.  Certified mode skips such a
     survivor s and sweeps in its place min(s, L*b) for the largest level L
-    whose cost fits; it then reports the least such L as ``level``, with
-    exhausted=False.  Its certificate n0 is reported either way.
+    whose cost fits; it then reports the least such L as ``level``.  Its
+    certificate n0 is reported either way.
+
+    ``exhausted`` holds when n0 exists and level*b_j >= n0 - 1 for all j:
+    every point's tuple has sum < n0, so each n_j <= n0 - 1, and the search
+    then covered the certified box min(N*b, n0 - 1), sweeping each survivor.
+    A certified fallback never qualifies: min(s, L*b) < s in some j, so
+    L*b_j < s_j <= n0 - 1.  The rule is partial: a smaller box that holds
+    every certified survivor would need the search over that box too.
     """
     report = preconditions(alpha, spec)
     covering = None
@@ -771,7 +770,7 @@ def full_intersection(
         preconditions=report,
         certified_n0=n0,
         level=level,
-        exhausted=n0 is not None and level >= n0,
+        exhausted=n0 is not None and all(level * b >= n0 - 1 for b in fact.exponents),
         covering=covering,
         lower_bound=lb,
         survivors=found,

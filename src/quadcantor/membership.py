@@ -17,9 +17,10 @@ nor do codings, whose walk takes the lowest digit with a successor in S;
 only ``state_count`` does.
 
 Exploration state is shared between queries through a per-(spec, u) cache,
-so repeated queries over one denominator explore each state once.  Level
-sweeps decide their candidates themselves (``intersection``) and query only
-the points they keep, so the cache holds just those points' orbits.
+so repeated queries over one denominator explore each state once; it keeps
+one label per state, and walks recompute the successors beta*s - a.  Level
+sweeps decide their candidates by the same ``peel`` (``intersection``) and
+query only the points they keep, so the cache holds just those points' orbits.
 """
 
 from __future__ import annotations
@@ -83,25 +84,21 @@ class _Space:
     (``shifted_digits``) are integral, and the disk test is
     N(s) * rd <= rn * D^2 * u^2 for r'^2 = rn/rd.
 
-    ``succ`` maps each explored state to the tuple of its (digit index,
-    successor) pairs in digit order, and ``alive`` maps it to whether an
-    infinite path leaves it.  Both dicts always have the same keys: a region
-    enters them only after ``_ensure_alive`` has explored and labelled all
-    of it, so every successor of a state in ``succ`` is in ``succ`` too.
+    ``alive`` maps each explored state to whether an infinite path leaves
+    it.  A region enters it only after ``_ensure_alive`` has explored and
+    labelled all of it, so every key lies in the disk and every successor of
+    a key that lies in the disk is a key: being a key is the disk test.
     """
 
     def __init__(self, spec: IFSSpec, u: int):
         centre, r2 = orbit_disk(spec)
         c, d = centre.num, centre.den
         self.beta_matrix = mul_matrix(spec.beta)
-        self.scaled_digits = tuple(
-            (i, x * u, y * u) for i, (x, y) in enumerate(shifted_digits(spec))
-        )
+        self.scaled_digits = tuple((x * u, y * u) for x, y in shifted_digits(spec))
         self.d, self.cux, self.cuy = d, c.x * u, c.y * u
         self.nxy, self.nyy = norm_form(spec.field)
         self.bound_num = r2.numerator * d * d * u * u
         self.bound_den = r2.denominator
-        self.succ: dict[tuple[int, int], tuple[tuple[int, tuple[int, int]], ...]] = {}
         self.alive: dict[tuple[int, int], bool] = {}
 
     def inside(self, x: int, y: int) -> bool:
@@ -121,16 +118,15 @@ def _space(spec: IFSSpec, u: int) -> _Space:
     return sp
 
 
-def _ensure_alive(space: _Space, root: tuple[int, int]) -> None:
-    """Explore and label the unlabelled region the root reaches, in one pass.
+def peel(count: dict, preds: dict, dead: list) -> None:
+    """Lower ``count`` to 0 on exactly the states no infinite path leaves.
 
-    A state is alive when an infinite path leaves it; in a finite graph that
-    is the same as reaching a cycle.  Explore: a DFS over the new region
-    records for each state its successors, its count of successors not
-    known dead (known-alive ones and those inside the region), and its
-    predecessors inside the region.  Peel: a state whose count is 0 is dead,
-    and its death lowers the count of each of its predecessors.  A state
-    left with a positive count is alive.
+    The graph is a finite region plus states outside it already labelled.
+    ``count`` maps each state of the region to its number of successors that
+    lie in the region or are known alive, ``preds`` lists for each state of
+    the region its predecessors in the region (once per edge), and ``dead``
+    holds the states whose count is 0.  A dead state's death lowers the
+    count of each of its predecessors, and one that reaches 0 is dead too.
 
     Proof.  A state is peeled only once all its successors are known dead or
     peeled before it, so by induction on the peeling order no infinite path
@@ -139,6 +135,21 @@ def _ensure_alive(space: _Space, root: tuple[int, int]) -> None:
     self-loop counts like any other edge and keeps its state's count
     positive, as for 0 when 0 is a digit.
     """
+    while dead:
+        for p in preds[dead.pop()]:
+            count[p] -= 1
+            if not count[p]:
+                dead.append(p)
+
+
+def _ensure_alive(space: _Space, root: tuple[int, int]) -> None:
+    """Explore and label the unlabelled region the root reaches, in one pass.
+
+    A state is alive when an infinite path leaves it; in a finite graph that
+    is the same as reaching a cycle.  A DFS over the new region counts each
+    state's successors in the disk not known dead and records its
+    predecessors in the region; ``peel`` then finds the dead states.
+    """
     alive = space.alive
     if root in alive:
         return
@@ -146,7 +157,6 @@ def _ensure_alive(space: _Space, root: tuple[int, int]) -> None:
     nxy, nyy = space.nxy, space.nyy
     bound_num, bound_den = space.bound_num, space.bound_den
     digits = space.scaled_digits
-    succ = {}
     count = {}
     dead = []
     preds: dict[tuple[int, int], list[tuple[int, int]]] = {root: []}
@@ -156,14 +166,12 @@ def _ensure_alive(space: _Space, root: tuple[int, int]) -> None:
         x, y = key
         bx = m00 * x + m01 * y
         by = m10 * x + m11 * y
-        out = []
         n = 0
-        for i, ax, ay in digits:
+        for ax, ay in digits:
             wx = bx - ax
             wy = by - ay
             if (wx * wx + nxy * wx * wy + nyy * wy * wy) * bound_den <= bound_num:  # inside()
                 w = (wx, wy)
-                out.append((i, w))
                 known = alive.get(w)
                 if known is None:
                     n += 1
@@ -175,17 +183,10 @@ def _ensure_alive(space: _Space, root: tuple[int, int]) -> None:
                         into.append(key)
                 elif known:
                     n += 1
-        succ[key] = tuple(out)
         count[key] = n
         if not n:
             dead.append(key)
-    while dead:
-        for p in preds[dead.pop()]:
-            count[p] -= 1
-            if not count[p]:
-                dead.append(p)
-    # successors first: a reader that finds a label also finds the successors
-    space.succ.update(succ)
+    peel(count, preds, dead)
     alive.update({key: n > 0 for key, n in count.items()})
 
 
@@ -193,7 +194,7 @@ def _explore(v: QuadInt, u: int, spec: IFSSpec) -> tuple[_Space, tuple[int, int]
     """The query's space and root, or None when v/u lies outside the disk.
 
     This is each query's one exploration: on return every state reachable
-    from the root has its successors in ``succ`` and its label in ``alive``.
+    from the root within the disk is a key of ``alive``, with its label.
     """
     space = _space(spec, u)
     root = (space.d * v.x - space.cux, space.d * v.y - space.cuy)
@@ -215,19 +216,25 @@ def is_member(v: QuadInt, u: int, spec: IFSSpec) -> bool:
 def state_count(v: QuadInt, u: int, spec: IFSSpec) -> int:
     """Number of orbit states reachable from v/u in the disk, 0 outside it.
 
-    The walk reads only the successors that exploration stored, so it
-    creates no states and makes no disk test.
+    The walk recomputes successors and follows the keys of ``alive``, the
+    ones in the disk, so it creates no states and makes no disk test.
     """
     found = _explore(v, u, spec)
     if found is None:
         return 0
     space, root = found
-    succ = space.succ
+    alive = space.alive
+    m00, m01, m10, m11 = space.beta_matrix
+    digits = space.scaled_digits
     seen = {root}
     stack = [root]
     while stack:
-        for _, w in succ[stack.pop()]:
-            if w not in seen:
+        x, y = stack.pop()
+        bx = m00 * x + m01 * y
+        by = m10 * x + m11 * y
+        for ax, ay in digits:
+            w = (bx - ax, by - ay)
+            if w in alive and w not in seen:
                 seen.add(w)
                 stack.append(w)
     return len(seen)
@@ -244,21 +251,25 @@ def coding_of(v: QuadInt, u: int, spec: IFSSpec) -> Coding | None:
     if found is None:
         return None
     space, root = found
-    succ, alive = space.succ, space.alive
+    alive = space.alive
     if not alive[root]:
         return None
+    m00, m01, m10, m11 = space.beta_matrix
+    digits = space.scaled_digits
     pos = {root: 0}
     digit_indices: list[int] = []
     cur = root
     while True:
-        nxt = None
-        for i, s in succ[cur]:
-            if alive[s]:
-                nxt = (i, s)
+        x, y = cur
+        bx = m00 * x + m01 * y
+        by = m10 * x + m11 * y
+        for i, (ax, ay) in enumerate(digits):
+            cur = (bx - ax, by - ay)
+            if alive.get(cur):
                 break
-        assert nxt is not None, "alive node must have an alive successor"
-        digit_indices.append(nxt[0])
-        cur = nxt[1]
+        else:
+            raise AssertionError("alive node must have an alive successor")
+        digit_indices.append(i)
         if cur in pos:
             cut = pos[cur]
             values = [spec.digits[i] for i in digit_indices]

@@ -61,13 +61,6 @@ class TestIdealMul:
         ideal = qc.ideal_from_generators([gauss.element(3, 2)])
         assert qc.ideal_mul(ideal, qc.unit_ideal(gauss)) == ideal
 
-    def test_ideal_sum(self, gauss):
-        two = qc.principal_ideal(gauss.element(2))
-        three = qc.principal_ideal(gauss.element(3))
-        assert qc.ideal_sum(two, three).is_unit()
-        ram = qc.principal_ideal(gauss.element(1, 1))
-        assert qc.ideal_sum(two, ram) == ram
-
     def test_norm_multiplicative_random(self):
         rng = random.Random(7)
         for d in (-1, -2, -3, -7, -11):

@@ -263,7 +263,7 @@ class TestEnumerateLevel:
         # the members' own orbit graphs are explored and cached
         membership._SPACES.clear()
         pts = qc.enumerate_level(22, gauss.element(2), cantor, cap=10**30)
-        stored = sum(len(space.succ) for space in membership._SPACES.values())
+        stored = sum(len(space.alive) for space in membership._SPACES.values())
         assert len(pts) == 4
         assert stored <= sum(
             qc.state_count(p.value.num, p.value.den, cantor) for p in pts
@@ -753,6 +753,18 @@ class TestFullIntersection:
             ((12,), _scan_plan(gaussian_four, lattice))
         ]
         assert rep.points == qc.enumerate_level(rep.level, alpha, gaussian_four, cap=10**6)
+
+    def test_bounded_exhausts_once_its_box_reaches_n0(self, gauss, cantor):
+        # at n_max*b >= n0 - 1 the survivor search covers the certified box,
+        # so the run sweeps the certified survivors; one level lower it does
+        # not, even where (Wall D2 at 21) the survivors happen to agree
+        for alpha, edge in ((gauss.element(2), 22), (gauss.element(10), 281)):
+            cert = qc.full_intersection(alpha, cantor, mode="certified")
+            at = qc.full_intersection(alpha, cantor, mode="bounded", n_max=edge)
+            assert at.exhausted and at.level == edge
+            assert (at.survivors, at.points) == (cert.survivors, cert.points)
+            below = qc.full_intersection(alpha, cantor, mode="bounded", n_max=edge - 1)
+            assert not below.exhausted
 
     def test_bounded_over_cap_survivor_raises(self, gauss, cantor):
         with pytest.raises(CapExceededError) as err:

@@ -276,8 +276,6 @@ class TestSpaceCache:
         points = qc.enumerate_level(4, gauss.element(2), cantor)
         assert [str(p.value) for p in points] == ["0", "1/4", "3/4", "1"]
         assert list(membership._SPACES) == [(cantor, 2**8)]
-        space = membership._SPACES[(cantor, 2**8)]
-        assert space.succ.keys() == space.alive.keys()
 
 
 # beta of norm 2 or 3 with digits {0, 1, w}: overlapping or complete digit
@@ -321,8 +319,6 @@ class TestKernelQueryOrder:
                 qc.coding_of(v, u, spec),
                 qc.state_count(v, u, spec),
             )
-            space = membership._SPACES[spec, u]
-            assert space.succ.keys() == space.alive.keys()
         return got
 
     def test_orders_agree_with_each_other_and_exhaustive_search(self):
@@ -330,8 +326,9 @@ class TestKernelQueryOrder:
         forward = self.answers(queries)
         forks = 0  # states with an alive successor beside a dead one
         for space in membership._SPACES.values():
-            for out in space.succ.values():
-                forks += {space.alive[w] for _, w in out} == {True, False}
+            for s in space.alive:
+                labels = {space.alive[w] for w in _disk_successors(space, s)}
+                forks += labels == {True, False}
         shuffled = list(queries)
         random.Random(7).shuffle(shuffled)
         assert self.answers(shuffled) == forward
@@ -346,6 +343,28 @@ class TestKernelQueryOrder:
                 assert qc.verify_coding(coding, v, u, spec)
                 members += 1
         assert 0 < members < len(forward)
+
+    def test_alive_keys_are_closed_in_the_disk(self):
+        # the labels stand in for successor lists: after every query each
+        # key lies in the disk, and each successor in the disk is a key
+        queries = self.queries()
+        random.Random(7).shuffle(queries)
+        membership._SPACES.clear()
+        for spec, v, u in queries:
+            qc.coding_of(v, u, spec)
+            space = membership._SPACES[spec, u]
+            for s in space.alive:
+                assert space.inside(*s)
+                assert all(w in space.alive for w in _disk_successors(space, s))
+
+
+def _disk_successors(space, s):
+    """The successors beta*s - a of an orbit state that lie in the disk."""
+    m00, m01, m10, m11 = space.beta_matrix
+    x, y = s
+    bx, by = m00 * x + m01 * y, m10 * x + m11 * y
+    out = [(bx - ax, by - ay) for ax, ay in space.scaled_digits]
+    return [w for w in out if space.inside(*w)]
 
 
 def disk_specs():
