@@ -18,6 +18,7 @@ from .fractal import (
     covering_bound,
     covering_constants,
     ifs_new,
+    orbit_disk,
     period_bound,
     sample_points,
     similarity_dimension,
@@ -56,7 +57,6 @@ from .membership import (
     coding_of,
     coding_value,
     is_member,
-    orbit_disk,
     state_count,
     verify_coding,
 )

@@ -132,10 +132,7 @@ def _cmd_order(args) -> None:
     prime = _pick_prime(field, args)
     n = int(args.n) if args.n is not None else 1
     stab = stabilization(beta, prime)
-    if n > stab.n0:  # stab.order's closed form m * p^lift, sized before it is built
-        m, lift = stab.m, -(-(n - stab.n0) // prime.e)
-    else:
-        m, lift = stab.order(n), 0
+    m, lift = stab.order_factors(n)  # the order m * p^lift, sized before it is built
     limit = sys.get_int_max_str_digits()
     # m p^lift >= 2^(lift (p.bit_length() - 1)) and 2^10 > 10^3 prove `over`.
     # The exact count is a logarithm to as many digits as lift has, costing
@@ -502,14 +499,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_VALUE_OPTS = {
-    "--alpha",
-    "--beta",
-    "--point",
-    "--expand",
-    "--evaluate",
-    "--digits",
-}
+_VALUE_OPTS = frozenset({"--alpha", "--beta", "--point", "--expand", "--evaluate", "--digits"})
 
 
 def _merge_leading_dash_values(argv: list[str]) -> list[str]:

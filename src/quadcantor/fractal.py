@@ -6,7 +6,9 @@ by a rational over-approximation R' and the Hausdorff dimension by the
 similarity dimension sigma = 2*log(#A)/log(N(beta)), so that every covering
 count is the explicit integer (#A)^k with k decided by the exact comparison
 N(beta)^k * delta^2 >= R'^2.  Floating point is confined to the sampling and
-box-counting diagnostics, which use plain Python complex numbers.
+box-counting diagnostics, which use plain Python complex numbers.  The
+disk ``orbit_disk`` that prunes membership's orbit graphs is derived here
+too, and both it and R'^2 are computed once per spec.
 """
 
 from __future__ import annotations
@@ -16,30 +18,50 @@ import math
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 
 from .errors import CapExceededError, PreconditionError
-from .quadring import FieldSpec, QuadInt
+from .quadring import FieldElement, FieldSpec, QuadInt
 
 
 @dataclass(frozen=True)
 class IFSSpec:
     """A base beta with norm >= 2 and a digit set of at least two elements.
 
-    The hash is computed once: specs key the membership and radius caches,
-    and rehashing the digit tuple on every lookup is measurable.
+    Everything derived from the spec alone is cached on it: R'^2, the orbit
+    disk and the orbit graphs ``membership`` explores (``_spaces``, from u to
+    its graph).  So the caches live exactly as long as the spec does.
     """
 
     field: FieldSpec
     beta: QuadInt
     digits: tuple[QuadInt, ...]
-    _hash: int = dataclasses.field(init=False, repr=False, compare=False)
+    _spaces: dict = dataclasses.field(default_factory=dict, init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.field, self.beta, self.digits)))
+    @cached_property
+    def radius_sq(self) -> Fraction:
+        """R'^2 for the least rational R' >= R with denominator at most 64."""
+        m = max(a.norm() for a in self.digits)
+        return least_radius_sq(m, self.beta.norm(), range(1, 65))
 
-    def __hash__(self) -> int:
-        return self._hash
+    @cached_property
+    def disk(self) -> tuple[FieldElement, Fraction]:
+        """Centre c and squared radius r'^2 of the disk that prunes orbit graphs.
+
+        c = m/(beta - 1) for the digit centroid m.  With n = #A, r'^2 is the
+        radius bound of the integral digits n*a - sum(A), divided by n^2.  Its
+        search tries the one denominator 64, which keeps the setup of each
+        spec short: one integer search in place of the 64 of ``radius_sq``.
+        When the disk is not smaller than R', the 0-centred disk of R' is
+        kept.  ``membership.state_count`` counts the states in this disk.
+        """
+        n = len(self.digits)
+        total = sum(self.digits, self.field.zero)
+        m = max((a * n - total).norm() for a in self.digits)
+        r2 = least_radius_sq(m, self.beta.norm(), (64,)) / (n * n)
+        if r2 < self.radius_sq:
+            return FieldElement.from_ratio(total, (self.beta - 1) * n), r2
+        return FieldElement(self.field.zero), self.radius_sq
 
 
 def ifs_new(beta: QuadInt, digits) -> IFSSpec:
@@ -91,11 +113,14 @@ def least_radius_sq(m: int, b: int, dens) -> Fraction:
     return min(radii) ** 2
 
 
-@lru_cache(maxsize=None)
 def bounding_radius_sq(spec: IFSSpec) -> Fraction:
-    """R'^2 for the least rational R' >= R with denominator at most 64."""
-    m = max(a.norm() for a in spec.digits)
-    return least_radius_sq(m, spec.beta.norm(), range(1, 65))
+    """R'^2 of the spec (``IFSSpec.radius_sq``)."""
+    return spec.radius_sq
+
+
+def orbit_disk(spec: IFSSpec) -> tuple[FieldElement, Fraction]:
+    """The orbit-pruning disk (c, r'^2) of the spec (``IFSSpec.disk``)."""
+    return spec.disk
 
 
 def similarity_dimension(spec: IFSSpec) -> float:

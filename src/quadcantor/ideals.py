@@ -11,6 +11,7 @@ covers the delicate p = 2 cases without trusting a formula.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -189,36 +190,37 @@ def unit_ideal(field: FieldSpec) -> IdealHNF:
 
 
 def ideal_mul(i: IdealHNF, j: IdealHNF) -> IdealHNF:
-    """Product ideal via HNF reduction of the four pairwise basis products."""
+    """Product ideal via HNF reduction of the four pairwise basis products.
+
+    With w^2 = s*w + t the last one is
+    (b + c*w)(b' + c'*w) = (b*b' + t*c*c') + (b*c' + c*b' + s*c*c')*w.
+    """
     if i.field != j.field:
         raise FieldError("ideals from different fields")
-    rows = []
-    for g in i.basis():
-        for h in j.basis():
-            prod = g * h
-            rows.append((prod.x, prod.y))
+    s, t = i.field.s, i.field.t
+    a, b, c, a2, b2, c2 = i.a, i.b, i.c, j.a, j.b, j.c
+    cc = c * c2
+    rows = [(a * a2, 0), (a * b2, a * c2), (a2 * b, a2 * c)]
+    rows.append((b * b2 + t * cc, b * c2 + c * b2 + s * cc))
     return _from_rows(i.field, rows)
 
 
-_POW_CACHE: dict[IdealHNF, list[IdealHNF]] = {}
-
-
 def ideal_pow(i: IdealHNF, k: int) -> IdealHNF:
-    """i^k with ascending powers memoized per ideal."""
+    """i^k by square-and-multiply."""
     if k < 0:
         raise ValueError("negative ideal power")
-    powers = _POW_CACHE.setdefault(i, [unit_ideal(i.field), i])
-    while len(powers) <= k:
-        powers.append(ideal_mul(powers[-1], i))
-    return powers[k]
+    out = i if k else unit_ideal(i.field)
+    for bit in bin(k)[3:]:  # the bits after the leading one
+        out = ideal_mul(out, out)
+        if bit == "1":
+            out = ideal_mul(out, i)
+    return out
 
 
 def prime_power_product(field: FieldSpec, primes, exponents) -> IdealHNF:
     """prod P_j^{n_j} over paired primes and exponents, one ideal_pow each."""
-    out = unit_ideal(field)
-    for prime, n in zip(primes, exponents):
-        out = ideal_mul(out, ideal_pow(prime.hnf, n))
-    return out
+    powers = [ideal_pow(prime.hnf, n) for prime, n in zip(primes, exponents)]
+    return functools.reduce(ideal_mul, powers) if powers else unit_ideal(field)
 
 
 def _minpoly_roots_mod_p(field: FieldSpec, p: int) -> list[int]:
@@ -274,8 +276,10 @@ def valuation(z: QuadInt, prime: PrimeIdeal) -> int:
     if z.is_zero():
         raise ValueError("valuation of zero is infinite")
     k = 0
-    while ideal_pow(prime.hnf, k + 1).contains(z):
+    power = prime.hnf
+    while power.contains(z):
         k += 1
+        power = ideal_mul(power, prime.hnf)
     return k
 
 

@@ -49,6 +49,7 @@ from .fractal import (
     IFSSpec,
     bounding_radius_sq,
     covering_constants,
+    orbit_disk,
     period_bound,
     similarity_dimension,
 )
@@ -66,7 +67,6 @@ from .membership import (
     Coding,
     coding_of,
     is_member,
-    orbit_disk,
     peel,
     shifted_digits,
 )

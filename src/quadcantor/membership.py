@@ -16,20 +16,19 @@ when it lies in S, whatever K is.  Membership does not depend on the disk,
 nor do codings, whose walk takes the lowest digit with a successor in S;
 only ``state_count`` does.
 
-Exploration state is shared between queries through a per-(spec, u) cache,
-so repeated queries over one denominator explore each state once; it keeps
-one label per state, and walks recompute the successors beta*s - a.  Level
-sweeps decide their candidates by the same ``peel`` (``intersection``) and
-query only the points they keep, so the cache holds just those points' orbits.
+Each spec keeps one explored graph per denominator u, so repeated queries
+over one spec and u explore each state once, and dropping the spec frees
+them.  A graph keeps one label per state, and walks recompute the
+successors beta*s - a.  Level sweeps decide their candidates by the same
+``peel`` (``intersection``) and query only the points they keep, so the
+spec holds just those points' orbits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
-from .fractal import IFSSpec, bounding_radius_sq, least_radius_sq
+from .fractal import IFSSpec, orbit_disk
 from .quadring import FieldElement, QuadInt, mul_matrix, norm_form
 
 
@@ -39,27 +38,6 @@ class Coding:
 
     preperiod: tuple[QuadInt, ...]
     period: tuple[QuadInt, ...]
-
-
-@lru_cache(maxsize=None)
-def orbit_disk(spec: IFSSpec) -> tuple[FieldElement, Fraction]:
-    """Centre c and squared radius r'^2 of the disk that prunes orbit graphs.
-
-    c = m/(beta - 1) for the digit centroid m.  With n = #A, r'^2 is the
-    radius bound of the integral digits n*a - sum(A), divided by n^2.  Its
-    search tries the one denominator 64, which keeps the setup of each spec
-    short: one integer search in place of the 64 of ``bounding_radius_sq``.
-    When the disk is not smaller than R', the 0-centred disk of R' is kept.
-    ``state_count`` counts the states in this disk.
-    """
-    n = len(spec.digits)
-    total = sum(spec.digits, spec.field.zero)
-    m = max((a * n - total).norm() for a in spec.digits)
-    r2 = least_radius_sq(m, spec.beta.norm(), (64,)) / (n * n)
-    r0 = bounding_radius_sq(spec)
-    if r2 < r0:
-        return FieldElement.from_ratio(total, (spec.beta - 1) * n), r2
-    return FieldElement(spec.field.zero), r0
 
 
 def shifted_digits(spec: IFSSpec) -> tuple[tuple[int, int], ...]:
@@ -103,19 +81,6 @@ class _Space:
 
     def inside(self, x: int, y: int) -> bool:
         return (x * x + self.nxy * x * y + self.nyy * y * y) * self.bound_den <= self.bound_num
-
-
-_SPACES: dict[tuple[IFSSpec, int], _Space] = {}
-
-
-def _space(spec: IFSSpec, u: int) -> _Space:
-    if u < 1:
-        raise ValueError("denominator u must be a positive integer")
-    key = (spec, u)
-    sp = _SPACES.get(key)
-    if sp is None:
-        sp = _SPACES[key] = _Space(spec, u)
-    return sp
 
 
 def peel(count: dict, preds: dict, dead: list) -> None:
@@ -196,7 +161,11 @@ def _explore(v: QuadInt, u: int, spec: IFSSpec) -> tuple[_Space, tuple[int, int]
     This is each query's one exploration: on return every state reachable
     from the root within the disk is a key of ``alive``, with its label.
     """
-    space = _space(spec, u)
+    space = spec._spaces.get(u)
+    if space is None:
+        if u < 1:
+            raise ValueError("denominator u must be a positive integer")
+        space = spec._spaces[u] = _Space(spec, u)
     root = (space.d * v.x - space.cux, space.d * v.y - space.cuy)
     if not space.inside(*root):
         return None

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .ideals import IdealHNF, PrimeIdeal, ideal_from_generators, ideal_pow
+from .ideals import IdealHNF, PrimeIdeal, ideal_from_generators, ideal_mul, ideal_pow
 from .ntheory import factor_int
 from .quadring import QuadInt
 
@@ -30,14 +30,23 @@ class StabilizationData:
     n0: int
     m: int
 
-    def order(self, n: int) -> int:
-        """Order of beta modulo prime^n; closed form above the stable level."""
+    def order_factors(self, n: int) -> tuple[int, int]:
+        """(k, lift) with ord(beta mod prime^n) = k * p^lift; ``ord_mod`` only for n <= e.
+
+        Every n > e follows the law (m, max(0, ceil((n - n0)/e))).  For
+        e+1 <= n <= n0, ord(P^n) is a multiple of ord(P^(e+1)) = m, and it
+        divides m because n <= n0 = v(beta^m - 1).
+        """
         if n < 1:
             raise ValueError("exponent must be positive")
-        if n <= self.n0:
-            return ord_mod(self.beta, ideal_pow(self.prime.hnf, n))
-        lift = -(-(n - self.n0) // self.prime.e)  # ceil((n - n0)/e)
-        return self.m * self.prime.p**lift
+        if n <= self.prime.e:
+            return ord_mod(self.beta, ideal_pow(self.prime.hnf, n)), 0
+        return self.m, max(0, -(-(n - self.n0) // self.prime.e))
+
+    def order(self, n: int) -> int:
+        """Order of beta modulo prime^n (``order_factors``)."""
+        k, lift = self.order_factors(n)
+        return k * self.prime.p**lift
 
 
 @dataclass(frozen=True)
@@ -55,9 +64,7 @@ class LowerBoundSpec:
 
 
 def _check_invertible(beta: QuadInt, ideal: IdealHNF) -> None:
-    gens = [beta, beta * ideal.field.omega]
-    rows_ideal = ideal.basis()
-    combined = ideal_from_generators([*gens, *rows_ideal])
+    combined = ideal_from_generators([beta, *ideal.basis()])
     if not combined.is_unit():
         raise PreconditionError(f"{beta} is not a unit modulo {ideal}")
 
@@ -121,17 +128,19 @@ def ord_mod(beta: QuadInt, ideal: IdealHNF) -> int:
 def stabilization(beta: QuadInt, prime: PrimeIdeal) -> StabilizationData:
     """m = ord modulo prime^(e+1) and n0 = v(beta^m - 1) at that prime.
 
-    n0 is found by raising the power of the prime while beta^m stays 1
-    modulo it, so beta^m itself is never built.
+    n0 is found by raising the power of the prime, one factor at a time,
+    while beta^m stays 1 modulo it, so beta^m itself is never built.
     """
     if prime.contains(beta):
         raise PreconditionError(f"{beta} lies in the prime {prime}")
     if beta.norm() <= 1:
         raise PreconditionError(f"{beta} must satisfy |beta| > 1")
     n0 = prime.e + 1
-    m = ord_mod(beta, ideal_pow(prime.hnf, n0))
+    power = ideal_pow(prime.hnf, n0)
+    m = ord_mod(beta, power)
     while True:
-        pw = _power_mod(ideal_pow(prime.hnf, n0 + 1))
+        power = ideal_mul(power, prime.hnf)
+        pw = _power_mod(power)
         if pw(beta.x, beta.y, m) != pw(1, 0, 0):
             break
         n0 += 1
@@ -140,8 +149,6 @@ def stabilization(beta: QuadInt, prime: PrimeIdeal) -> StabilizationData:
 
 def ord_prime_power(beta: QuadInt, prime: PrimeIdeal, n: int) -> int:
     """Order of beta modulo prime^n; closed form above the stable level."""
-    if n < 1:
-        raise ValueError("exponent must be positive")
     return stabilization(beta, prime).order(n)
 
 

@@ -32,13 +32,18 @@ class FieldSpec:
     """An imaginary quadratic field Q(sqrt(d)) and its integral basis {1, w}."""
 
     d: int
-    half_basis: bool  # True exactly when d = 1 (mod 4), i.e. w = (1+sqrt(d))/2
-    disc: int
-    s: int = dataclasses.field(init=False, compare=False)  # w^2 = s*w + t,
-    t: int = dataclasses.field(init=False, compare=False)  # both derived from d
+    # derived from d: half_basis is True exactly when d = 1 (mod 4), i.e.
+    # w = (1+sqrt(d))/2; disc is the field discriminant; w^2 = s*w + t
+    half_basis: bool = dataclasses.field(init=False, compare=False)
+    disc: int = dataclasses.field(init=False, compare=False)
+    s: int = dataclasses.field(init=False, compare=False)
+    t: int = dataclasses.field(init=False, compare=False)
 
     def __post_init__(self):
-        s, t = (1, (self.d - 1) // 4) if self.d % 4 == 1 else (0, self.d)
+        half = self.d % 4 == 1
+        s, t = (1, (self.d - 1) // 4) if half else (0, self.d)
+        object.__setattr__(self, "half_basis", half)
+        object.__setattr__(self, "disc", self.d if half else 4 * self.d)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "t", t)
 
@@ -70,8 +75,7 @@ def make_field(d: int) -> FieldSpec:
         raise FieldError(f"d must be negative, got {d}")
     if not is_squarefree(d):
         raise FieldError(f"d must be squarefree, got {d}")
-    half = d % 4 == 1
-    return FieldSpec(d=d, half_basis=half, disc=d if half else 4 * d)
+    return FieldSpec(d=d)
 
 
 class QuadInt:

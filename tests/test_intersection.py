@@ -9,7 +9,7 @@ from order_oracle import brute_ord_mod
 
 import quadcantor as qc
 from quadcantor import CapExceededError, FieldElement, PreconditionError, make_field
-from quadcantor import intersection, membership
+from quadcantor import intersection
 from quadcantor.ideals import prime_power_product
 from quadcantor.intersection import (
     _ball_candidates,
@@ -261,12 +261,12 @@ class TestEnumerateLevel:
     def test_sweep_stores_only_the_members_orbits(self, gauss, cantor):
         # the peel decides the candidates of Wall level 22 itself, so only
         # the members' own orbit graphs are explored and cached
-        membership._SPACES.clear()
-        pts = qc.enumerate_level(22, gauss.element(2), cantor, cap=10**30)
-        stored = sum(len(space.alive) for space in membership._SPACES.values())
+        spec = qc.ifs_new(cantor.beta, cantor.digits)
+        pts = qc.enumerate_level(22, gauss.element(2), spec, cap=10**30)
+        stored = sum(len(space.alive) for space in spec._spaces.values())
         assert len(pts) == 4
         assert stored <= sum(
-            qc.state_count(p.value.num, p.value.den, cantor) for p in pts
+            qc.state_count(p.value.num, p.value.den, spec) for p in pts
         )
 
 

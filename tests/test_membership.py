@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import quadcantor as qc
-from quadcantor import Coding, FieldElement, make_field, membership
+from quadcantor import Coding, FieldElement, make_field
 from quadcantor.cli import main
 
 
@@ -272,10 +272,10 @@ class TestCoding:
 
 class TestSpaceCache:
     def test_wall_sweep_explores_one_space(self, gauss, cantor):
-        membership._SPACES.clear()
-        points = qc.enumerate_level(4, gauss.element(2), cantor)
+        spec = qc.ifs_new(cantor.beta, cantor.digits)
+        points = qc.enumerate_level(4, gauss.element(2), spec)
         assert [str(p.value) for p in points] == ["0", "1/4", "3/4", "1"]
-        assert list(membership._SPACES) == [(cantor, 2**8)]
+        assert list(spec._spaces) == [2**8]
 
 
 # beta of norm 2 or 3 with digits {0, 1, w}: overlapping or complete digit
@@ -310,8 +310,13 @@ class TestKernelQueryOrder:
         return out
 
     @staticmethod
+    def spaces(queries):
+        return [space for spec in {q[0] for q in queries} for space in spec._spaces.values()]
+
+    @staticmethod
     def answers(queries):
-        membership._SPACES.clear()
+        for spec, _, _ in queries:
+            spec._spaces.clear()
         got = {}
         for spec, v, u in queries:
             got[spec, v, u] = (
@@ -325,7 +330,7 @@ class TestKernelQueryOrder:
         queries = self.queries()
         forward = self.answers(queries)
         forks = 0  # states with an alive successor beside a dead one
-        for space in membership._SPACES.values():
+        for space in self.spaces(queries):
             for s in space.alive:
                 labels = {space.alive[w] for w in _disk_successors(space, s)}
                 forks += labels == {True, False}
@@ -349,10 +354,11 @@ class TestKernelQueryOrder:
         # key lies in the disk, and each successor in the disk is a key
         queries = self.queries()
         random.Random(7).shuffle(queries)
-        membership._SPACES.clear()
+        for spec, v, u in queries:
+            spec._spaces.clear()
         for spec, v, u in queries:
             qc.coding_of(v, u, spec)
-            space = membership._SPACES[spec, u]
+            space = spec._spaces[u]
             for s in space.alive:
                 assert space.inside(*s)
                 assert all(w in space.alive for w in _disk_successors(space, s))

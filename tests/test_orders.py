@@ -194,6 +194,22 @@ class TestOrdPrimePower:
                         cases += 1
         assert cases >= 8
 
+    def test_order_above_e_makes_no_ord_mod_call(self, gauss, monkeypatch):
+        # the stabilization law covers every n > e, also e < n <= n0
+        cases = []
+        for beta, p, root in ((gauss.element(3), 5, 2), (gauss.element(5), 2, None)):
+            prime = _prime(gauss, p, root)
+            stab = qc.stabilization(beta, prime)
+            ns = range(prime.e + 1, stab.n0 + 3 * prime.e + 1)
+            want = [qc.ord_mod(beta, qc.ideal_pow(prime.hnf, n)) for n in ns]
+            cases.append((stab, ns, want))
+        assert any(stab.n0 > stab.prime.e + 1 for stab, _, _ in cases)
+        calls = []
+        monkeypatch.setattr(qc.orders, "ord_mod", lambda *a: calls.append(a))
+        for stab, ns, want in cases:
+            assert [stab.order(n) for n in ns] == want
+        assert calls == []
+
     def test_valuation_ladder(self, gauss):
         # v(beta^(m p^k) - 1) climbs by exactly e per lifted factor p
         for beta, p, root in ((gauss.element(3), 5, 2), (gauss.element(5), 2, None)):

@@ -1,11 +1,14 @@
 import ast
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 from types import ModuleType
 
 import quadcantor as qc
+import quadcantor.cli  # noqa: F401
 
 
 def test_all_lists_every_imported_name_and_no_module():
@@ -31,3 +34,30 @@ def test_import_loads_no_numpy():
         env={**os.environ, "PYTHONPATH": src},
     ).stdout
     assert out.strip() == "False"
+
+
+def test_no_module_holds_mutable_state_or_a_cache():
+    # caches live on the objects they derive from, never in a module
+    held = []
+    for name, module in sorted(sys.modules.items()):
+        if name != "quadcantor" and not name.startswith("quadcantor."):
+            continue
+        for attr, value in vars(module).items():
+            if attr.startswith("__") and attr.endswith("__"):
+                continue
+            if isinstance(value, (dict, list, set)) or hasattr(value, "cache_info"):
+                held.append(f"{name}.{attr}")
+    assert held == []
+
+
+def test_a_dropped_spec_is_freed():
+    field = qc.make_field(-1)
+    spec = qc.ifs_new(field.element(3), [field.element(0), field.element(2)])
+    assert qc.is_member(field.element(1), 4, spec)
+    assert len(qc.enumerate_level(4, field.element(2), spec)) == 4
+    rep = qc.full_intersection(field.element(2), spec, mode="certified", cap=10**4)
+    assert rep.certified_n0 == rep.level and rep.exhausted
+    ref = weakref.ref(spec)
+    del spec, rep
+    gc.collect()
+    assert ref() is None
