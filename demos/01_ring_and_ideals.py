@@ -4,6 +4,7 @@ Run:  python demos/01_ring_and_ideals.py
 """
 
 import quadcantor as qc
+from quadcantor.ideals import prime_power_product
 
 # The Gaussian integers: d = -1, basis {1, w} with w = sqrt(-1)
 F = qc.make_field(-1)
@@ -31,7 +32,8 @@ for p in (2, 3, 5, 7, 13):
 alpha = F.element(10)
 fact = qc.factor_element(alpha)
 print("\n10 * Z[i] =", " * ".join(f"{p}^{b}" for p, b in fact.factors))
-print("rebuilt HNF equals (10):", fact.product_hnf() == qc.principal_ideal(alpha))
+rebuilt = prime_power_product(F, fact.primes, fact.exponents)
+print("rebuilt HNF equals (10):", rebuilt == qc.principal_ideal(alpha))
 
 # valuations see through units: 4 = -(1+i)^4
 p2 = qc.factor_rational_prime(F, 2).primes[0]

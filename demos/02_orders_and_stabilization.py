@@ -1,8 +1,9 @@
 """Multiplicative orders modulo prime powers and their exact lifting law.
 
 Above a computable level n0, the order modulo p^(n0+n) is the closed form
-m * p^ceil(n/e) -- no more group computations needed.  The table
-checks each order against a sequential count of the powers.
+m * p^ceil(n/e) -- no more group computations needed.  Every exponent
+above e + 1 follows that law from m alone; the table checks each order
+against a sequential count of the powers.
 
 Run:  python demos/02_orders_and_stabilization.py
 """
@@ -30,9 +31,9 @@ print("(3^20 - 1 is divisible by 25 but not 125, hence n0 = 2)\n")
 
 print(" n   ord(3 mod p^n)   closed form used?")
 for n in range(1, 7):
-    order = qc.ord_prime_power(beta, prime, n)
+    order = stab.order(n)
     brute = sequential_order(beta, qc.ideal_pow(prime.hnf, n))
-    mark = "yes" if n > stab.n0 else "no (ord_mod)"
+    mark = "yes" if n > prime.e + 1 else "no (ord_mod)"
     assert order == brute
     print(f" {n}   {order:>10}       {mark}")
 
@@ -40,7 +41,7 @@ for n in range(1, 7):
 p2 = qc.factor_rational_prime(F, 2).primes[0]
 stab2 = qc.stabilization(F.element(5), p2)
 print(f"\nbeta=5 at (1+i): m = {stab2.m}, n0 = {stab2.n0}, e = {p2.e}")
-print("ord(5 mod (1+i)^6) =", qc.ord_prime_power(F.element(5), p2, 6))
+print("ord(5 mod (1+i)^6) =", stab2.order(6))
 
 # the explicit lower-bound constant c2 = 1/prod p^n0 and the bound it yields
 lb = qc.c2_constant(beta, [p2, prime])

@@ -1,10 +1,10 @@
 """Deciding exactly whether v/u lies in the middle-third Cantor set.
 
-The orbit z -> 3*z - a (a in {0, 2}) is pruned to a disk that contains the
-set, |z - c| <= r' with c = m/(beta - 1) for the digit centroid m: here
-c = 1/2 and r' = 1/2.  Over a denominator u the states are 1/u apart, so the
-orbit graph is finite, and v/u belongs to the set exactly when it reaches a
-cycle.  Any disk that contains the set gives the same answers; only the
+The orbit z -> 3*z - a (a in {0, 2}) is pruned to the spec's disk
+``spec.disk``, which contains the set: |z - c| <= r' with c = m/(beta - 1)
+for the digit centroid m, here c = 1/2 and r' = 1/2.  Over a denominator u
+the states are 1/u apart, so the orbit graph is finite, and v/u belongs to
+the set exactly when it reaches a cycle.  Any disk that contains the set gives the same answers; only the
 state counts depend on it.
 
 Run:  python demos/03_cantor_membership.py
@@ -38,7 +38,7 @@ print("verify_coding:", qc.verify_coding(coding, F.element(1), 4, cantor))
 
 def orbit(v, u, spec):
     """Numerators xi of the orbit xi -> beta*xi - a*u with xi/u in the pruning disk."""
-    centre, r2 = qc.orbit_disk(spec)
+    centre, r2 = spec.disk
     seen, todo = [v], [v]
     while todo:
         z = todo.pop()
@@ -52,8 +52,8 @@ def orbit(v, u, spec):
 
 # state separation: distinct states over denominator u differ by >= 1/u,
 # which caps how many can fit in the disk -- the finiteness mechanism
-centre, r2 = qc.orbit_disk(cantor)
-print(f"\npruning disk: centre {centre}, radius^2 {r2} (R'^2 = {qc.bounding_radius_sq(cantor)})")
+centre, r2 = cantor.disk
+print(f"\npruning disk: centre {centre}, radius^2 {r2} (R'^2 = {cantor.radius_sq})")
 states = orbit(F.element(1), 4, cantor)
 print(
     "states of 1/4 over u=4:",

@@ -39,7 +39,7 @@ print()
 # certified runs: the exact order of 3 modulo prod P_j^{n_j} empties all but
 # a few tuple classes, and sweeping the lattices of the maximal survivors
 # finds every point; each sweep scans the depth-k balls around (W + c)/3^k
-# of the attractor's own disk D(c, r') from orbit_disk, c = 1/2
+# of the attractor's own disk D(c, r') = cantor.disk, c = 1/2
 for alpha_int in (2, 10):
     report = qc.full_intersection(F.element(alpha_int), cantor, mode="certified")
     print(f"alpha = {alpha_int}, certified: n0 = {report.certified_n0}, "

@@ -18,7 +18,7 @@ specs = [
 
 for name, spec in specs:
     sigma = qc.similarity_dimension(spec)
-    r2 = qc.bounding_radius_sq(spec)
+    r2 = spec.radius_sq
     print(f"{name}: sigma = {sigma:.6f}, R'^2 = {r2}")
 
 cantor = specs[0][1]

@@ -13,12 +13,10 @@ from .fractal import (
     BoxDimEstimate,
     CoveringConstants,
     IFSSpec,
-    bounding_radius_sq,
     box_dim_estimate,
     covering_bound,
     covering_constants,
     ifs_new,
-    orbit_disk,
     period_bound,
     sample_points,
     similarity_dimension,
@@ -65,7 +63,6 @@ from .orders import (
     StabilizationData,
     c2_constant,
     ord_mod,
-    ord_prime_power,
     order_lower_bound,
     stabilization,
 )

@@ -18,7 +18,6 @@ import sys
 from . import cns as cnsmod
 from .errors import CapExceededError, FieldError, ParseError, PreconditionError
 from .fractal import (
-    bounding_radius_sq,
     covering_constants,
     ifs_new,
     period_bound,
@@ -160,7 +159,7 @@ def _cmd_order(args) -> None:
             "order": str(order),
             "n0": str(stab.n0),
             "m": str(stab.m),
-            "used_closed_form": n > stab.n0,
+            "used_closed_form": n > prime.e + 1,
         }
     )
 
@@ -231,7 +230,7 @@ def _cmd_intersect(args) -> None:
             "preconditions": _precondition_record(report.preconditions),
             "sigma": _fmt_float(report.preconditions.sigma),
             "c1_params": {
-                "r_prime_sq": str(bounding_radius_sq(spec)),
+                "r_prime_sq": str(spec.radius_sq),
                 "beta_norm": str(spec.beta.norm()),
                 "digit_count": str(len(spec.digits)),
             },
@@ -268,7 +267,7 @@ def _cmd_bound(args) -> None:
         "beta": element_text(spec.beta),
         "preconditions": _precondition_record(report),
         "sigma": _fmt_float(report.sigma),
-        "r_prime_sq": str(bounding_radius_sq(spec)),
+        "r_prime_sq": str(spec.radius_sq),
         "case": report.applicable_case,
         "ell": str(report.alpha_factorization.ell),
     }
@@ -304,7 +303,7 @@ def _cmd_dim(args) -> None:
     field = _field_of(args)
     spec = _spec_of(args, field)
     rows = int(args.rows) if args.rows is not None else 8
-    r2 = bounding_radius_sq(spec)
+    r2 = spec.radius_sq
     r_prime = math.sqrt(float(r2))
     abs_beta = math.sqrt(spec.beta.norm())
     table = []

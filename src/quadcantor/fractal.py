@@ -7,8 +7,8 @@ similarity dimension sigma = 2*log(#A)/log(N(beta)), so that every covering
 count is the explicit integer (#A)^k with k decided by the exact comparison
 N(beta)^k * delta^2 >= R'^2.  Floating point is confined to the sampling and
 box-counting diagnostics, which use plain Python complex numbers.  The
-disk ``orbit_disk`` that prunes membership's orbit graphs is derived here
-too, and both it and R'^2 are computed once per spec.
+spec owns both R'^2 (``IFSSpec.radius_sq``) and the disk that prunes
+membership's orbit graphs (``IFSSpec.disk``), each computed once.
 """
 
 from __future__ import annotations
@@ -113,16 +113,6 @@ def least_radius_sq(m: int, b: int, dens) -> Fraction:
     return min(radii) ** 2
 
 
-def bounding_radius_sq(spec: IFSSpec) -> Fraction:
-    """R'^2 of the spec (``IFSSpec.radius_sq``)."""
-    return spec.radius_sq
-
-
-def orbit_disk(spec: IFSSpec) -> tuple[FieldElement, Fraction]:
-    """The orbit-pruning disk (c, r'^2) of the spec (``IFSSpec.disk``)."""
-    return spec.disk
-
-
 def similarity_dimension(spec: IFSSpec) -> float:
     """sigma = 2 log(#A) / log(N(beta)); upper bound for dim_H in general."""
     return 2.0 * math.log(len(spec.digits)) / math.log(spec.beta.norm())
@@ -130,19 +120,19 @@ def similarity_dimension(spec: IFSSpec) -> float:
 
 def covering_constants(spec: IFSSpec) -> CoveringConstants:
     return CoveringConstants(
-        radius_sq_bound=bounding_radius_sq(spec),
+        radius_sq_bound=spec.radius_sq,
         digit_count=len(spec.digits),
         beta_norm=spec.beta.norm(),
     )
 
 
-def _covering_exponent(spec: IFSSpec, delta_sq: Fraction) -> int:
-    """Least k with N(beta)^k * delta^2 >= R'^2, decided exactly.
+def covering_exponent(b: int, r2: Fraction, delta_sq: Fraction) -> int:
+    """Least k with b^k * delta^2 >= r2, decided exactly.
 
-    Cross-multiplied into integers: b^k * dn * rd >= rn * dd.
+    For b = N(beta), that depth shrinks a disk of squared radius r2 to
+    squared radius at most delta^2.  Cross-multiplied into integers:
+    b^k * dn * rd >= rn * dd.
     """
-    r2 = bounding_radius_sq(spec)
-    b = spec.beta.norm()
     lhs = delta_sq.numerator * r2.denominator
     rhs = r2.numerator * delta_sq.denominator
     k = 0
@@ -157,7 +147,8 @@ def covering_bound(spec: IFSSpec, delta: Fraction | int) -> int:
     delta = Fraction(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
-    return len(spec.digits) ** _covering_exponent(spec, delta * delta)
+    k = covering_exponent(spec.beta.norm(), spec.radius_sq, delta * delta)
+    return len(spec.digits) ** k
 
 
 def period_bound(spec: IFSSpec, u_norm: int) -> int:
@@ -168,7 +159,8 @@ def period_bound(spec: IFSSpec, u_norm: int) -> int:
     """
     if u_norm < 1:
         raise ValueError("u_norm must be a positive integer")
-    return len(spec.digits) ** _covering_exponent(spec, Fraction(1, 9 * u_norm))
+    k = covering_exponent(spec.beta.norm(), spec.radius_sq, Fraction(1, 9 * u_norm))
+    return len(spec.digits) ** k
 
 
 def sample_points(spec: IFSSpec, depth: int, cap: int = 1 << 20) -> list[complex]:
@@ -194,7 +186,7 @@ class BoxDimEstimate:
     counts: tuple[tuple[int, float, int], ...]  # (depth, delta, boxes)
 
 
-def box_dim_estimate(spec: IFSSpec, depths, cap: int = 1 << 20) -> BoxDimEstimate:
+def box_dim_estimate(spec: IFSSpec, depths) -> BoxDimEstimate:
     """Least-squares slope of log N_delta against -log delta; diagnostic only."""
     depths = list(depths)
     if len(depths) < 2:
@@ -207,7 +199,7 @@ def box_dim_estimate(spec: IFSSpec, depths, cap: int = 1 << 20) -> BoxDimEstimat
         delta = abs_beta**-depth
         cells = {
             (math.floor(z.real / delta), math.floor(z.imag / delta))
-            for z in sample_points(spec, depth, cap=cap)
+            for z in sample_points(spec, depth)
         }
         rows.append((depth, delta, len(cells)))
     xs = [-math.log(delta) for _, delta, _ in rows]

@@ -85,10 +85,6 @@ class PrimeIdeal:
     def norm(self) -> int:
         return self.p**self.f
 
-    @property
-    def field(self) -> FieldSpec:
-        return self.hnf.field
-
     def contains(self, z: QuadInt) -> bool:
         return self.hnf.contains(z)
 
@@ -105,13 +101,6 @@ class PrimeSplitting:
     p: int
     kind: str  # "ramified" | "split" | "inert"
     primes: tuple[PrimeIdeal, ...]
-
-    def factors(self) -> tuple[tuple[PrimeIdeal, int], ...]:
-        if self.kind == "ramified":
-            return ((self.primes[0], 2),)
-        if self.kind == "split":
-            return ((self.primes[0], 1), (self.primes[1], 1))
-        return ((self.primes[0], 1),)
 
 
 @dataclass(frozen=True)
@@ -132,9 +121,6 @@ class ElementFactorization:
     @property
     def ell(self) -> int:
         return len(self.factors)
-
-    def product_hnf(self) -> IdealHNF:
-        return prime_power_product(self.element.field, self.primes, self.exponents)
 
 
 def _from_rows(field: FieldSpec, rows: list[tuple[int, int]]) -> IdealHNF:
@@ -299,7 +285,7 @@ def factor_element(alpha: QuadInt) -> ElementFactorization:
                 factors.append((prime, v))
     result = ElementFactorization(element=alpha, factors=tuple(factors))
     # reconstruction safety net: product of prime powers must rebuild (alpha)
-    if result.product_hnf() != principal_ideal(alpha):
+    if prime_power_product(field, result.primes, result.exponents) != principal_ideal(alpha):
         raise ArithmeticError(f"factorization of {alpha} failed reconstruction")
     if math.prod(p.norm**b for p, b in factors) != n:
         raise ArithmeticError(f"norm mismatch factoring {alpha}")

@@ -20,7 +20,7 @@ certified run covers every point with a few small sweeps.
 
 A sweep scans the balls of a depth-k cylinder cover of the attractor
 (``_cover``): the images D((W + c)/beta^k, r'/|beta|^k) of the disk
-D(c, r') of ``orbit_disk`` under the depth-k maps, with k the least depth
+D(c, r') of ``IFSSpec.disk`` under the depth-k maps, with k the least depth
 with N(beta)^k >= u * r'^2.  Its cost, the lattice rows plus points those
 balls can touch, is an exact integer bound (``_scan_plan``); the cap check
 and a capped certified run's fallback are both decided on it.  The lattice
@@ -47,9 +47,8 @@ from .ideals import ideal_pow  # noqa: F401
 from .fractal import (
     CoveringConstants,
     IFSSpec,
-    bounding_radius_sq,
     covering_constants,
-    orbit_disk,
+    covering_exponent,
     period_bound,
     similarity_dimension,
 )
@@ -259,7 +258,7 @@ def _u_limit(spec: IFSSpec, lb: LowerBoundSpec, case: str) -> int:
     because A <= isqrt(N(beta)) and isqrt(N(beta)*Y) >= isqrt(N(beta))*isqrt(Y).
     So once H_(k-1) >= A^k/c2, every later range is excluded as well.
     """
-    r2 = bounding_radius_sq(spec)
+    r2 = spec.radius_sq
     a = len(spec.digits)
     b = spec.beta.norm()
     limit = high = k = 0
@@ -494,7 +493,7 @@ def _ball_candidates(
 def _cover(spec: IFSSpec, lattice: _Lattice) -> tuple[int, int, int, int]:
     """Depth k, common denominator and squared radius of the sweep's balls.
 
-    S lies in the disk D(c, r') of ``orbit_disk``, and S is the union of
+    S lies in the disk D(c, r') of ``IFSSpec.disk``, and S is the union of
     (W + S)/beta^k over the depth-k words W, so the (#A)^k balls
     D((W + c)/beta^k, r'/|beta|^k) cover it.  k is the least depth with
     N(beta)^k >= u * r'^2, so each ball, scaled by delta, has squared
@@ -502,13 +501,10 @@ def _cover(spec: IFSSpec, lattice: _Lattice) -> tuple[int, int, int, int]:
     at delta * (D*W + C) * conj(beta^k) over the denominator D * N(beta)^k,
     with squared radius rn/rd = N(delta) * r'^2 / N(beta)^k.
     """
-    centre, r2 = orbit_disk(spec)
+    centre, r2 = spec.disk
     beta_norm = spec.beta.norm()
-    k = 0
-    bk_norm = 1
-    while bk_norm * r2.denominator < lattice.u * r2.numerator:
-        bk_norm *= beta_norm
-        k += 1
+    k = covering_exponent(beta_norm, r2, Fraction(1, lattice.u))
+    bk_norm = beta_norm**k
     rn = lattice.delta.norm() * r2.numerator
     return k, centre.den * bk_norm, rn, r2.denominator * bk_norm
 
@@ -541,7 +537,7 @@ def _candidate_numerators(spec: IFSSpec, lattice: _Lattice) -> set[tuple[int, in
     """
     beta = spec.beta
     k, den, rn, rd = _cover(spec, lattice)
-    centre, _ = orbit_disk(spec)
+    centre, _ = spec.disk
     b00, b01, b10, b11 = mul_matrix(beta)
     digits = shifted_digits(spec)
     words = {(centre.num.x, centre.num.y)}
@@ -659,7 +655,7 @@ def enumerate_level(
         v = g * conj_delta
         if sub_norm > 1:
             v = QuadInt(spec.field, v.x // sub_norm, v.y // sub_norm)
-        value = FieldElement.from_ratio(g, lattice.delta)
+        value = FieldElement(v, u)
         if not is_member(v, u, spec):
             raise ArithmeticError(f"the peel kept {value}, which is not in the attractor")
         coding = coding_of(v, u, spec)

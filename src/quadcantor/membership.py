@@ -6,15 +6,15 @@ a closed disk D(c, r') that contains the attractor.  The states are points
 over the denominator u, at least 1/u apart, so the graph is finite, and v/u
 lies in the attractor exactly when a cycle is reachable from the root.
 
-The disk is recentred on the attractor: c = m/(beta - 1) with m the digit
-centroid, since S - c is the attractor of the digits a - m.  Any bounded
-region K that contains S gives the same answers.  If v/u is in S, a coding
-of it keeps every tail in S, so inside K, and that is an infinite path.  An
-infinite path inside K makes v/u = sum_{j<=k} a_j beta^-j + beta^-k z_k with
-z_k bounded, which converges to a point of S.  So a state is alive exactly
-when it lies in S, whatever K is.  Membership does not depend on the disk,
-nor do codings, whose walk takes the lowest digit with a successor in S;
-only ``state_count`` does.
+The disk, ``IFSSpec.disk``, is recentred on the attractor: c = m/(beta - 1)
+with m the digit centroid, since S - c is the attractor of the digits
+a - m.  Any bounded region K that contains S gives the same answers.  If
+v/u is in S, a coding of it keeps every tail in S, so inside K, and that is
+an infinite path.  An infinite path inside K makes v/u = sum_{j<=k} a_j
+beta^-j + beta^-k z_k with z_k bounded, which converges to a point of S.
+So a state is alive exactly when it lies in S, whatever K is.  Membership
+does not depend on the disk, nor do codings, whose walk takes the lowest
+digit with a successor in S; only ``state_count`` does.
 
 Each spec keeps one explored graph per denominator u, so repeated queries
 over one spec and u explore each state once, and dropping the spec frees
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fractal import IFSSpec, orbit_disk
+from .fractal import IFSSpec
 from .quadring import FieldElement, QuadInt, mul_matrix, norm_form
 
 
@@ -43,11 +43,11 @@ class Coding:
 def shifted_digits(spec: IFSSpec) -> tuple[tuple[int, int], ...]:
     """The integral digits D*a - (beta - 1)*C, as (x, y), for c = C/D.
 
-    c is the centre of ``orbit_disk``.  In the coordinate s = D*z - C the
+    c is the centre of ``IFSSpec.disk``.  In the coordinate s = D*z - C the
     map z -> beta*z + a reads s -> beta*s + (D*a - (beta - 1)*C), which
     keeps every word and every orbit state integral.
     """
-    centre, _ = orbit_disk(spec)
+    centre, _ = spec.disk
     c, d = centre.num, centre.den
     shift = (spec.beta - 1) * c
     return tuple((a.x * d - shift.x, a.y * d - shift.y) for a in spec.digits)
@@ -69,7 +69,7 @@ class _Space:
     """
 
     def __init__(self, spec: IFSSpec, u: int):
-        centre, r2 = orbit_disk(spec)
+        centre, r2 = spec.disk
         c, d = centre.num, centre.den
         self.beta_matrix = mul_matrix(spec.beta)
         self.scaled_digits = tuple((x * u, y * u) for x, y in shifted_digits(spec))

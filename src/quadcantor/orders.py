@@ -147,11 +147,6 @@ def stabilization(beta: QuadInt, prime: PrimeIdeal) -> StabilizationData:
     return StabilizationData(prime=prime, beta=beta, n0=n0, m=m)
 
 
-def ord_prime_power(beta: QuadInt, prime: PrimeIdeal, n: int) -> int:
-    """Order of beta modulo prime^n; closed form above the stable level."""
-    return stabilization(beta, prime).order(n)
-
-
 def c2_constant(beta: QuadInt, primes: list[PrimeIdeal] | tuple[PrimeIdeal, ...]) -> LowerBoundSpec:
     """Explicit lower-bound constant over the given distinct primes."""
     primes = tuple(primes)

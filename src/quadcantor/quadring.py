@@ -32,9 +32,8 @@ class FieldSpec:
     """An imaginary quadratic field Q(sqrt(d)) and its integral basis {1, w}."""
 
     d: int
-    # derived from d: half_basis is True exactly when d = 1 (mod 4), i.e.
-    # w = (1+sqrt(d))/2; disc is the field discriminant; w^2 = s*w + t
-    half_basis: bool = dataclasses.field(init=False, compare=False)
+    # derived from d: disc is the field discriminant; w^2 = s*w + t, and
+    # s = 1 exactly when d = 1 (mod 4), i.e. w = (1+sqrt(d))/2
     disc: int = dataclasses.field(init=False, compare=False)
     s: int = dataclasses.field(init=False, compare=False)
     t: int = dataclasses.field(init=False, compare=False)
@@ -42,7 +41,6 @@ class FieldSpec:
     def __post_init__(self):
         half = self.d % 4 == 1
         s, t = (1, (self.d - 1) // 4) if half else (0, self.d)
-        object.__setattr__(self, "half_basis", half)
         object.__setattr__(self, "disc", self.d if half else 4 * self.d)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "t", t)
@@ -164,9 +162,6 @@ class QuadInt:
 
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
-
-    def is_unit(self) -> bool:
-        return self.norm() == 1
 
     def to_complex(self) -> complex:
         return complex(self.x) + self.y * self.field.omega_complex()

@@ -16,7 +16,7 @@ def brute_ord_mod(beta, ideal):
     a, b, c = ideal.a, ideal.b, ideal.c
     f = ideal.field
     # w^2 = s*w + t
-    s, t = (1, (f.d - 1) // 4) if f.half_basis else (0, f.d)
+    s, t = (1, (f.d - 1) // 4) if f.d % 4 == 1 else (0, f.d)
 
     def reduce(x, y):
         q, y = divmod(y, c)

@@ -18,6 +18,7 @@ from order_oracle import brute_ord_mod
 
 import quadcantor as qc
 from quadcantor import FieldElement, make_field
+from quadcantor.ideals import prime_power_product
 
 
 @contextmanager
@@ -123,7 +124,7 @@ def test_criterion_3_order_stabilization_suite():
                         if predicted > step_budget:
                             continue
                         for n in range(1, top + 1):
-                            closed = qc.ord_prime_power(beta, prime, n)
+                            closed = stab.order(n)
                             brute = brute_ord_mod(beta, qc.ideal_pow(prime.hnf, n))
                             assert closed == brute
                         verified += 1
@@ -148,7 +149,8 @@ def test_criterion_4_factorization_reconstruction():
                 if not 2 <= alpha.norm() <= 10**6:
                     continue
                 fact = qc.factor_element(alpha)
-                assert fact.product_hnf() == qc.principal_ideal(alpha)
+                rebuilt = prime_power_product(field, fact.primes, fact.exponents)
+                assert rebuilt == qc.principal_ideal(alpha)
                 assert (
                     math.prod(p.norm**b for p, b in fact.factors) == alpha.norm()
                 )
@@ -206,7 +208,7 @@ def test_criterion_6_certified_case_two():
 
 def _exhaustive_graph(v, u, spec, radius_sq=None):
     """Reachable states of v/u and those among them that reach a cycle."""
-    r2 = qc.bounding_radius_sq(spec) if radius_sq is None else radius_sq
+    r2 = spec.radius_sq if radius_sq is None else radius_sq
     bn, bd = r2.numerator * u * u, r2.denominator
     beta = spec.beta
     scaled = [a * u for a in spec.digits]
@@ -257,7 +259,7 @@ def test_criterion_7_membership_oracle_equivalence():
         checked = 0
         for spec in specs:
             field = spec.field
-            base = qc.bounding_radius_sq(spec)
+            base = spec.radius_sq
             for _ in range(167):
                 u = rng.randint(1, 64)
                 v = field.element(rng.randint(-2 * u, 2 * u), rng.randint(-u, u))

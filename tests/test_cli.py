@@ -65,15 +65,23 @@ class TestOrder:
         assert record["used_closed_form"] is True
         assert record["n0"] == "2" and record["m"] == "20"
 
+    def test_closed_form_above_e_plus_one(self, capsys):
+        # beta = 5 at (1+i): e = 2, n0 = 4; every n > e + 1 = 3 follows the law
+        for n, closed in (("3", False), ("4", True)):
+            record = run_json(capsys, "order", "-d", "-1", "--beta", "5", "--p", "2", "--n", n)
+            assert record["n0"] == "4" and record["e"] == "2"
+            assert record["used_closed_form"] is closed
+
     def test_orders_match_the_library(self, capsys, gauss):
         # the CLI sizes the closed form itself; the printed order must agree
         prime = next(q for q in qc.factor_rational_prime(gauss, 5).primes if q.root == 2)
+        stab = qc.stabilization(gauss.element(3), prime)
         for n in range(1, 8):
             record = run_json(
                 capsys, "order", "-d", "-1", "--beta", "3", "--p", "5", "--root", "2",
                 "--n", str(n),
             )
-            assert record["order"] == str(qc.ord_prime_power(gauss.element(3), prime, n))
+            assert record["order"] == str(stab.order(n))
 
     def test_stabilization_runs_once(self, capsys, monkeypatch):
         from quadcantor import cli, orders

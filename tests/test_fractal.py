@@ -8,16 +8,6 @@ import quadcantor as qc
 from quadcantor import CapExceededError, PreconditionError, fractal, make_field
 
 
-@pytest.fixture(scope="module")
-def cantor(gauss):
-    return qc.ifs_new(gauss.element(3), [gauss.element(0), gauss.element(2)])
-
-
-@pytest.fixture(scope="module")
-def gaussian_four(gauss):
-    return qc.ifs_new(gauss.element(-2, 1), [gauss.element(k) for k in range(4)])
-
-
 class TestIfsNew:
     def test_valid_specs(self, cantor, gaussian_four):
         assert len(cantor.digits) == 2
@@ -46,16 +36,16 @@ class TestIfsNew:
 
 class TestBoundingRadius:
     def test_cantor_exact_one(self, cantor):
-        assert qc.bounding_radius_sq(cantor) == 1
+        assert cantor.radius_sq == 1
 
     def test_gaussian_four(self, gaussian_four):
-        r2 = qc.bounding_radius_sq(gaussian_four)
+        r2 = gaussian_four.radius_sq
         true_sq = 9 / (6 - 2 * math.sqrt(5))  # (3/(sqrt(5)-1))^2
         assert float(r2) >= true_sq - 1e-12
         assert r2.denominator <= 64 * 64  # R' had denominator <= 64
 
     def test_minimal_over_denominators(self, gaussian_four):
-        r2 = qc.bounding_radius_sq(gaussian_four)
+        r2 = gaussian_four.radius_sq
         r_true = 3 / (math.sqrt(5) - 1)
         best = min(
             Fraction(math.ceil(r_true * den - 1e-9), den) for den in range(1, 65)
@@ -75,11 +65,11 @@ class TestBoundingRadius:
             if beta.norm() < 2 or len(digits) < 2:
                 continue
             spec = qc.ifs_new(beta, sorted(digits, key=lambda a: (a.x, a.y)))
-            assert qc.bounding_radius_sq(spec) == _bounding_radius_sq_by_fractions(spec)
+            assert spec.radius_sq == _radius_sq_by_fractions(spec)
             checked += 1
 
 
-def _bounding_radius_sq_by_fractions(spec):
+def _radius_sq_by_fractions(spec):
     """Reference: the Fraction search with a sign-and-square sqrt predicate."""
     m = max(a.norm() for a in spec.digits)
     b = spec.beta.norm()
@@ -147,7 +137,7 @@ class TestCoveringBound:
         # the covering bound counts depth-k cylinder balls; every sampled
         # point must lie within R'/|beta|^k of some depth-k center
         for spec, depth in ((cantor, 12), (gaussian_four, 8)):
-            r_prime = math.sqrt(float(qc.bounding_radius_sq(spec)))
+            r_prime = math.sqrt(float(spec.radius_sq))
             abs_beta = math.sqrt(spec.beta.norm())
             pts = qc.sample_points(spec, depth)
             for k in (1, 2, 3):
@@ -170,7 +160,7 @@ class TestCoveringBound:
 
 def _covering_exponent_by_fractions(spec, delta_sq):
     """Reference: the least k with N(beta)^k * delta^2 >= R'^2 in Fractions."""
-    r2 = qc.bounding_radius_sq(spec)
+    r2 = spec.radius_sq
     k, scale = 0, Fraction(1)
     while scale * delta_sq < r2:
         scale *= spec.beta.norm()
@@ -193,7 +183,7 @@ class TestCoveringExponent:
             for _ in range(5):
                 den = rng.randint(1, 10 ** rng.randint(1, 60))
                 delta_sq = Fraction(rng.randint(1, 10**6), den)
-                got = fractal._covering_exponent(spec, delta_sq)
+                got = fractal.covering_exponent(spec.beta.norm(), spec.radius_sq, delta_sq)
                 assert got == _covering_exponent_by_fractions(spec, delta_sq)
 
 

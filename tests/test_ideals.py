@@ -8,7 +8,7 @@ from quadcantor import IdealHNF, ideals, make_field
 
 
 def _minpoly_value(field, r, p):
-    if field.half_basis:
+    if field.d % 4 == 1:
         return (r * r - r + (1 - field.d) // 4) % p
     return (r * r - field.d) % p
 
@@ -115,7 +115,8 @@ class TestPrimeSplitting:
                 assert s.primes[0].hnf.conjugate() == s.primes[1].hnf
                 assert s.primes[1].hnf.conjugate() == s.primes[0].hnf
             rebuilt = qc.unit_ideal(field)
-            for prime, mult in s.factors():
+            mult = 2 if s.kind == "ramified" else 1
+            for prime in s.primes:
                 rebuilt = qc.ideal_mul(rebuilt, qc.ideal_pow(prime.hnf, mult))
             assert rebuilt == qc.principal_ideal(field.element(p))
 
@@ -179,7 +180,8 @@ class TestFactorElement:
                 if alpha.norm() < 2:
                     continue
                 fact = qc.factor_element(alpha)
-                assert fact.product_hnf() == qc.principal_ideal(alpha)
+                rebuilt = ideals.prime_power_product(field, fact.primes, fact.exponents)
+                assert rebuilt == qc.principal_ideal(alpha)
                 assert math.prod(p.norm**b for p, b in fact.factors) == alpha.norm()
                 done += 1
 

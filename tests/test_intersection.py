@@ -20,16 +20,6 @@ from quadcantor.intersection import (
 )
 
 
-@pytest.fixture(scope="module")
-def cantor(gauss):
-    return qc.ifs_new(gauss.element(3), [gauss.element(0), gauss.element(2)])
-
-
-@pytest.fixture(scope="module")
-def gaussian_four(gauss):
-    return qc.ifs_new(gauss.element(-2, 1), [gauss.element(k) for k in range(4)])
-
-
 def _values(points):
     return {p.value for p in points}
 
@@ -237,8 +227,8 @@ class TestEnumerateLevel:
         # whose orbit disk falls back to the 0-centred one
         cases = _fixed_cases(gauss, gaussian_four)
         fallback = cases[-1][0]
-        centre, r2 = qc.orbit_disk(fallback)
-        assert centre == 0 and r2 == qc.bounding_radius_sq(fallback)
+        centre, r2 = fallback.disk
+        assert centre == 0 and r2 == fallback.radius_sq
         seeded_points = 0
         for spec, alpha, level, exps in cases + list(_scan_cases()):
             fast = qc.enumerate_level(level, alpha, spec, cap=10**6, exponents=exps)
@@ -323,7 +313,7 @@ def _whole_disk_points(spec, alpha, level, exps):
     if exps is None:
         exps = tuple(level * b for b in fact.exponents)
     lattice = _lattice(fact, exps)
-    r2 = qc.bounding_radius_sq(spec)
+    r2 = spec.radius_sq
     sub = lattice.sub
     disk: set = set()
     rn = lattice.delta.norm() * r2.numerator
@@ -383,7 +373,7 @@ class TestScanPlan:
             cost = _scan_plan(spec, lattice)
             # k is the least depth whose balls, scaled by delta, have
             # squared radius <= N(sub)
-            need = lattice.u * qc.orbit_disk(spec)[1]
+            need = lattice.u * spec.disk[1]
             assert beta.norm() ** k >= need
             assert k == 0 or beta.norm() ** (k - 1) < need
             touched.clear()

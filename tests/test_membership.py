@@ -11,16 +11,6 @@ from quadcantor.cli import main
 
 
 @pytest.fixture(scope="module")
-def cantor(gauss):
-    return qc.ifs_new(gauss.element(3), [gauss.element(0), gauss.element(2)])
-
-
-@pytest.fixture(scope="module")
-def gaussian_four(gauss):
-    return qc.ifs_new(gauss.element(-2, 1), [gauss.element(k) for k in range(4)])
-
-
-@pytest.fixture(scope="module")
 def half_field_spec():
     field = make_field(-3)
     return qc.ifs_new(field.element(2), [field.element(0), field.element(1)])
@@ -36,7 +26,7 @@ def exhaustive_graph(v, u, spec, region=None):
     state, so ``can`` is exactly the set of states that reach a cycle.
     """
     if region is None:
-        region = (FieldElement(spec.field.zero), qc.bounding_radius_sq(spec))
+        region = (FieldElement(spec.field.zero), spec.radius_sq)
     centre, r2 = region
     beta = spec.beta
     scaled = [a * u for a in spec.digits]
@@ -149,7 +139,7 @@ class TestStateGraph:
             for _ in range(40):
                 u = rng.randint(1, 30)
                 v = field.element(rng.randint(-3 * u, 3 * u), rng.randint(-2 * u, 2 * u))
-                seen, _ = exhaustive_graph(v, u, spec, qc.orbit_disk(spec))
+                seen, _ = exhaustive_graph(v, u, spec, spec.disk)
                 assert qc.state_count(v, u, spec) == len(seen)
                 outside += not seen
         assert outside > 0
@@ -174,7 +164,7 @@ class TestStateGraph:
                 ) == 0
                 record = json.loads(capsys.readouterr().out)
                 seen, _ = exhaustive_graph(
-                    point.num, point.den, spec, qc.orbit_disk(spec)
+                    point.num, point.den, spec, spec.disk
                 )
                 assert record["states"] == str(len(seen))
                 outside += record["states"] == "0"
@@ -197,7 +187,7 @@ class TestIsMember:
     def test_enlarging_radius_never_changes_answers(self, gauss, cantor, gaussian_four):
         rng = random.Random(23)
         for spec in (cantor, gaussian_four):
-            base = qc.bounding_radius_sq(spec)
+            base = spec.radius_sq
             for _ in range(60):
                 u = rng.randint(1, 32)
                 v = gauss.element(rng.randint(-2 * u, 2 * u), rng.randint(-u, u))
@@ -340,7 +330,7 @@ class TestKernelQueryOrder:
         assert forks > 0
         members = 0
         for (spec, v, u), (member, coding, count) in forward.items():
-            seen, can = exhaustive_graph(v, u, spec, qc.orbit_disk(spec))
+            seen, can = exhaustive_graph(v, u, spec, spec.disk)
             assert member == ((v.x, v.y) in can)
             assert count == len(seen)
             assert (coding is not None) == member
@@ -410,8 +400,8 @@ class TestRecentredDisk:
         kinds = set()
         members = queries = 0
         for spec in disk_specs():
-            centre, _ = qc.orbit_disk(spec)
-            kinds.add((centre.num.is_zero(), spec.field.half_basis))
+            centre, _ = spec.disk
+            kinds.add((centre.num.is_zero(), spec.field.s == 1))
             field = spec.field
             points = [FieldElement.from_ratio(a, spec.beta - 1) for a in spec.digits]
             for _ in range(10):
@@ -440,8 +430,8 @@ class TestRecentredDisk:
 
     def test_short_periodic_points_inside(self):
         for spec in disk_specs():
-            centre, r2 = qc.orbit_disk(spec)
-            assert r2 <= qc.bounding_radius_sq(spec)
+            centre, r2 = spec.disk
+            assert r2 <= spec.radius_sq
             for m in (1, 2, 3):
                 bm = spec.beta**m
                 for word in itertools.product(spec.digits, repeat=m):

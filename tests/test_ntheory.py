@@ -41,7 +41,7 @@ def test_factor_rational_prime_matches_sympy(d, a):
     field = make_field(d)
     x = sympy.symbols("x")
     # minimal polynomial of w over Q
-    if field.half_basis:
+    if d % 4 == 1:
         minpoly = sympy.Poly(x**2 - x + (1 - d) // 4, x)
     else:
         minpoly = sympy.Poly(x**2 - d, x)

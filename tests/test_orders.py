@@ -160,19 +160,19 @@ class TestStabilization:
 class TestOrdPrimePower:
     def test_split_five_level_two(self, gauss):
         p5 = _prime(gauss, 5, root=2)
-        assert qc.ord_prime_power(gauss.element(3), p5, 2) == 20
+        assert qc.stabilization(gauss.element(3), p5).order(2) == 20
         assert brute_ord_mod(gauss.element(3), qc.ideal_pow(p5.hnf, 2)) == 20
 
     def test_ramified_two_level_six(self, gauss):
         p2 = _prime(gauss, 2)
         # n0 = 4, e = 2, m = 1: closed form 1 * 2^ceil(2/2) = 2
-        assert qc.ord_prime_power(gauss.element(5), p2, 6) == 2
+        assert qc.stabilization(gauss.element(5), p2).order(6) == 2
         assert brute_ord_mod(gauss.element(5), qc.ideal_pow(p2.hnf, 6)) == 2
 
     def test_at_stable_level_equals_m(self, gauss):
         p5 = _prime(gauss, 5, root=2)
         stab = qc.stabilization(gauss.element(3), p5)
-        assert qc.ord_prime_power(gauss.element(3), p5, stab.n0) == stab.m
+        assert stab.order(stab.n0) == stab.m
 
     def test_closed_form_matches_brute_force(self):
         cases = 0
@@ -187,7 +187,7 @@ class TestOrdPrimePower:
                         if prime.norm ** (stab.n0 + 3 * prime.e) > 10**7:
                             continue
                         for n in range(1, stab.n0 + 3 * prime.e + 1):
-                            closed = qc.ord_prime_power(beta, prime, n)
+                            closed = stab.order(n)
                             assert closed == brute_ord_mod(
                                 beta, qc.ideal_pow(prime.hnf, n)
                             )

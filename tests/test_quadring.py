@@ -15,11 +15,11 @@ FIELDS = [make_field(d) for d in (-1, -2, -3, -5, -7, -11)]
 class TestMakeField:
     def test_gauss(self):
         f = make_field(-1)
-        assert not f.half_basis and f.disc == -4
+        assert f.s == 0 and f.disc == -4
 
     def test_eisenstein(self):
         f = make_field(-3)
-        assert f.half_basis and f.disc == -3
+        assert f.s == 1 and f.disc == -3
 
     @pytest.mark.parametrize("bad", [-4, -8, -9, -12, 0, 1, 5])
     def test_rejects(self, bad):
@@ -146,8 +146,9 @@ class TestParse:
 
     @pytest.mark.parametrize("bad,token", [("1**w", "*"), ("2x", "x"), ("", ""), ("1+", "+")])
     def test_errors_name_token(self, gauss, bad, token):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as exc:
             qc.parse_element(bad, gauss)
+        assert exc.value.token == token
 
     def test_roundtrip(self, gauss):
         for x in range(-3, 4):
