@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import CapExceededError, PreconditionError
-from .exactmath import Interval, log2_interval
+from .exactmath import log2_interval
 # unused here; kept bound because bench/spans.py names them as trace sites,
 # and removed together with those sites
 from .exactmath import ceil_sub_sqrt, floor_add_sqrt  # noqa: F401
@@ -384,7 +384,8 @@ class IntersectionReport:
     ``survivors`` are the maximal tuples the exact order does not exclude,
     and ``swept`` lists each sweep in the order planned: a survivor over the
     cap (certified mode only) appears unswept, followed by the part of it
-    that fitted.
+    that fitted unless an earlier entry lists that part or another swept
+    part contains it.  Each tuple is swept and listed once.
     """
 
     points: tuple[IntersectionPoint, ...]
@@ -698,8 +699,10 @@ def full_intersection(
     level n_max, and raises ``CapExceededError`` when a survivor's sweep
     cost from ``_scan_plan`` is over the cap.  Certified mode skips such a
     survivor s and sweeps in its place min(s, L*b) for the largest level L
-    whose cost fits; it then reports the least such L as ``level``.  Its
-    certificate n0 is reported either way.
+    whose cost fits; it then reports the least such L as ``level``.  Skipped
+    survivors often share that part, so each distinct part is swept once,
+    and not at all when another swept part contains it.  Its certificate n0
+    is reported either way.
 
     ``exhausted`` holds when n0 exists and level*b_j >= n0 - 1 for all j:
     every point's tuple has sum < n0, so each n_j <= n0 - 1, and the search
@@ -731,8 +734,13 @@ def full_intersection(
         raise PreconditionError(f"unknown mode {mode!r}")
     fact = report.alpha_factorization
 
+    costs: dict[tuple[int, ...], int] = {}
+
     def cost(n):
-        return _scan_plan(spec, _lattice(fact, n))
+        c = costs.get(n)
+        if c is None:
+            c = costs[n] = _scan_plan(spec, _lattice(fact, n))
+        return c
 
     found = survivors(report, spec, lb, level, n0)
     sweeps = []
@@ -755,6 +763,7 @@ def full_intersection(
         part = _clip(s, fit, fact)
         sweeps.append(Sweep(part, cost(part), True))
         level = min(level, fit)
+    sweeps = _drop_covered(sweeps)
     points: dict[FieldElement, IntersectionPoint] = {}
     for sweep in sweeps:
         if sweep.swept:
@@ -772,6 +781,27 @@ def full_intersection(
         survivors=found,
         swept=tuple(sweeps),
     )
+
+
+def _drop_covered(sweeps: list[Sweep]) -> list[Sweep]:
+    """The sweeps, each swept tuple once and none another swept tuple covers.
+
+    A sweep of n finds every point whose minimal tuple is at most n, so a
+    tuple at most another swept tuple adds no point.  Unswept entries stay.
+    """
+    ran = {s.exponents for s in sweeps if s.swept}
+    listed = set()
+    kept = []
+    for s in sweeps:
+        n = s.exponents
+        if s.swept:
+            if n in listed or any(
+                m != n and all(a <= b for a, b in zip(n, m)) for m in ran
+            ):
+                continue
+            listed.add(n)
+        kept.append(s)
+    return kept
 
 
 def _clip(n: tuple[int, ...], level: int, fact: ElementFactorization) -> tuple[int, ...]:

@@ -22,12 +22,19 @@ them.  A graph keeps one label per state, and walks recompute the
 successors beta*s - a.  Level sweeps decide their candidates by the same
 ``peel`` (``intersection``) and query only the points they keep, so the
 spec holds just those points' orbits.
+
+A coding is checked by the same orbit map: ``verify_coding`` walks
+s -> beta*s - a*u from the numerator v along the coding's digits and
+accepts exactly when the period brings the walk back to the state where it
+began.  Like the exploration, it runs on integer coordinate pairs and needs
+no power of beta.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import FieldError
 from .fractal import IFSSpec
 from .quadring import FieldElement, QuadInt, mul_matrix, norm_form
 
@@ -247,16 +254,25 @@ def coding_of(v: QuadInt, u: int, spec: IFSSpec) -> Coding | None:
 
 
 def _coding_ratio(coding: Coding, beta: QuadInt) -> tuple[QuadInt, QuadInt]:
-    """The coding's value as a ring quotient num/den (den nonzero)."""
-    field = beta.field
-    wpre = field.zero
-    for a in coding.preperiod:
-        wpre = wpre * beta + a
-    wper = field.zero
-    for a in coding.period:
-        wper = wper * beta + a
-    bm = beta ** len(coding.period)
-    bk = beta ** len(coding.preperiod)
+    """The coding's value as a ring quotient num/den (den nonzero).
+
+    With wpre, wper the Horner values of the preperiod and the period and
+    k, m their lengths, the value is wpre/beta^k + wper/(beta^k (beta^m - 1)).
+    One Horner pass per part carries (w, beta^k) as coordinate pairs through
+    the matrix of beta; only the final products are ring elements.
+    """
+    m00, m01, m10, m11 = mul_matrix(beta)
+
+    def horner(digits):
+        wx = wy = 0
+        bx, by = 1, 0
+        for a in digits:
+            wx, wy = m00 * wx + m01 * wy + a.x, m10 * wx + m11 * wy + a.y
+            bx, by = m00 * bx + m01 * by, m10 * bx + m11 * by
+        return QuadInt(beta.field, wx, wy), QuadInt(beta.field, bx, by)
+
+    wpre, bk = horner(coding.preperiod)
+    wper, bm = horner(coding.period)
     return wpre * (bm - 1) + wper, bk * (bm - 1)
 
 
@@ -266,14 +282,35 @@ def coding_value(coding: Coding, beta: QuadInt) -> FieldElement:
 
 
 def verify_coding(coding: Coding, v: QuadInt, u: int, spec: IFSSpec) -> bool:
-    """Exact check that the coding re-evaluates to v/u in the field."""
+    """Exact check that the coding re-evaluates to v/u in the field.
+
+    The check walks the orbit map z -> beta*z - a on the numerator over u:
+    s_0 = v and s_{k+1} = beta*s_k - a_k*u, so by induction
+    s_k/u = beta^k z - sum_{j<k} a_j beta^(k-1-j) for z = v/u.  With k the
+    preperiod's length, m the period's and wpre, wper their Horner values,
+    s_k/u = beta^k z - wpre and s_{k+m}/u = beta^m s_k/u - wper.  So
+    s_{k+m} = s_k exactly when s_k/u = wper/(beta^m - 1), that is when
+    beta^k z = wpre + wper/(beta^m - 1), the coding's value times beta^k.
+    N(beta) >= 2 makes beta^k nonzero and beta^m != 1, so the walk returns
+    to s_k exactly when v/u is the coding's value.  The argument holds for
+    any u != 0, negative u and v/u not in lowest terms included, and needs
+    no power of beta.
+    """
     if not coding.period:
         raise ValueError("coding must have a nonempty period")
     if u == 0:
         raise ZeroDivisionError("zero denominator")
-    allowed = set(spec.digits)
+    digits = spec.digits
     for a in (*coding.preperiod, *coding.period):
-        if a not in allowed:
+        if a not in digits:
             raise ValueError(f"digit {a} is not in the digit set")
-    num, den = _coding_ratio(coding, spec.beta)
-    return num * u == v * den
+    if v.field is not spec.field and v.field != spec.field:
+        raise FieldError("operands belong to different fields")
+    m00, m01, m10, m11 = mul_matrix(spec.beta)
+    x, y = v.x, v.y
+    for a in coding.preperiod:
+        x, y = m00 * x + m01 * y - a.x * u, m10 * x + m11 * y - a.y * u
+    x_pre, y_pre = x, y
+    for a in coding.period:
+        x, y = m00 * x + m01 * y - a.x * u, m10 * x + m11 * y - a.y * u
+    return x == x_pre and y == y_pre

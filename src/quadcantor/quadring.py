@@ -88,7 +88,7 @@ class QuadInt:
 
     def _coerce(self, other) -> QuadInt | None:
         if isinstance(other, QuadInt):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldError("operands belong to different fields")
             return other
         if isinstance(other, int):
@@ -144,7 +144,9 @@ class QuadInt:
             return self.x == other and self.y == 0
         if isinstance(other, QuadInt):
             return (
-                self.field == other.field and self.x == other.x and self.y == other.y
+                (self.field is other.field or self.field == other.field)
+                and self.x == other.x
+                and self.y == other.y
             )
         return NotImplemented
 
@@ -236,7 +238,7 @@ class FieldElement:
 
     def _coerce(self, other) -> FieldElement | None:
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldError("operands belong to different fields")
             return other
         if isinstance(other, QuadInt):
@@ -286,11 +288,8 @@ class FieldElement:
         if isinstance(other, (int, QuadInt)):
             other = self._coerce(other)
         if isinstance(other, FieldElement):
-            return (
-                self.field == other.field
-                and self.den == other.den
-                and self.num == other.num
-            )
+            # QuadInt equality compares the fields too
+            return self.den == other.den and self.num == other.num
         return NotImplemented
 
     def __hash__(self) -> int:

@@ -734,6 +734,29 @@ class TestFullIntersection:
         assert all(s.swept for s in rep.swept)
         assert _values(rep.points) == _frac_values(gauss, WALL_D10)
 
+    @pytest.mark.parametrize("cap, level", [(50, 1), (100, 2), (400, 3)])
+    def test_certified_fallback_sweeps_each_part_once(self, gauss, cantor, cap, level):
+        # D10's four survivors all fall back under these caps, and several
+        # of their parts min(s, L*b) coincide or lie below another part
+        alpha = gauss.element(10)
+        rep = qc.full_intersection(alpha, cantor, mode="certified", cap=cap)
+        fact = rep.preconditions.alpha_factorization
+        assert rep.level == level and not rep.exhausted
+        assert [s.exponents for s in rep.fallback] == list(rep.survivors)
+        ran = [s.exponents for s in rep.swept if s.swept]
+        assert len(set(ran)) == len(ran)
+        for n, m in itertools.permutations(ran, 2):
+            assert not all(a <= b for a, b in zip(n, m))
+        # every survivor's largest fitting part is swept or lies below a sweep
+        for s in rep.survivors:
+            fit = max(
+                L for L in range(max(s) + 1)
+                if _scan_plan(cantor, _lattice(fact, intersection._clip(s, L, fact))) <= cap
+            )
+            part = intersection._clip(s, fit, fact)
+            assert any(all(a <= b for a, b in zip(part, m)) for m in ran)
+        assert _values(rep.points) == _frac_values(gauss, WALL_D10)
+
     def test_certified_case_two_names_the_skipped_survivor(self, gauss, gaussian_four):
         alpha = gauss.element(-4, 1)
         rep = qc.full_intersection(alpha, gaussian_four, mode="certified", cap=10**6)

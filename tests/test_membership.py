@@ -4,10 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quadcantor as qc
 from quadcantor import Coding, FieldElement, make_field
 from quadcantor.cli import main
+from quadcantor.membership import _coding_ratio
 
 
 @pytest.fixture(scope="module")
@@ -478,6 +481,76 @@ class TestVerifyCoding:
                 assert (coding is not None) == member
                 if coding is not None:
                     assert qc.verify_coding(coding, v, u, spec)
+
+
+DIFF_FIELDS = {d: make_field(d) for d in (-1, -2, -3, -7)}
+SMALL = st.integers(min_value=-4, max_value=4)
+
+
+@st.composite
+def spec_and_coding(draw):
+    """A random spec over d in DIFF_FIELDS and a random coding in its digits."""
+    field = DIFF_FIELDS[draw(st.sampled_from(sorted(DIFF_FIELDS)))]
+    beta = draw(
+        st.tuples(SMALL, SMALL)
+        .map(lambda xy: field.element(*xy))
+        .filter(lambda b: b.norm() >= 2)
+    )
+    digits = draw(st.lists(st.tuples(SMALL, SMALL), min_size=2, max_size=4, unique=True))
+    spec = qc.ifs_new(beta, [field.element(*a) for a in digits])
+    word = st.sampled_from(spec.digits)
+    coding = Coding(
+        tuple(draw(st.lists(word, max_size=4))),
+        tuple(draw(st.lists(word, min_size=1, max_size=4))),
+    )
+    return spec, coding
+
+
+def ring_horner_ratio(coding, beta):
+    """The coding's value num/den by QuadInt arithmetic and powers of beta."""
+
+    def horner(word):
+        w = beta.field.zero
+        for a in word:
+            w = w * beta + a
+        return w
+
+    bm = beta ** len(coding.period)
+    bk = beta ** len(coding.preperiod)
+    return horner(coding.preperiod) * (bm - 1) + horner(coding.period), bk * (bm - 1)
+
+
+class TestVerifyCodingDifferential:
+    """The orbit walk against the coding's value, computed in the field."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=spec_and_coding(), scale=st.integers(1, 5), sign=st.sampled_from((1, -1)), data=st.data())
+    def test_walk_agrees_with_the_value(self, case, scale, sign, data):
+        spec, coding = case
+
+        def agrees(c, v, u):
+            expected = qc.coding_value(c, spec.beta) == FieldElement(v) / u
+            assert qc.verify_coding(c, v, u, spec) == expected
+            return expected
+
+        z = qc.coding_value(coding, spec.beta)
+        # v/u not in lowest terms for scale > 1, and u < 0 for sign -1
+        k = sign * scale
+        v, u = z.num * k, z.den * k
+        assert agrees(coding, v, u)
+        assert not agrees(coding, v + 1, u)
+        word = (*coding.preperiod, *coding.period)
+        j = data.draw(st.integers(0, len(word) - 1))
+        other = data.draw(st.sampled_from([a for a in spec.digits if a != word[j]]))
+        changed = (*word[:j], other, *word[j + 1 :])
+        cut = len(coding.preperiod)
+        agrees(Coding(changed[:cut], changed[cut:]), v, u)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=spec_and_coding())
+    def test_coding_ratio_is_the_ring_horner_ratio(self, case):
+        spec, coding = case
+        assert _coding_ratio(coding, spec.beta) == ring_horner_ratio(coding, spec.beta)
 
 
 class TestConcurrentQueries:

@@ -23,6 +23,33 @@ def test_all_lists_every_imported_name_and_no_module():
     assert set(qc.__all__) == imported
 
 
+def unused_imports(path: Path) -> list[str]:
+    """Names a module imports and never reads, except on ``# noqa: F401`` lines."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if "# noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                imported[name] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # the package's own imports are its public names, which
+    # test_all_lists_every_imported_name_and_no_module checks
+    modules = sorted(Path(qc.__file__).parent.glob("*.py"))
+    found = [u for path in modules if path.name != "__init__.py" for u in unused_imports(path)]
+    assert found == []
+
+
 def test_import_loads_no_numpy():
     code = "import sys, quadcantor; print('numpy' in sys.modules)"
     src = str(Path(qc.__file__).parents[1])

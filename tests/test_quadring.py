@@ -43,6 +43,33 @@ class TestArith:
         with pytest.raises(FieldError):
             gauss.one + eisenstein.one
 
+    def test_two_specs_of_one_field_interoperate(self):
+        # the identity fast path must not be the only way two fields agree
+        f, g = make_field(-1), make_field(-1)
+        assert f is not g
+        a, b = f.element(2, 3), g.element(-1, 5)
+        assert a + b == f.element(1, 8) and b + a == g.element(1, 8)
+        assert a * b == f.element(-17, 7) and a - b == g.element(3, -2)
+        assert a == g.element(2, 3) and hash(a) == hash(g.element(2, 3))
+        x, y = FieldElement(a, 3), FieldElement(g.element(4, 6), 6)
+        assert x == y and x + y == FieldElement(f.element(4, 6), 3)
+        assert x * 3 == a and x / y == FieldElement(g.one)
+
+    def test_fields_with_equal_coordinates_stay_apart(self):
+        f, g = make_field(-1), make_field(-2)
+        a, b = f.element(2, 3), g.element(2, 3)
+        assert a != b and b != a
+        assert FieldElement(a, 5) != FieldElement(b, 5)
+        for op in (
+            lambda: a + b,
+            lambda: a * b,
+            lambda: b - a,
+            lambda: FieldElement(a, 5) + FieldElement(b, 5),
+            lambda: FieldElement(a, 5) * b,
+        ):
+            with pytest.raises(FieldError):
+                op()
+
     def test_int_coercion(self, gauss):
         assert 2 * gauss.omega + 1 == gauss.element(1, 2)
         assert gauss.element(5) - 3 == gauss.element(2)
