@@ -2,15 +2,14 @@
 
 Floors and ceilings of a +- sqrt(b) with rational a, b are fixed by exact
 squaring, never by floating point.  Logarithm comparisons needed by the
-certificate search are made rigorous with dyadic interval enclosures of log2
-of a rational: directed-rounding mantissa squaring gives a provable [lo, hi]
-bracket whose width halves per extracted bit.
+certificate search are made rigorous with dyadic brackets of log2 of a
+rational: directed-rounding mantissa squaring gives a provable (lo, hi) pair
+of Fractions whose width halves per extracted bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -41,34 +40,6 @@ def ceil_sub_sqrt(a: Fraction, b: Fraction) -> int:
     return -floor_add_sqrt(-a, b)
 
 
-@dataclass(frozen=True)
-class Interval:
-    """A closed rational interval [lo, hi] certified to contain a real value."""
-
-    lo: Fraction
-    hi: Fraction
-
-    def __add__(self, other: Interval) -> Interval:
-        return Interval(self.lo + other.lo, self.hi + other.hi)
-
-    def __mul__(self, other: Interval) -> Interval:
-        prods = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return Interval(min(prods), max(prods))
-
-    def __sub__(self, other: Interval) -> Interval:
-        return Interval(self.lo - other.hi, self.hi - other.lo)
-
-    def scale(self, k: int) -> Interval:
-        if k >= 0:
-            return Interval(self.lo * k, self.hi * k)
-        return Interval(self.hi * k, self.lo * k)
-
-
 def _floor_log2(p: int, q: int) -> int:
     """floor(log2(p/q)) for positive integers, exactly."""
     e = p.bit_length() - q.bit_length()
@@ -83,12 +54,12 @@ def _floor_log2(p: int, q: int) -> int:
     return e
 
 
-def log2_interval(r: Fraction, prec_bits: int = 64) -> Interval:
-    """Rigorous enclosure of log2(r) for rational r > 0.
+def log2_interval(r: Fraction, prec_bits: int = 64) -> tuple[Fraction, Fraction]:
+    """Rigorous bracket (lo, hi) with lo <= log2(r) <= hi, for rational r > 0.
 
-    Powers of two come back as a degenerate (exact) interval; otherwise the
-    width is at most 2^(1-prec_bits) plus directed-rounding slack already
-    absorbed into the bracket.
+    Powers of two come back as lo == hi == log2(r); otherwise the width is
+    at most 2^(1-prec_bits) plus directed-rounding slack already absorbed
+    into the bracket.
     """
     p, q = r.numerator, r.denominator
     if p <= 0:
@@ -96,7 +67,7 @@ def log2_interval(r: Fraction, prec_bits: int = 64) -> Interval:
     e = _floor_log2(p, q)
     exact_pow2 = (q << e) == p if e >= 0 else (p << -e) == q
     if exact_pow2:
-        return Interval(Fraction(e), Fraction(e))
+        return Fraction(e), Fraction(e)
 
     guard = 16
     s = prec_bits + guard
@@ -122,11 +93,11 @@ def log2_interval(r: Fraction, prec_bits: int = 64) -> Interval:
             pass
         else:
             # bracket straddles 2: residual log2 lies in [0, 2)
-            return Interval(
+            return (
                 Fraction(e) + Fraction(out, 1 << i),
                 Fraction(e) + Fraction(out + 2, 1 << i),
             )
-    return Interval(
+    return (
         Fraction(e) + Fraction(out, 1 << prec_bits),
         Fraction(e) + Fraction(out + 1, 1 << prec_bits),
     )

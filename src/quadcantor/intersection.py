@@ -7,16 +7,18 @@ bounds squeeze the coding period m of any intersection point:
 
   - m <= (#A)^k, the exact covering count at radius 1/(3|u|), and
   - m is a multiple of ord(beta mod prod P_j^{n_j}), which is at least
-    c2 * prod p^ceil(n_j/e_j).
+    c2 * prod p^m_p, with m_p the largest ceil(n_j/e_j) over the P_j above
+    the rational prime p.
 
 For sigma < 1 (or sigma < 2 under the unique-factorization hypotheses) the
 constant c2 makes the two bounds cross at a computable n0: every tuple with
 exponent sum n0 or more is empty.  The n0 search compares products of
-logarithms of rationals and is done with rigorous dyadic interval
-enclosures, never bare floating point.  Below n0 the exact order excludes
-far more: ``survivors`` finds the maximal tuples whose order does not beat
-the covering count, and each is swept as the lattice prod P_j^{-n_j}, so a
-certified run covers every point with a few small sweeps.
+logarithms of rationals and is done with rigorous dyadic brackets, never
+bare floating point.  Below n0 the exact order excludes far more:
+``survivors`` finds, by one pruned depth-first walk over the exponents, the
+maximal tuples whose order does not beat the covering count, and each is
+swept as the lattice prod P_j^{-n_j}, so a certified run covers every point
+with a few small sweeps.
 
 A sweep scans the balls of a depth-k cylinder cover of the attractor
 (``_cover``): the images D((W + c)/beta^k, r'/|beta|^k) of the disk
@@ -32,7 +34,6 @@ bounds the whole sweep; only the points the peel keeps are confirmed by
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -179,7 +180,10 @@ def certified_bound(
       case (i):  n0 * (b - 2a) > 2*ell*(a*g + b*q)
       case (ii): n0 * (b - a)  >  a*g + b*q
 
-    decided with rigorous interval enclosures of each logarithm.
+    decided with rigorous brackets (lo, hi) of each logarithm.  Every
+    argument is at least 1 (#A >= 2, N(beta) >= 2, 9*N(beta)*R'^2 > 9 and
+    c2 <= 1), so every lower end is nonnegative: lower ends multiply to a
+    lower end of the product and upper ends to an upper end.
     """
     case = report.applicable_case
     if case is None:
@@ -187,32 +191,32 @@ def certified_bound(
     ell = report.alpha_factorization.ell
     if lb.c2.numerator != 1:
         raise ArithmeticError("c2 must be a unit fraction")
-    q_arg = Fraction(lb.c2.denominator)
-    a_arg = Fraction(covering.digit_count)
-    b_arg = Fraction(covering.beta_norm)
-    g_arg = 9 * covering.beta_norm * covering.radius_sq_bound
+    args = (
+        Fraction(covering.digit_count),
+        Fraction(covering.beta_norm),
+        9 * covering.beta_norm * covering.radius_sq_bound,
+        Fraction(lb.c2.denominator),
+    )
+    # case (i) reads 2a for a and scales the target by 2*ell
+    k, scale = (2, 2 * ell) if case == "case_i" else (1, 1)
 
     prec = 64
     hi_candidate = None
     while prec <= 4096:
-        a = log2_interval(a_arg, prec)
-        b = log2_interval(b_arg, prec)
-        g = log2_interval(g_arg, prec)
-        q = log2_interval(q_arg, prec)
-        if case == "case_i":
-            coeff = b - a.scale(2)
-            target = (a * g + b * q).scale(2 * ell)
-        else:
-            coeff = b - a
-            target = a * g + b * q
-        if coeff.lo > 0:
-            lo_floor = math.floor(target.lo / coeff.hi)
-            hi_floor = math.floor(target.hi / coeff.lo)
+        (a_lo, a_hi), (b_lo, b_hi), (g_lo, g_hi), (q_lo, q_hi) = (
+            log2_interval(x, prec) for x in args
+        )
+        coeff_lo, coeff_hi = b_lo - k * a_hi, b_hi - k * a_lo
+        target_lo = scale * (a_lo * g_lo + b_lo * q_lo)
+        target_hi = scale * (a_hi * g_hi + b_hi * q_hi)
+        if coeff_lo > 0:
+            lo_floor = math.floor(target_lo / coeff_hi)
+            hi_floor = math.floor(target_hi / coeff_lo)
             hi_candidate = max(1, hi_floor + 1)
             if lo_floor == hi_floor:
                 return max(1, lo_floor + 1)
         prec *= 2
-    # interval refinement hit the cap on a floor tie; the larger candidate
+    # bracket refinement hit the cap on a floor tie; the larger candidate
     # still satisfies the strict inequality, so the certificate stays sound
     if hi_candidate is None:
         raise ArithmeticError("could not separate the dimension gap from zero")
@@ -288,17 +292,20 @@ def survivors(
     applicable case nothing is excluded and n_max*b is the one maximal
     tuple.
 
-    The tuples are visited in groups with equal m_p for every rational
-    prime p, which share u = prod p^m_p and so one period bound; groups
-    with u above ``_u_limit`` are never visited.  A whole group is dropped
-    when a lower bound on ord(n) over it beats that bound.  Proof
-    of the lower bound: for each p with m_p > 0 some P_j above p has
-    ceil(n_j/e_j) = m_p, that is n_j >= lo_j = e_j*(m_p - 1) + 1; the order
-    modulo P^lo divides the order modulo P^n for lo <= n, so ord(n) is a
-    multiple of ord(beta mod P_j^lo_j) for that j, for every p at once, and
-    so of the lcm of those orders.  Which P_j attains m_p is not known, so
-    the bound is the least such lcm over the choices of one P_j per p.  It
-    is at least the largest per-prime order of any single choice.
+    One depth-first walk over the primes P_j sets n_j in turn, carrying the
+    exponent sum, u = prod p^m_p over the primes set so far and the lcm of
+    their orders, and keeps a complete tuple whose lcm is at most
+    period_bound(u_norm(u)), computed once per u.  It stops raising n_j once
+    u is above ``_u_limit`` or the lcm is above the period bound at that
+    limit.  Proof that every point's minimal tuple n is kept: ord(n) is at
+    least c2*u(n) (``order_lower_bound``), so u(n) <= ``_u_limit``, and at
+    most period_bound(u_norm(u(n))), so at most the bound at the limit, as
+    period_bound and u_norm only grow with u.  On the walk's way to n, each
+    value up to n_j of the current exponent gives a sum below n0, a u at
+    most u(n) and an lcm dividing ord(n): raising an exponent or setting
+    more of them only raises the m_p and multiplies the lcm, the order
+    modulo P^k dividing the order modulo P^(k+1).  So neither stop cuts
+    that way, and the walk keeps n.
     """
     fact = report.alpha_factorization
     top = tuple(n_max * b for b in fact.exponents)
@@ -311,47 +318,40 @@ def survivors(
         [1] + [st.order(n) for n in range(1, t + 1)]
         for st, t in zip(lb.stabilizations, top)
     ]
-    above: dict[int, list[int]] = {}
-    for j, prime in enumerate(primes):
-        above.setdefault(prime.p, []).append(j)
-    # per rational prime p, one row per m_p: (the primes js above p, m_p,
-    # p^m_p, least exponent sum at p, orders ord(beta mod P_j^lo_j) of the
-    # P_j that can attain m_p)
     u_max = _u_limit(spec, lb, case)
-    levels = []
-    for p, js in above.items():
-        rows = [(js, 0, 1, 0, [1])]
-        m_max = max(-(-top[j] // primes[j].e) for j in js)
-        for m in itertools.takewhile(lambda m: p**m <= u_max, range(1, m_max + 1)):
-            lows = [(primes[j].e * (m - 1) + 1, j) for j in js]
-            lows = [(lo, j) for lo, j in lows if lo <= top[j]]
-            least = min(lo for lo, _ in lows)
-            rows.append((js, m, p**m, least, [orders[j][lo] for lo, j in lows]))
-        levels.append(rows)
-
-    def exact(js, m):
-        """Exponents at the primes js whose lifted exponent is exactly m."""
-        spans = [range(min(top[j], primes[j].e * m) + 1) for j in js]
-        for ns in itertools.product(*spans):
-            if max(-(-n // primes[j].e) for n, j in zip(ns, js)) == m:
-                yield ns
-
+    order_max = period_bound(spec, _u_norm(case, u_max))
+    bounds: dict[int, int] = {}
+    m_p = dict.fromkeys((prime.p for prime in primes), 0)
+    last = len(primes) - 1
+    path = [0] * len(primes)
     kept = []
-    for group in itertools.product(*levels):
-        jss, ms, pms, leasts, lowss = zip(*group)
-        u = math.prod(pms)
-        if u > u_max or sum(leasts) >= n0:
-            continue
-        bound = period_bound(spec, _u_norm(case, u))
-        if min(math.lcm(*c) for c in itertools.product(*lowss)) > bound:
-            continue
-        for parts in itertools.product(*map(exact, jss, ms)):
-            n = [0] * len(primes)
-            for js, ns in zip(jss, parts):
-                for j, nj in zip(js, ns):
-                    n[j] = nj
-            if sum(n) < n0 and math.lcm(*(o[nj] for o, nj in zip(orders, n))) <= bound:
-                kept.append(tuple(n))
+
+    def walk(j: int, total: int, u: int, order: int) -> None:
+        p, e = primes[j].p, primes[j].e
+        held = m_p[p]
+        order_j = orders[j]
+        for nj in range(min(top[j], n0 - 1 - total) + 1):
+            m = -(-nj // e)
+            if m > held:
+                uj = u * p ** (m - held)
+            else:
+                m, uj = held, u
+            oj = math.lcm(order, order_j[nj])
+            if uj > u_max or oj > order_max:
+                break
+            path[j] = nj
+            if j < last:
+                m_p[p] = m
+                walk(j + 1, total + nj, uj, oj)
+            else:
+                bound = bounds.get(uj)
+                if bound is None:
+                    bound = bounds[uj] = period_bound(spec, _u_norm(case, uj))
+                if oj <= bound:
+                    kept.append(tuple(path))
+        m_p[p] = held
+
+    walk(0, 0, 1, 1)
     kept.sort(key=sum, reverse=True)
     maximal: list[tuple[int, ...]] = []
     for n in kept:

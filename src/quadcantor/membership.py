@@ -259,17 +259,22 @@ def _coding_ratio(coding: Coding, beta: QuadInt) -> tuple[QuadInt, QuadInt]:
     With wpre, wper the Horner values of the preperiod and the period and
     k, m their lengths, the value is wpre/beta^k + wper/(beta^k (beta^m - 1)).
     One Horner pass per part carries (w, beta^k) as coordinate pairs through
-    the matrix of beta; only the final products are ring elements.
+    the matrix of beta; only the final products are ring elements.  A plain
+    ``int`` digit counts as a rational integer, and a digit of another
+    field raises ``FieldError``.
     """
     m00, m01, m10, m11 = mul_matrix(beta)
+    field = beta.field
 
     def horner(digits):
         wx = wy = 0
         bx, by = 1, 0
         for a in digits:
+            if type(a) is not QuadInt or a.field is not field:
+                a = field.zero + a
             wx, wy = m00 * wx + m01 * wy + a.x, m10 * wx + m11 * wy + a.y
             bx, by = m00 * bx + m01 * by, m10 * bx + m11 * by
-        return QuadInt(beta.field, wx, wy), QuadInt(beta.field, bx, by)
+        return QuadInt(field, wx, wy), QuadInt(field, bx, by)
 
     wpre, bk = horner(coding.preperiod)
     wper, bm = horner(coding.period)
@@ -302,7 +307,8 @@ def verify_coding(coding: Coding, v: QuadInt, u: int, spec: IFSSpec) -> bool:
         raise ZeroDivisionError("zero denominator")
     digits = spec.digits
     for a in (*coding.preperiod, *coding.period):
-        if a not in digits:
+        # a plain int equal to a digit compares equal to it but is no digit
+        if not isinstance(a, QuadInt) or a not in digits:
             raise ValueError(f"digit {a} is not in the digit set")
     if v.field is not spec.field and v.field != spec.field:
         raise FieldError("operands belong to different fields")

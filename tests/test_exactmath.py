@@ -4,12 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from quadcantor.exactmath import (
-    Interval,
-    ceil_sub_sqrt,
-    floor_add_sqrt,
-    log2_interval,
-)
+from quadcantor.exactmath import ceil_sub_sqrt, floor_add_sqrt, log2_interval
 
 
 class TestFloorCeilWithSqrt:
@@ -37,37 +32,27 @@ class TestFloorCeilWithSqrt:
 class TestLog2Interval:
     def test_exact_powers_of_two(self):
         for e in (-5, -1, 0, 1, 13):
-            iv = log2_interval(Fraction(2) ** e, 64)
-            assert iv.lo == iv.hi == e
+            lo, hi = log2_interval(Fraction(2) ** e, 64)
+            assert lo == hi == e
 
     def test_encloses_truth(self):
         rng = random.Random(3)
         for _ in range(300):
             r = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
-            iv = log2_interval(r, 64)
+            lo, hi = log2_interval(r, 64)
             truth = math.log2(r)
-            assert float(iv.lo) <= truth + 1e-12
-            assert float(iv.hi) >= truth - 1e-12
-            assert iv.hi - iv.lo <= Fraction(1, 2**40)
+            assert float(lo) <= truth + 1e-12
+            assert float(hi) >= truth - 1e-12
+            assert hi - lo <= Fraction(1, 2**40)
 
     def test_near_power_of_two(self):
         r = Fraction(2**30 + 1)
-        iv = log2_interval(r, 96)
+        lo, hi = log2_interval(r, 96)
         truth = math.log2(float(r))
-        assert float(iv.lo) <= truth <= float(iv.hi)
-        assert iv.hi - iv.lo <= Fraction(1, 2**60)
+        assert float(lo) <= truth <= float(hi)
+        assert hi - lo <= Fraction(1, 2**60)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             log2_interval(Fraction(0), 32)
 
-
-class TestInterval:
-    def test_arithmetic(self):
-        a = Interval(Fraction(1), Fraction(2))
-        b = Interval(Fraction(-3), Fraction(5))
-        assert (a + b) == Interval(Fraction(-2), Fraction(7))
-        assert (a - b) == Interval(Fraction(-4), Fraction(5))
-        prod = a * b
-        assert prod.lo == Fraction(-6) and prod.hi == Fraction(10)
-        assert a.scale(-2) == Interval(Fraction(-4), Fraction(-2))

@@ -606,7 +606,8 @@ class TestSurvivors:
 
     def test_three_rational_primes(self, gauss, cantor):
         # 70 = (1+i)^2 (2+i)(2-i) 7 up to a unit: n0 = 497 over ell = 4,
-        # searched through the u-limited groups in well under a second
+        # searched by the walk, which stops raising an exponent once u is
+        # above ``_u_limit``, in well under a second
         report = qc.preconditions(gauss.element(70), cantor)
         lb = qc.c2_constant(cantor.beta, report.alpha_factorization.primes)
         n0 = qc.certified_bound(report, qc.covering_constants(cantor), lb)
@@ -615,6 +616,34 @@ class TestSurvivors:
         assert time.perf_counter() - start < 5
         assert n0 == 497 and len(found) == 13
         assert (28, 1, 1, 1) in found and max(sum(n) for n in found) < 40
+
+    @pytest.mark.parametrize(
+        "d, beta, digits, alpha, n0, want",
+        [
+            # 2 ramified, 3 and 11 split, one prime over each in alpha
+            (-2, (3, 4), [(0, 1), (1, -1), (1, 0)], (-8, -1), 260, [
+                (2, 3, 3), (2, 8, 0), (6, 2, 3), (6, 7, 0), (8, 5, 2),
+                (10, 3, 2), (12, 6, 1), (14, 2, 2), (14, 4, 1), (16, 4, 0),
+                (18, 3, 1), (20, 2, 1), (26, 2, 0),
+            ]),
+            # 6 = 2 * 3: 2 inert, and both primes over 3, so m_3 is the
+            # larger of their exponents
+            (-11, (-1, -1), [(-1, 1), (0, -1)], (6, 0), 525, [
+                (3, 31, 32), (7, 30, 31), (9, 28, 29), (11, 26, 27),
+                (13, 24, 25), (18, 23, 24), (20, 21, 22), (22, 19, 20),
+                (26, 18, 19), (28, 16, 17), (30, 14, 15), (32, 12, 13),
+                (37, 11, 12), (39, 9, 10), (41, 7, 8), (45, 6, 7), (47, 4, 5),
+                (49, 2, 3),
+            ]),
+        ],
+    )
+    def test_three_primes_outside_gaussian_integers(self, d, beta, digits, alpha, n0, want):
+        field = make_field(d)
+        spec = qc.ifs_new(field.element(*beta), [field.element(*a) for a in digits])
+        report = qc.preconditions(field.element(*alpha), spec)
+        lb = qc.c2_constant(spec.beta, report.alpha_factorization.primes)
+        assert qc.certified_bound(report, qc.covering_constants(spec), lb) == n0
+        assert list(survivors(report, spec, lb, n0, n0)) == want
 
     def test_no_case_keeps_the_whole_box(self, gauss):
         spec = qc.ifs_new(gauss.element(-2, 1), [gauss.element(k) for k in range(5)])

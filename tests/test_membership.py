@@ -228,6 +228,18 @@ class TestCoding:
         coding = qc.coding_of(gauss.element(1), 4, cantor)
         assert qc.coding_value(coding, cantor.beta) == FieldElement(gauss.element(1), 4)
 
+    def test_value_of_a_digit_from_another_field_raises(self, gauss):
+        other = make_field(-2)
+        coding = Coding((), (other.element(0), other.element(2)))
+        with pytest.raises(qc.FieldError):
+            qc.coding_value(coding, gauss.element(3))
+
+    def test_value_of_int_digits_is_that_of_rational_integers(self, gauss, cantor):
+        # 1/12 = [0](0 2) and 5/12 = [1](0 2) in base 3
+        for pre, v in (((0,), 1), ((1,), 5)):
+            value = qc.coding_value(Coding(pre, (0, 2)), cantor.beta)
+            assert value == FieldElement(gauss.element(v), 12)
+
     def test_period_within_bound(self, gauss, cantor, gaussian_four):
         rng = random.Random(77)
         for spec in (cantor, gaussian_four):
@@ -469,6 +481,12 @@ class TestVerifyCoding:
             qc.verify_coding(
                 Coding((), (gauss.element(1),)), gauss.element(1), 4, cantor
             )
+
+    def test_int_digits_rejected(self, gauss, cantor):
+        # the plain int 0 compares equal to the digit 0 but is no digit
+        for coding in (Coding((), (0, 2)), Coding((0,), (gauss.element(0), gauss.element(2)))):
+            with pytest.raises(ValueError):
+                qc.verify_coding(coding, gauss.element(1), 12, cantor)
 
     def test_all_member_codings_verify(self, gauss, cantor, gaussian_four):
         rng = random.Random(5)
