@@ -17,8 +17,8 @@ logarithms of rationals and is done with rigorous dyadic brackets, never
 bare floating point.  Below n0 the exact order excludes far more:
 ``survivors`` finds, by one pruned depth-first walk over the exponents, the
 maximal tuples whose order does not beat the covering count, and each is
-swept as the lattice prod P_j^{-n_j}, so a certified run covers every point
-with a few small sweeps.
+swept as the lattice prod P_j^{-n_j}.  A walk that no bounded box cut is the
+certified walk, so a run whose sweeps all fit then covers every point.
 
 A sweep scans the balls of a depth-k cylinder cover of the attractor
 (``_cover``): the images D((W + c)/beta^k, r'/|beta|^k) of the disk
@@ -35,6 +35,7 @@ bounds the whole sweep; only the points the peel keeps are confirmed by
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -121,21 +122,13 @@ def preconditions(alpha: QuadInt, spec: IFSSpec) -> PreconditionReport:
     )
 
 
-def _scaled_into_ring(z: FieldElement, ideal) -> bool:
-    """Whether z * ideal is contained in the ring of integers."""
-    for g in ideal.basis():
-        t = z.num * g
-        if t.x % z.den or t.y % z.den:
-            return False
-    return True
-
-
 def minimal_tuple(z: FieldElement, fact: ElementFactorization) -> tuple[int, ...]:
     """Componentwise least exponents with z * prod p_j^{n_j} inside the ring.
 
     Rejects z whose denominator involves primes outside the factorization,
-    i.e. points not in D_alpha.  Minimality is re-verified by membership at
-    the tuple and failure at each single decrement.
+    i.e. points not in D_alpha.  Minimality is re-verified: J = z*I must be
+    integral for I = prod P_j^{n_j} = (a, b + c*w), and J * P_j^-1 must not
+    be for any n_j > 0, that is, P_j must miss z*a or z*(b + c*w).
     """
     field = z.field
     if z.num.is_zero():
@@ -146,15 +139,14 @@ def minimal_tuple(z: FieldElement, fact: ElementFactorization) -> tuple[int, ...
         vd = valuation(den_el, prime) if z.den > 1 else 0
         vn = valuation(z.num, prime)
         exps.append(max(0, vd - vn))
-    if not _scaled_into_ring(z, prime_power_product(field, fact.primes, exps)):
-        raise PreconditionError(
-            f"{z} is not in D_alpha for alpha = {fact.element}"
-        )
-    for j, n in enumerate(exps):
-        if n == 0:
-            continue
-        smaller = [ni - 1 if i == j else ni for i, ni in enumerate(exps)]
-        if _scaled_into_ring(z, prime_power_product(field, fact.primes, smaller)):
+    gens = []
+    for g in prime_power_product(field, fact.primes, exps).basis():
+        t = z.num * g
+        if t.x % z.den or t.y % z.den:
+            raise PreconditionError(f"{z} is not in D_alpha for alpha = {fact.element}")
+        gens.append(QuadInt(field, t.x // z.den, t.y // z.den))
+    for prime, n in zip(fact.primes, exps):
+        if n and all(prime.contains(g) for g in gens):
             raise ArithmeticError("valuation tuple failed the minimality check")
     return tuple(exps)
 
@@ -251,8 +243,8 @@ def _u_norm(case: str, u: int) -> int:
     return u if case == "case_ii" else u * u
 
 
-def _u_limit(spec: IFSSpec, lb: LowerBoundSpec, case: str) -> int:
-    """An integer above every u = prod p^m_p that the c2 bound keeps.
+def _u_limit(spec: IFSSpec, lb: LowerBoundSpec, case: str) -> tuple[int, list[int]]:
+    """An integer above every u = prod p^m_p the c2 bound keeps, and the H_k.
 
     ``tuple_is_excluded`` holds when c2*u > period_bound, and ord(n) is at
     least c2*u, so a tuple with larger u is excluded by its exact order too.
@@ -261,17 +253,20 @@ def _u_limit(spec: IFSSpec, lb: LowerBoundSpec, case: str) -> int:
     escape.  H_(k+1) >= A*H_k: in case (ii) because A < N(beta), in case (i)
     because A <= isqrt(N(beta)) and isqrt(N(beta)*Y) >= isqrt(N(beta))*isqrt(Y).
     So once H_(k-1) >= A^k/c2, every later range is excluded as well.
+    The limit is the largest term min(H_k, A^k/c2) <= H_k <= highs[-1], as
+    the H_k never decrease; so for u <= limit the least k with u <= H_k
+    exists, and period_bound(u_norm(u)) = A ** bisect_left(highs, u).
     """
     r2 = spec.radius_sq
     a = len(spec.digits)
     b = spec.beta.norm()
-    limit = high = k = 0
-    while high < lb.c2.denominator * a**k:
+    limit, highs = 0, []
+    while not highs or highs[-1] < lb.c2.denominator * a ** len(highs):
+        k = len(highs)
         y = b**k * r2.denominator // (9 * r2.numerator)
-        high = y if case == "case_ii" else math.isqrt(y)
-        limit = max(limit, min(high, lb.c2.denominator * a**k))
-        k += 1
-    return limit
+        highs.append(y if case == "case_ii" else math.isqrt(y))
+        limit = max(limit, min(highs[k], lb.c2.denominator * a**k))
+    return limit, highs
 
 
 def survivors(
@@ -280,8 +275,9 @@ def survivors(
     lb: LowerBoundSpec | None,
     n_max: int,
     n0: int | None,
-) -> tuple[tuple[int, ...], ...]:
-    """Maximal tuples n <= n_max*b with sum(n) < n0 that are not excluded.
+) -> tuple[tuple[tuple[int, ...], ...], bool]:
+    """Maximal tuples n <= n_max*b with sum(n) < n0 that are not excluded,
+    and whether the search is complete: the box n_max*b cut no loop.
 
     A point with minimal tuple n has a coding period m with beta^m = 1
     modulo prod P_j^{n_j} (``period_congruence_holds``), so m is a multiple
@@ -289,47 +285,52 @@ def survivors(
     and m is at most period_bound(u_norm(n)), the state count.  So a tuple
     with ord(n) > period_bound holds no point, nor does one with sum >= n0,
     and every point's tuple lies below one of the returned tuples.  With no
-    applicable case nothing is excluded and n_max*b is the one maximal
-    tuple.
+    applicable case nothing is excluded: n_max*b is returned, incomplete.
 
     One depth-first walk over the primes P_j sets n_j in turn, carrying the
     exponent sum, u = prod p^m_p over the primes set so far and the lcm of
-    their orders, and keeps a complete tuple whose lcm is at most
-    period_bound(u_norm(u)), computed once per u.  It stops raising n_j once
-    u is above ``_u_limit`` or the lcm is above the period bound at that
-    limit.  Proof that every point's minimal tuple n is kept: ord(n) is at
-    least c2*u(n) (``order_lower_bound``), so u(n) <= ``_u_limit``, and at
-    most period_bound(u_norm(u(n))), so at most the bound at the limit, as
-    period_bound and u_norm only grow with u.  On the walk's way to n, each
-    value up to n_j of the current exponent gives a sum below n0, a u at
-    most u(n) and an lcm dividing ord(n): raising an exponent or setting
-    more of them only raises the m_p and multiplies the lcm, the order
-    modulo P^k dividing the order modulo P^(k+1).  So neither stop cuts
-    that way, and the walk keeps n.
+    their orders.  Per setting of the earlier exponents it keeps the largest
+    last one whose lcm is at most period_bound(u_norm(u)), read from the
+    steps of ``_u_limit``; a smaller one lies below it.  It stops raising
+    n_j once u is above ``_u_limit`` or the lcm is above the period bound
+    at that limit.  Neither stop cuts the way to a point's minimal tuple n:
+    ord(n) >= c2*u(n) (``order_lower_bound``) puts u(n) below the limit,
+    and ord(n) <= period_bound(u_norm(u(n))) puts it below the bound there,
+    as period_bound and u_norm only grow with u; each value up to n_j of the
+    current exponent gives a smaller sum, a u at most u(n) and an lcm
+    dividing ord(n), the order modulo P^k dividing that modulo P^(k+1).
+
+    A loop that ran to top_j without stopping, while top_j < n0 - 1 - sum,
+    makes the search incomplete.  Otherwise the walk over the certified box
+    min(n0*b, n0 - 1) makes the same steps, as both stops read only u
+    and the lcm, so every point of every level lies below a returned tuple.
     """
     fact = report.alpha_factorization
     top = tuple(n_max * b for b in fact.exponents)
     case = report.applicable_case
     if case is None:
-        return (top,)
+        return (top,), False
     top = tuple(min(t, n0 - 1) for t in top)
     primes = fact.primes
     orders = [
         [1] + [st.order(n) for n in range(1, t + 1)]
         for st, t in zip(lb.stabilizations, top)
     ]
-    u_max = _u_limit(spec, lb, case)
-    order_max = period_bound(spec, _u_norm(case, u_max))
-    bounds: dict[int, int] = {}
+    u_max, highs = _u_limit(spec, lb, case)
+    n_digits = len(spec.digits)
+    order_max = n_digits ** bisect_left(highs, u_max)
     m_p = dict.fromkeys((prime.p for prime in primes), 0)
     last = len(primes) - 1
     path = [0] * len(primes)
     kept = []
+    complete = True
 
     def walk(j: int, total: int, u: int, order: int) -> None:
+        nonlocal complete
         p, e = primes[j].p, primes[j].e
         held = m_p[p]
         order_j = orders[j]
+        best = None
         for nj in range(min(top[j], n0 - 1 - total) + 1):
             m = -(-nj // e)
             if m > held:
@@ -339,16 +340,16 @@ def survivors(
             oj = math.lcm(order, order_j[nj])
             if uj > u_max or oj > order_max:
                 break
-            path[j] = nj
             if j < last:
+                path[j] = nj
                 m_p[p] = m
                 walk(j + 1, total + nj, uj, oj)
-            else:
-                bound = bounds.get(uj)
-                if bound is None:
-                    bound = bounds[uj] = period_bound(spec, _u_norm(case, uj))
-                if oj <= bound:
-                    kept.append(tuple(path))
+            elif oj <= n_digits ** bisect_left(highs, uj):
+                best = nj
+        else:
+            complete &= top[j] >= n0 - 1 - total
+        if best is not None:
+            kept.append((*path[:j], best))
         m_p[p] = held
 
     walk(0, 0, 1, 1)
@@ -357,7 +358,7 @@ def survivors(
     for n in kept:
         if not any(all(a <= b for a, b in zip(n, t)) for t in maximal):
             maximal.append(n)
-    return tuple(sorted(maximal))
+    return tuple(sorted(maximal)), complete
 
 
 @dataclass(frozen=True)
@@ -385,7 +386,8 @@ class IntersectionReport:
     and ``swept`` lists each sweep in the order planned: a survivor over the
     cap (certified mode only) appears unswept, followed by the part of it
     that fitted unless an earlier entry lists that part or another swept
-    part contains it.  Each tuple is swept and listed once.
+    part contains it.  Each tuple is swept and listed once.  ``exhausted``
+    means ``points`` is the whole intersection, at every level.
     """
 
     points: tuple[IntersectionPoint, ...]
@@ -704,12 +706,9 @@ def full_intersection(
     and not at all when another swept part contains it.  Its certificate n0
     is reported either way.
 
-    ``exhausted`` holds when n0 exists and level*b_j >= n0 - 1 for all j:
-    every point's tuple has sum < n0, so each n_j <= n0 - 1, and the search
-    then covered the certified box min(N*b, n0 - 1), sweeping each survivor.
-    A certified fallback never qualifies: min(s, L*b) < s in some j, so
-    L*b_j < s_j <= n0 - 1.  The rule is partial: a smaller box that holds
-    every certified survivor would need the search over that box too.
+    ``exhausted`` holds when the survivor search was complete, so that its
+    survivors are those of the certified box, and none fell back: every
+    point's tuple then lies below a swept survivor.
     """
     report = preconditions(alpha, spec)
     covering = None
@@ -742,7 +741,7 @@ def full_intersection(
             c = costs[n] = _scan_plan(spec, _lattice(fact, n))
         return c
 
-    found = survivors(report, spec, lb, level, n0)
+    found, complete = survivors(report, spec, lb, level, n0)
     sweeps = []
     for s in found:
         c = cost(s)
@@ -775,7 +774,7 @@ def full_intersection(
         preconditions=report,
         certified_n0=n0,
         level=level,
-        exhausted=n0 is not None and all(level * b >= n0 - 1 for b in fact.exponents),
+        exhausted=complete and all(s.swept for s in sweeps),
         covering=covering,
         lower_bound=lb,
         survivors=found,

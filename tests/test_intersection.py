@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -103,6 +104,23 @@ class TestMinimalTuple:
         z = FieldElement(gauss.element(1), 10)
         # factor order: (1+i) with b=2, then the two primes above 5
         assert qc.minimal_tuple(z, fact) == (2, 1, 1)
+
+    def test_under_reported_valuation_fails_the_self_check(self, gauss, monkeypatch):
+        fact = qc.factor_element(gauss.element(10))
+        num = gauss.element(1, 1)
+        z = FieldElement(num, 10)
+        assert qc.minimal_tuple(z, fact) == (1, 1, 1)
+        real = intersection.valuation
+
+        def low(x, prime):
+            # the numerator's valuation reads one low: the tuple (2, 1, 1)
+            # clears the denominator but is not minimal
+            v = real(x, prime)
+            return v - 1 if x == num and v else v
+
+        monkeypatch.setattr(intersection, "valuation", low)
+        with pytest.raises(ArithmeticError):
+            qc.minimal_tuple(z, fact)
 
     def test_outside_d_alpha_rejected(self, gauss):
         fact = qc.factor_element(gauss.element(2))
@@ -574,11 +592,27 @@ class TestSurvivors:
             _seeded_cases(rng, fields, 2, 3000, split=True),
         ):
             want, by_max = _oracle_survivors(spec, report, n_max, n0)
-            assert list(survivors(report, spec, lb, n_max, n0)) == want
+            assert list(survivors(report, spec, lb, n_max, n0)[0]) == want
             excluded += want != [tuple(n_max * b for b in report.alpha_factorization.exponents)]
             lcm_needed += by_max != want
         # the cases exercise exclusion, and the lcm beyond the largest order
         assert excluded >= 10 and lcm_needed >= 2
+
+    def test_step_table_reads_the_period_bound(self):
+        # A ** bisect_left(highs, u) is period_bound at every u up to the
+        # limit: all small u, each step H_k and the u just above it
+        rng = random.Random(5)
+        cases = []
+        for spec, _, report, lb, _, _ in _seeded_cases(rng, (-1, -2, -3, -7, -11), 3, 3000):
+            case = report.applicable_case
+            limit, highs = intersection._u_limit(spec, lb, case)
+            us = set(range(1, min(limit, 3000) + 1)) | {limit}
+            us |= {h + e for h in highs for e in (0, 1) if 1 <= h + e <= limit}
+            for u in us:
+                want = qc.period_bound(spec, intersection._u_norm(case, u))
+                assert len(spec.digits) ** bisect_left(highs, u) == want
+            cases.append(case)
+        assert cases.count("case_i") >= 3 and cases.count("case_ii") >= 3
 
     def test_u_limit_bounds_what_c2_keeps(self):
         # every u above the limit is excluded by the c2 bound alone
@@ -586,7 +620,7 @@ class TestSurvivors:
         checked = 0
         for spec, _, report, lb, _, _ in _seeded_cases(rng, (-1, -2, -3, -7, -11), 2, 3000):
             case = report.applicable_case
-            limit = intersection._u_limit(spec, lb, case)
+            limit, _ = intersection._u_limit(spec, lb, case)
             if limit > 10**5:
                 continue
             kept = [
@@ -602,7 +636,7 @@ class TestSurvivors:
             report = qc.preconditions(gauss.element(alpha), cantor)
             lb = qc.c2_constant(cantor.beta, report.alpha_factorization.primes)
             n0 = qc.certified_bound(report, qc.covering_constants(cantor), lb)
-            assert list(survivors(report, cantor, lb, n0, n0)) == want
+            assert list(survivors(report, cantor, lb, n0, n0)[0]) == want
 
     def test_three_rational_primes(self, gauss, cantor):
         # 70 = (1+i)^2 (2+i)(2-i) 7 up to a unit: n0 = 497 over ell = 4,
@@ -612,7 +646,7 @@ class TestSurvivors:
         lb = qc.c2_constant(cantor.beta, report.alpha_factorization.primes)
         n0 = qc.certified_bound(report, qc.covering_constants(cantor), lb)
         start = time.perf_counter()
-        found = survivors(report, cantor, lb, n0, n0)
+        found, _ = survivors(report, cantor, lb, n0, n0)
         assert time.perf_counter() - start < 5
         assert n0 == 497 and len(found) == 13
         assert (28, 1, 1, 1) in found and max(sum(n) for n in found) < 40
@@ -643,13 +677,13 @@ class TestSurvivors:
         report = qc.preconditions(field.element(*alpha), spec)
         lb = qc.c2_constant(spec.beta, report.alpha_factorization.primes)
         assert qc.certified_bound(report, qc.covering_constants(spec), lb) == n0
-        assert list(survivors(report, spec, lb, n0, n0)) == want
+        assert list(survivors(report, spec, lb, n0, n0)[0]) == want
 
     def test_no_case_keeps_the_whole_box(self, gauss):
         spec = qc.ifs_new(gauss.element(-2, 1), [gauss.element(k) for k in range(5)])
         report = qc.preconditions(gauss.element(10), spec)
         assert report.applicable_case is None
-        assert survivors(report, spec, None, 3, None) == ((6, 3, 3),)
+        assert survivors(report, spec, None, 3, None) == (((6, 3, 3),), False)
 
 
 class TestBoundedMatchesLevelSweep:
@@ -797,16 +831,30 @@ class TestFullIntersection:
         assert rep.points == qc.enumerate_level(rep.level, alpha, gaussian_four, cap=10**6)
 
     def test_bounded_exhausts_once_its_box_reaches_n0(self, gauss, cantor):
-        # at n_max*b >= n0 - 1 the survivor search covers the certified box,
+        # from the edge on, the box n_max*b no longer cuts the survivor walk,
         # so the run sweeps the certified survivors; one level lower it does
-        # not, even where (Wall D2 at 21) the survivors happen to agree
-        for alpha, edge in ((gauss.element(2), 22), (gauss.element(10), 281)):
+        for alpha, edge in ((gauss.element(2), 18), (gauss.element(10), 34)):
             cert = qc.full_intersection(alpha, cantor, mode="certified")
             at = qc.full_intersection(alpha, cantor, mode="bounded", n_max=edge)
             assert at.exhausted and at.level == edge
             assert (at.survivors, at.points) == (cert.survivors, cert.points)
             below = qc.full_intersection(alpha, cantor, mode="bounded", n_max=edge - 1)
             assert not below.exhausted
+
+    def test_seeded_bounded_exhausted_runs_find_every_point(self):
+        rng = random.Random(37)
+        exhausted = 0
+        for spec, alpha, _, _, _, n_max in _seeded_cases(
+            rng, (-1, -2, -3, -7, -11), 3, 20000
+        ):
+            cert = qc.full_intersection(alpha, spec, mode="certified", cap=10**6)
+            for level in range(1, n_max + 1):
+                rep = qc.full_intersection(alpha, spec, mode="bounded", n_max=level, cap=10**6)
+                if rep.exhausted:
+                    assert cert.exhausted
+                    assert (rep.survivors, rep.points) == (cert.survivors, cert.points)
+                    exhausted += 1
+        assert exhausted >= 10
 
     def test_bounded_over_cap_survivor_raises(self, gauss, cantor):
         with pytest.raises(CapExceededError) as err:
