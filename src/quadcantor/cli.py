@@ -303,6 +303,8 @@ def _cmd_dim(args) -> None:
     field = _field_of(args)
     spec = _spec_of(args, field)
     rows = int(args.rows) if args.rows is not None else 8
+    if rows < 0:
+        raise PreconditionError("--rows must be nonnegative")
     r2 = spec.radius_sq
     r_prime = math.sqrt(float(r2))
     abs_beta = math.sqrt(spec.beta.norm())

@@ -14,22 +14,24 @@ For sigma < 1 (or sigma < 2 under the unique-factorization hypotheses) the
 constant c2 makes the two bounds cross at a computable n0: every tuple with
 exponent sum n0 or more is empty.  The n0 search compares products of
 logarithms of rationals and is done with rigorous dyadic brackets, never
-bare floating point.  Below n0 the exact order excludes far more:
-``survivors`` finds, by one pruned depth-first walk over the exponents, the
-maximal tuples whose order does not beat the covering count, and each is
-swept as the lattice prod P_j^{-n_j}.  A walk that no bounded box cut is the
-certified walk, so a run whose sweeps all fit then covers every point.
+bare floating point.  It is only reported: the exact order excludes far
+more, and decides alone.  ``survivors`` finds, by one pruned depth-first
+walk over the exponents, the maximal tuples whose order does not beat the
+covering count, and each is swept as the lattice prod P_j^{-n_j}.  A walk
+that no bounded box cut is the certified walk, so a run whose sweeps all
+fit then covers every point.
 
-A sweep scans the balls of a depth-k cylinder cover of the attractor
-(``_cover``): the images D((W + c)/beta^k, r'/|beta|^k) of the disk
-D(c, r') of ``IFSSpec.disk`` under the depth-k maps, with k the least depth
-with N(beta)^k >= u * r'^2.  Its cost, the lattice rows plus points those
-balls can touch, is an exact integer bound (``_scan_plan``); the cap check
-and a capped certified run's fallback are both decided on it.  The lattice
-points in the balls are decided together by one counting peel over them
-(``_attractor_numerators``), at most #A set lookups each, so the cost
-bounds the whole sweep; only the points the peel keeps are confirmed by
-``is_member`` and coded by ``coding_of``.
+A sweep scans the balls of a depth-k cylinder cover of the attractor: the
+images D((W + c)/beta^k, r'/|beta|^k) of the disk D(c, r') of
+``IFSSpec.disk`` under the depth-k maps, with k the least depth with
+N(beta)^k >= u * r'^2.  Its cost, the lattice rows plus points those balls
+can touch, is an exact integer bound, and the cap check and a capped
+certified run's fallback are both decided on it; lattice, cover and cost
+are the tuple's one plan (``_plan``).  The lattice points in the balls are
+decided together by one counting peel over them (``_attractor_numerators``),
+at most #A set lookups each, so the cost bounds the whole sweep; only the
+points the peel keeps are confirmed by ``is_member`` and coded by
+``coding_of``.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ from .orders import LowerBoundSpec, c2_constant, order_lower_bound
 from .quadring import FieldElement, QuadInt, mul_matrix, norm_form
 
 UFD_FIELDS = frozenset({-1, -2, -3, -7, -11, -19, -43, -67, -163})
-# lattice rows plus points one level sweep may touch, by ``_scan_plan``
+# lattice rows plus points one level sweep may touch, the cost of ``_plan``
 DEFAULT_CAP = 1 << 18
 
 
@@ -273,50 +275,54 @@ def survivors(
     report: PreconditionReport,
     spec: IFSSpec,
     lb: LowerBoundSpec | None,
-    n_max: int,
-    n0: int | None,
+    n_max: int | None,
 ) -> tuple[tuple[tuple[int, ...], ...], bool]:
-    """Maximal tuples n <= n_max*b with sum(n) < n0 that are not excluded,
-    and whether the search is complete: the box n_max*b cut no loop.
+    """Maximal tuples not excluded by their exact order, each at most
+    n_max*b (any size when n_max is None), and whether the search is
+    complete: no loop of the walk ran to the top of its box.
 
     A point with minimal tuple n has a coding period m with beta^m = 1
     modulo prod P_j^{n_j} (``period_congruence_holds``), so m is a multiple
     of ord(n) = lcm_j ord(beta mod P_j^{n_j}), the primes being coprime;
     and m is at most period_bound(u_norm(n)), the state count.  So a tuple
-    with ord(n) > period_bound holds no point, nor does one with sum >= n0,
-    and every point's tuple lies below one of the returned tuples.  With no
-    applicable case nothing is excluded: n_max*b is returned, incomplete.
+    with ord(n) > period_bound holds no point, and every point's tuple lies
+    below one of the returned tuples.  With no applicable case nothing is
+    excluded: n_max*b is returned, incomplete.
 
-    One depth-first walk over the primes P_j sets n_j in turn, carrying the
-    exponent sum, u = prod p^m_p over the primes set so far and the lcm of
-    their orders.  Per setting of the earlier exponents it keeps the largest
-    last one whose lcm is at most period_bound(u_norm(u)), read from the
-    steps of ``_u_limit``; a smaller one lies below it.  It stops raising
-    n_j once u is above ``_u_limit`` or the lcm is above the period bound
-    at that limit.  Neither stop cuts the way to a point's minimal tuple n:
+    One depth-first walk over the primes P_j sets n_j in turn, carrying
+    u = prod p^m_p over the primes set so far and the lcm of their orders.
+    Per setting of the earlier exponents it keeps the largest last one whose
+    lcm is at most period_bound(u_norm(u)), read from the steps of
+    ``_u_limit``; a smaller one lies below it.  It stops raising n_j once u
+    is above ``_u_limit`` or the lcm is above the period bound at that
+    limit.  Neither stop cuts the way to a point's minimal tuple n:
     ord(n) >= c2*u(n) (``order_lower_bound``) puts u(n) below the limit,
     and ord(n) <= period_bound(u_norm(u(n))) puts it below the bound there,
     as period_bound and u_norm only grow with u; each value up to n_j of the
-    current exponent gives a smaller sum, a u at most u(n) and an lcm
-    dividing ord(n), the order modulo P^k dividing that modulo P^(k+1).
+    current exponent gives a u at most u(n) and an lcm dividing ord(n), the
+    order modulo P^k dividing that modulo P^(k+1).
 
-    A loop that ran to top_j without stopping, while top_j < n0 - 1 - sum,
-    makes the search incomplete.  Otherwise the walk over the certified box
-    min(n0*b, n0 - 1) makes the same steps, as both stops read only u
-    and the lcm, so every point of every level lies below a returned tuple.
+    The box n_j <= e_j * (bit_length(limit) + 1) stops every loop by the u
+    test, p^m_p alone being above the limit at its top.  A loop that the cut
+    n_max*b_j lets run to its top makes the search incomplete; a complete
+    search takes the steps of the uncut walk.  Nor would the certificate n0
+    cut a kept tuple: c2*u <= ord(n) = lcm <= period_bound(u_norm(u)) fails
+    ``tuple_is_excluded``, which every tuple of sum n0 or more passes
+    (``certified_bound``).
     """
     fact = report.alpha_factorization
-    top = tuple(n_max * b for b in fact.exponents)
     case = report.applicable_case
     if case is None:
-        return (top,), False
-    top = tuple(min(t, n0 - 1) for t in top)
+        return (tuple(n_max * b for b in fact.exponents),), False
     primes = fact.primes
+    u_max, highs = _u_limit(spec, lb, case)
+    top = [prime.e * (u_max.bit_length() + 1) for prime in primes]
+    if n_max is not None:
+        top = [min(t, n_max * b) for t, b in zip(top, fact.exponents)]
     orders = [
         [1] + [st.order(n) for n in range(1, t + 1)]
         for st, t in zip(lb.stabilizations, top)
     ]
-    u_max, highs = _u_limit(spec, lb, case)
     n_digits = len(spec.digits)
     order_max = n_digits ** bisect_left(highs, u_max)
     m_p = dict.fromkeys((prime.p for prime in primes), 0)
@@ -325,13 +331,13 @@ def survivors(
     kept = []
     complete = True
 
-    def walk(j: int, total: int, u: int, order: int) -> None:
+    def walk(j: int, u: int, order: int) -> None:
         nonlocal complete
         p, e = primes[j].p, primes[j].e
         held = m_p[p]
         order_j = orders[j]
         best = None
-        for nj in range(min(top[j], n0 - 1 - total) + 1):
+        for nj in range(top[j] + 1):
             m = -(-nj // e)
             if m > held:
                 uj = u * p ** (m - held)
@@ -343,16 +349,16 @@ def survivors(
             if j < last:
                 path[j] = nj
                 m_p[p] = m
-                walk(j + 1, total + nj, uj, oj)
+                walk(j + 1, uj, oj)
             elif oj <= n_digits ** bisect_left(highs, uj):
                 best = nj
         else:
-            complete &= top[j] >= n0 - 1 - total
+            complete = False
         if best is not None:
             kept.append((*path[:j], best))
         m_p[p] = held
 
-    walk(0, 0, 1, 1)
+    walk(0, 1, 1)
     kept.sort(key=sum, reverse=True)
     maximal: list[tuple[int, ...]] = []
     for n in kept:
@@ -395,7 +401,6 @@ class IntersectionReport:
     certified_n0: int | None
     level: int
     exhausted: bool
-    covering: CoveringConstants | None
     lower_bound: LowerBoundSpec | None
     survivors: tuple[tuple[int, ...], ...]
     swept: tuple[Sweep, ...]
@@ -404,20 +409,6 @@ class IntersectionReport:
     def fallback(self) -> tuple[Sweep, ...]:
         """The survivors skipped for being over the cap."""
         return tuple(s for s in self.swept if not s.swept)
-
-
-class _Lattice(NamedTuple):
-    """The lattice I^-1 for I = prod P_j^{n_j}, written as (1/delta) * sub.
-
-    delta is an element of I of least norm, so sub = delta * I^-1 is an
-    integral ideal of norm N(delta)/N(I): the whole ring when I is
-    principal, as every ideal is in a UFD.  u = N(I) clears every point's
-    denominator, z = v/u with v in conj(I).
-    """
-
-    delta: QuadInt
-    sub: IdealHNF
-    u: int
 
 
 def _shortest(ideal: IdealHNF) -> QuadInt:
@@ -443,18 +434,6 @@ def _shortest(ideal: IdealHNF) -> QuadInt:
             return QuadInt(ideal.field, ux, uy)
         vx, vy = vx - mu * ux, vy - mu * uy
         qv = q(vx, vy)
-
-
-def _lattice(fact: ElementFactorization, exponents: tuple[int, ...]) -> _Lattice:
-    field = fact.element.field
-    ideal = prime_power_product(field, fact.primes, exponents)
-    delta = _shortest(ideal)
-    # delta * conj(I) lies in I * conj(I) = N(I) * O_K
-    scaled = ideal_mul(principal_ideal(delta), ideal.conjugate())
-    u = ideal.norm
-    if scaled.a % u or scaled.b % u or scaled.c % u:
-        raise ArithmeticError("delta * conj(I) is not divisible by N(I)")
-    return _Lattice(delta, IdealHNF(field, scaled.a // u, scaled.b // u, scaled.c // u), u)
 
 
 def _ball_candidates(
@@ -493,45 +472,67 @@ def _ball_candidates(
         out.update([(x, y) for x in range(lo, (mid + r) // md + 1, a)])
 
 
-def _cover(spec: IFSSpec, lattice: _Lattice) -> tuple[int, int, int, int]:
-    """Depth k, common denominator and squared radius of the sweep's balls.
+class _Plan(NamedTuple):
+    """The sweep of one tuple n: its lattice, its cover and its cost.
 
-    S lies in the disk D(c, r') of ``IFSSpec.disk``, and S is the union of
-    (W + S)/beta^k over the depth-k words W, so the (#A)^k balls
-    D((W + c)/beta^k, r'/|beta|^k) cover it.  k is the least depth with
-    N(beta)^k >= u * r'^2, so each ball, scaled by delta, has squared
-    radius at most N(sub).  For c = C/D the scaled ball around W is centred
-    at delta * (D*W + C) * conj(beta^k) over the denominator D * N(beta)^k,
+    The lattice is I^-1 for I = prod P_j^{n_j}, written as (1/delta) * sub.
+    delta is an element of I of least norm, so sub = delta * I^-1 is an
+    integral ideal of norm N(delta)/N(I): the whole ring when I is
+    principal, as every ideal is in a UFD.  u = N(I) clears every point's
+    denominator, z = v/u with v in conj(I).
+
+    The cover is k, the common denominator den and the squared radius rn/rd
+    of the sweep's balls.  S lies in the disk D(c, r') of ``IFSSpec.disk``,
+    and S is the union of (W + S)/beta^k over the depth-k words W, so the
+    (#A)^k balls D((W + c)/beta^k, r'/|beta|^k) cover it.  k is the least
+    depth with N(beta)^k >= u * r'^2, so each ball, scaled by delta, has
+    squared radius at most N(sub).  For c = C/D the scaled ball around W is
+    centred at delta * (D*W + C) * conj(beta^k) over den = D * N(beta)^k,
     with squared radius rn/rd = N(delta) * r'^2 / N(beta)^k.
+
+    The cost bounds the sweep's work: (#A)^k times the rows plus points of
+    ``sub`` that one closed ball of the cover's radius can touch, whatever
+    its center.  In the chord quantities of ``_ball_candidates`` a ball
+    spans at most 2*amax // (c*den) + 1 rows, each of at most
+    2*r // (m*den*a) + 1 points with r taken at a' = 0.
     """
+
+    delta: QuadInt
+    sub: IdealHNF
+    u: int
+    k: int
+    den: int
+    rn: int
+    rd: int
+    cost: int
+
+
+def _plan(spec: IFSSpec, fact: ElementFactorization, exponents: tuple[int, ...]) -> _Plan:
+    field = spec.field
+    ideal = prime_power_product(field, fact.primes, exponents)
+    delta = _shortest(ideal)
+    # delta * conj(I) lies in I * conj(I) = N(I) * O_K
+    scaled = ideal_mul(principal_ideal(delta), ideal.conjugate())
+    u = ideal.norm
+    if scaled.a % u or scaled.b % u or scaled.c % u:
+        raise ArithmeticError("delta * conj(I) is not divisible by N(I)")
+    sub = IdealHNF(field, scaled.a // u, scaled.b // u, scaled.c // u)
     centre, r2 = spec.disk
     beta_norm = spec.beta.norm()
-    k = covering_exponent(beta_norm, r2, Fraction(1, lattice.u))
+    k = covering_exponent(beta_norm, r2, Fraction(1, u))
     bk_norm = beta_norm**k
-    rn = lattice.delta.norm() * r2.numerator
-    return k, centre.den * bk_norm, rn, r2.denominator * bk_norm
-
-
-def _scan_plan(spec: IFSSpec, lattice: _Lattice) -> int:
-    """An upper bound on the work of the lattice's sweep over ``_cover``.
-
-    The cost is (#A)^k times the rows plus points of ``sub`` that one closed
-    ball of the cover's radius can touch, whatever its center: in the chord
-    quantities of ``_ball_candidates`` a ball spans at most
-    2*amax // (c*D) + 1 rows, each of at most 2*r // (m*D*a) + 1 points with
-    r taken at a' = 0.
-    """
-    k, den, rn, rd = _cover(spec, lattice)
-    m = 1 + spec.field.s
+    den = centre.den * bk_norm
+    rn = delta.norm() * r2.numerator
+    rd = r2.denominator * bk_norm
+    m = 1 + field.s
     budget = m * m * rn * den * den
-    sub = lattice.sub
-    rows = 2 * math.isqrt(budget // (rd * -spec.field.d)) // (sub.c * den) + 1
+    rows = 2 * math.isqrt(budget // (rd * -field.d)) // (sub.c * den) + 1
     per_row = 2 * math.isqrt(budget // rd) // (m * den * sub.a) + 1
-    return len(spec.digits) ** k * rows * (1 + per_row)
+    return _Plan(delta, sub, u, k, den, rn, rd, len(spec.digits) ** k * rows * (1 + per_row))
 
 
-def _candidate_numerators(spec: IFSSpec, lattice: _Lattice) -> set[tuple[int, int]]:
-    """All g in ``sub`` in the balls of ``_cover``, scaled by delta.
+def _candidate_numerators(spec: IFSSpec, plan: _Plan) -> set[tuple[int, int]]:
+    """All g in ``sub`` in the balls of the plan's cover, scaled by delta.
 
     Every point of the attractor lies in one of them.  The distinct depth-k
     words are built level by level as integer (x, y) pairs in the shifted
@@ -539,30 +540,30 @@ def _candidate_numerators(spec: IFSSpec, lattice: _Lattice) -> set[tuple[int, in
     each ball is scanned row by row with exact integer chords.
     """
     beta = spec.beta
-    k, den, rn, rd = _cover(spec, lattice)
     centre, _ = spec.disk
     b00, b01, b10, b11 = mul_matrix(beta)
     digits = shifted_digits(spec)
     words = {(centre.num.x, centre.num.y)}
-    for _ in range(k):
+    for _ in range(plan.k):
         words = {
             (b00 * x + b01 * y + ax, b10 * x + b11 * y + ay)
             for x, y in words
             for ax, ay in digits
         }
 
-    c00, c01, c10, c11 = mul_matrix(lattice.delta * (beta**k).conj())
-    sub = lattice.sub
+    c00, c01, c10, c11 = mul_matrix(plan.delta * (beta**plan.k).conj())
+    sub = plan.sub
     hnf = (sub.a, sub.b, sub.c)
     out: set[tuple[int, int]] = set()
     for x, y in words:
         _ball_candidates(
-            spec.field, c00 * x + c01 * y, c10 * x + c11 * y, den, rn, rd, out, hnf
+            spec.field, c00 * x + c01 * y, c10 * x + c11 * y,
+            plan.den, plan.rn, plan.rd, out, hnf,
         )
     return out
 
 
-def _attractor_numerators(spec: IFSSpec, lattice: _Lattice) -> list[tuple[int, int]]:
+def _attractor_numerators(spec: IFSSpec, plan: _Plan) -> list[tuple[int, int]]:
     """The g of ``_candidate_numerators`` with g/delta in S, by one counting peel.
 
     The candidates C hold every g in ``sub`` whose point g/delta can lie in
@@ -581,9 +582,9 @@ def _attractor_numerators(spec: IFSSpec, lattice: _Lattice) -> list[tuple[int, i
     beta^-j + beta^-k z_k for every k, which converges to a point of S; so
     Y ⊆ S.
     """
-    cands = _candidate_numerators(spec, lattice)
+    cands = _candidate_numerators(spec, plan)
     b00, b01, b10, b11 = mul_matrix(spec.beta)
-    steps = [(t.x, t.y) for t in (a * lattice.delta for a in spec.digits)]
+    steps = [(t.x, t.y) for t in (a * plan.delta for a in spec.digits)]
     preds: dict[tuple[int, int], list[tuple[int, int]]] = {g: [] for g in cands}
     count: dict[tuple[int, int], int] = {}
     dead = []
@@ -620,7 +621,7 @@ def enumerate_level(
     Given ``exponents`` n (at most level*b), only the points whose minimal
     tuple is at most n: the sweep then scans the lattice prod P_j^{-n_j}
     in place of alpha^-level.  Raises ``CapExceededError`` when the sweep's
-    cost bound from ``_scan_plan`` (lattice rows and points it may touch)
+    cost bound from ``_plan`` (lattice rows and points it may touch)
     exceeds ``cap``, and ``ArithmeticError`` if ``is_member`` rejects a
     point the peel kept.
     """
@@ -638,21 +639,20 @@ def enumerate_level(
         0 <= n <= t for n, t in zip(exponents, whole)
     ):
         raise ValueError(f"exponents must lie between 0 and {whole}")
-    lattice = _lattice(fact, exponents)
-    cost = _scan_plan(spec, lattice)
-    if cost > cap:
+    plan = _plan(spec, fact, exponents)
+    if plan.cost > cap:
         what = f"level-{level}" if exponents == whole else f"tuple-{exponents}"
         raise CapExceededError(
-            f"{what} sweep may touch {cost} lattice rows and points, "
+            f"{what} sweep may touch {plan.cost} lattice rows and points, "
             f"over cap {cap}",
-            estimate=cost,
+            estimate=plan.cost,
             cap=cap,
         )
-    u = lattice.u
-    conj_delta = lattice.delta.conj()
-    sub_norm = lattice.sub.norm
+    u = plan.u
+    conj_delta = plan.delta.conj()
+    sub_norm = plan.sub.norm
     points = []
-    for x, y in _attractor_numerators(spec, lattice):
+    for x, y in _attractor_numerators(spec, plan):
         g = QuadInt(spec.field, x, y)
         # z = g/delta = v/u with v = g * conj(delta) / N(sub)
         v = g * conj_delta
@@ -694,30 +694,28 @@ def full_intersection(
 ) -> IntersectionReport:
     """Intersection report in certified or bounded mode.
 
-    Both modes search the tuples n <= N*b with sum(n) < n0 for the maximal
-    ones the exact order does not exclude (``survivors``), with N = n_max
-    in bounded mode and N = n0 in certified mode, and sweep the lattice
-    prod P_j^{-n_j} of each.  Bounded mode so returns exactly the points of
-    level n_max, and raises ``CapExceededError`` when a survivor's sweep
-    cost from ``_scan_plan`` is over the cap.  Certified mode skips such a
+    Both modes search for the maximal tuples the exact order does not
+    exclude (``survivors``), at most n_max*b in bounded mode and of any
+    size in certified mode, and sweep the lattice prod P_j^{-n_j} of each.
+    Bounded mode so returns exactly the points of level n_max, and raises
+    ``CapExceededError`` when a survivor's sweep cost from ``_plan`` is over
+    the cap.  Certified mode skips such a
     survivor s and sweeps in its place min(s, L*b) for the largest level L
     whose cost fits; it then reports the least such L as ``level``.  Skipped
     survivors often share that part, so each distinct part is swept once,
     and not at all when another swept part contains it.  Its certificate n0
-    is reported either way.
+    is reported either way, and decides nothing in the search.
 
     ``exhausted`` holds when the survivor search was complete, so that its
-    survivors are those of the certified box, and none fell back: every
+    survivors are those of the uncut walk, and none fell back: every
     point's tuple then lies below a swept survivor.
     """
     report = preconditions(alpha, spec)
-    covering = None
     lb = None
     n0 = None
     if report.applicable_case is not None:
-        covering = covering_constants(spec)
         lb = c2_constant(spec.beta, report.alpha_factorization.primes)
-        n0 = certified_bound(report, covering, lb)
+        n0 = certified_bound(report, covering_constants(spec), lb)
 
     if mode == "certified":
         if n0 is None:
@@ -738,10 +736,10 @@ def full_intersection(
     def cost(n):
         c = costs.get(n)
         if c is None:
-            c = costs[n] = _scan_plan(spec, _lattice(fact, n))
+            c = costs[n] = _plan(spec, fact, n).cost
         return c
 
-    found, complete = survivors(report, spec, lb, level, n0)
+    found, complete = survivors(report, spec, lb, n_max if mode == "bounded" else None)
     sweeps = []
     for s in found:
         c = cost(s)
@@ -775,7 +773,6 @@ def full_intersection(
         certified_n0=n0,
         level=level,
         exhausted=complete and all(s.swept for s in sweeps),
-        covering=covering,
         lower_bound=lb,
         survivors=found,
         swept=tuple(sweeps),

@@ -222,6 +222,13 @@ class TestDimRenderCns:
         assert record["r_prime_sq"] == "1"
         assert record["covering"][2]["bound"] == "4"
 
+    def test_dim_negative_rows_refused(self, capsys):
+        code, out, err = run_cli(
+            capsys, "dim", "-d", "-1", "--beta", "3", "--digits", "0,2", "--rows", "-3"
+        )
+        assert code == 2 and out == ""
+        assert "--rows" in err
+
     def test_render(self, capsys, tmp_path):
         out = tmp_path / "pts.csv"
         svg = tmp_path / "pts.svg"

@@ -14,8 +14,7 @@ from quadcantor import intersection
 from quadcantor.ideals import prime_power_product
 from quadcantor.intersection import (
     _ball_candidates,
-    _lattice,
-    _scan_plan,
+    _plan,
     _shortest,
     survivors,
 )
@@ -232,7 +231,7 @@ class TestEnumerateLevel:
 
     def test_cap_is_the_scan_cost(self, gauss, gaussian_four):
         alpha = gauss.element(-4, 1)
-        cost = _scan_plan(gaussian_four, _lattice(qc.factor_element(alpha), (2,)))
+        cost = _plan(gaussian_four, qc.factor_element(alpha), (2,)).cost
         with pytest.raises(CapExceededError) as err:
             qc.enumerate_level(2, alpha, gaussian_four, cap=cost - 1)
         assert err.value.estimate == cost and err.value.cap == cost - 1
@@ -300,17 +299,17 @@ def _candidate_oracle(spec, alpha, level, exps):
     fact = qc.factor_element(alpha)
     if exps is None:
         exps = tuple(level * b for b in fact.exponents)
-    lattice = _lattice(fact, exps)
-    sub = lattice.sub
-    conj_delta = lattice.delta.conj()
+    plan = _plan(spec, fact, exps)
+    sub = plan.sub
+    conj_delta = plan.delta.conj()
     out = {}
-    for x, y in intersection._candidate_numerators(spec, lattice):
+    for x, y in intersection._candidate_numerators(spec, plan):
         g = spec.field.element(x, y)
         v = g * conj_delta
         v = spec.field.element(v.x // sub.norm, v.y // sub.norm)
-        if not qc.is_member(v, lattice.u, spec):
+        if not qc.is_member(v, plan.u, spec):
             continue
-        value = FieldElement.from_ratio(g, lattice.delta)
+        value = FieldElement.from_ratio(g, plan.delta)
         den_pow = 0
         while not (value * alpha**den_pow).is_integral():
             den_pow += 1
@@ -318,7 +317,7 @@ def _candidate_oracle(spec, alpha, level, exps):
             value=value,
             den_pow=den_pow,
             exponents=qc.minimal_tuple(value, fact),
-            coding=qc.coding_of(v, lattice.u, spec),
+            coding=qc.coding_of(v, plan.u, spec),
         )
     return out
 
@@ -330,20 +329,20 @@ def _whole_disk_points(spec, alpha, level, exps):
     fact = qc.factor_element(alpha)
     if exps is None:
         exps = tuple(level * b for b in fact.exponents)
-    lattice = _lattice(fact, exps)
+    plan = _plan(spec, fact, exps)
     r2 = spec.radius_sq
-    sub = lattice.sub
+    sub = plan.sub
     disk: set = set()
-    rn = lattice.delta.norm() * r2.numerator
+    rn = plan.delta.norm() * r2.numerator
     _ball_candidates(spec.field, 0, 0, 1, rn, r2.denominator, disk, (sub.a, sub.b, sub.c))
-    conj_delta = lattice.delta.conj()
+    conj_delta = plan.delta.conj()
     out = set()
     for x, y in disk:
         g = spec.field.element(x, y)
         v = g * conj_delta
         v = spec.field.element(v.x // sub.norm, v.y // sub.norm)
-        if qc.is_member(v, lattice.u, spec):
-            out.add(FieldElement.from_ratio(g, lattice.delta))
+        if qc.is_member(v, plan.u, spec):
+            out.add(FieldElement.from_ratio(g, plan.delta))
     return out
 
 
@@ -386,16 +385,15 @@ class TestScanPlan:
         monkeypatch.setattr(intersection, "_ball_candidates", counting)
         for spec, alpha, _, exps in _scan_cases():
             beta = spec.beta
-            lattice = _lattice(qc.factor_element(alpha), exps)
-            k = intersection._cover(spec, lattice)[0]
-            cost = _scan_plan(spec, lattice)
+            plan = _plan(spec, qc.factor_element(alpha), exps)
+            k, cost = plan.k, plan.cost
             # k is the least depth whose balls, scaled by delta, have
             # squared radius <= N(sub)
-            need = lattice.u * spec.disk[1]
+            need = plan.u * spec.disk[1]
             assert beta.norm() ** k >= need
             assert k == 0 or beta.norm() ** (k - 1) < need
             touched.clear()
-            intersection._candidate_numerators(spec, lattice)
+            intersection._candidate_numerators(spec, plan)
             assert len(touched) <= len(spec.digits) ** k
             assert sum(touched) <= cost
 
@@ -491,7 +489,8 @@ class TestSublattice:
         ):
             field = make_field(d)
             fact = qc.factor_element(field.element(*alpha))
-            lat = _lattice(fact, exps)
+            spec = qc.ifs_new(field.element(3), [field.element(0), field.element(1)])
+            lat = _plan(spec, fact, exps)
             ideal = prime_power_product(field, fact.primes, exps)
             assert lat.u == ideal.norm
             assert lat.delta.norm() == lat.u * lat.sub.norm
@@ -512,7 +511,7 @@ def _maximal(tuples):
     )
 
 
-def _oracle_survivors(spec, report, n_max, n0):
+def _oracle_survivors(spec, report, n_max):
     """Maximal tuples of the box that brute-force orders do not exclude.
 
     u_norm comes from the tuple's ideal: its least positive integer (the
@@ -522,8 +521,6 @@ def _oracle_survivors(spec, report, n_max, n0):
     field = spec.field
     kept, by_max = [], []
     for n in itertools.product(*(range(n_max * b + 1) for b in fact.exponents)):
-        if sum(n) >= n0:
-            continue
         ideal = prime_power_product(field, fact.primes, n)
         u_norm = ideal.a**2 if report.applicable_case == "case_i" else ideal.norm
         bound = qc.period_bound(spec, u_norm)
@@ -591,8 +588,8 @@ class TestSurvivors:
             _seeded_cases(rng, fields, 4, 3000),
             _seeded_cases(rng, fields, 2, 3000, split=True),
         ):
-            want, by_max = _oracle_survivors(spec, report, n_max, n0)
-            assert list(survivors(report, spec, lb, n_max, n0)[0]) == want
+            want, by_max = _oracle_survivors(spec, report, n_max)
+            assert list(survivors(report, spec, lb, n_max)[0]) == want
             excluded += want != [tuple(n_max * b for b in report.alpha_factorization.exponents)]
             lcm_needed += by_max != want
         # the cases exercise exclusion, and the lcm beyond the largest order
@@ -636,7 +633,7 @@ class TestSurvivors:
             report = qc.preconditions(gauss.element(alpha), cantor)
             lb = qc.c2_constant(cantor.beta, report.alpha_factorization.primes)
             n0 = qc.certified_bound(report, qc.covering_constants(cantor), lb)
-            assert list(survivors(report, cantor, lb, n0, n0)[0]) == want
+            assert list(survivors(report, cantor, lb, n0)[0]) == want
 
     def test_three_rational_primes(self, gauss, cantor):
         # 70 = (1+i)^2 (2+i)(2-i) 7 up to a unit: n0 = 497 over ell = 4,
@@ -646,7 +643,7 @@ class TestSurvivors:
         lb = qc.c2_constant(cantor.beta, report.alpha_factorization.primes)
         n0 = qc.certified_bound(report, qc.covering_constants(cantor), lb)
         start = time.perf_counter()
-        found, _ = survivors(report, cantor, lb, n0, n0)
+        found, _ = survivors(report, cantor, lb, n0)
         assert time.perf_counter() - start < 5
         assert n0 == 497 and len(found) == 13
         assert (28, 1, 1, 1) in found and max(sum(n) for n in found) < 40
@@ -677,13 +674,29 @@ class TestSurvivors:
         report = qc.preconditions(field.element(*alpha), spec)
         lb = qc.c2_constant(spec.beta, report.alpha_factorization.primes)
         assert qc.certified_bound(report, qc.covering_constants(spec), lb) == n0
-        assert list(survivors(report, spec, lb, n0, n0)[0]) == want
+        assert list(survivors(report, spec, lb, n0)[0]) == want
+
+    def test_survivor_sums_stay_below_the_certificate(self):
+        # the walk reads no n0: its kept tuples fail ``tuple_is_excluded``,
+        # which every tuple of sum n0 or more passes, and with no n_max cut
+        # every loop stops by the u test inside its box
+        rng = random.Random(41)
+        cases = []
+        for spec, _, report, lb, n0, _ in itertools.chain(
+            _seeded_cases(rng, (-1, -2, -3, -7, -11), 4, 3000),
+            _seeded_cases(rng, (-1, -2, -3, -7, -11), 2, 3000, split=True),
+        ):
+            found, complete = survivors(report, spec, lb, None)
+            assert complete
+            assert max(sum(n) for n in found) < n0
+            cases.append(report.applicable_case)
+        assert cases.count("case_i") >= 3 and cases.count("case_ii") >= 3
 
     def test_no_case_keeps_the_whole_box(self, gauss):
         spec = qc.ifs_new(gauss.element(-2, 1), [gauss.element(k) for k in range(5)])
         report = qc.preconditions(gauss.element(10), spec)
         assert report.applicable_case is None
-        assert survivors(report, spec, None, 3, None) == (((6, 3, 3),), False)
+        assert survivors(report, spec, None, 3) == (((6, 3, 3),), False)
 
 
 class TestBoundedMatchesLevelSweep:
@@ -754,7 +767,7 @@ class TestBoundedMatchesLevelSweep:
                         p for p in every if all(a <= b for a, b in zip(p.exponents, exps))
                     )
                     assert got == want
-                    non_principal += not _lattice(fact, exps).sub.is_unit()
+                    non_principal += not _plan(spec, fact, exps).sub.is_unit()
                     found += len(got)
         assert non_principal >= 10 and found >= 50
 
@@ -814,7 +827,7 @@ class TestFullIntersection:
         for s in rep.survivors:
             fit = max(
                 L for L in range(max(s) + 1)
-                if _scan_plan(cantor, _lattice(fact, intersection._clip(s, L, fact))) <= cap
+                if _plan(cantor, fact, intersection._clip(s, L, fact)).cost <= cap
             )
             part = intersection._clip(s, fit, fact)
             assert any(all(a <= b for a, b in zip(part, m)) for m in ran)
@@ -824,10 +837,8 @@ class TestFullIntersection:
         alpha = gauss.element(-4, 1)
         rep = qc.full_intersection(alpha, gaussian_four, mode="certified", cap=10**6)
         assert rep.certified_n0 == 109 and not rep.exhausted
-        lattice = _lattice(rep.preconditions.alpha_factorization, (12,))
-        assert [(s.exponents, s.cost) for s in rep.fallback] == [
-            ((12,), _scan_plan(gaussian_four, lattice))
-        ]
+        plan = _plan(gaussian_four, rep.preconditions.alpha_factorization, (12,))
+        assert [(s.exponents, s.cost) for s in rep.fallback] == [((12,), plan.cost)]
         assert rep.points == qc.enumerate_level(rep.level, alpha, gaussian_four, cap=10**6)
 
     def test_bounded_exhausts_once_its_box_reaches_n0(self, gauss, cantor):
@@ -840,6 +851,15 @@ class TestFullIntersection:
             assert (at.survivors, at.points) == (cert.survivors, cert.points)
             below = qc.full_intersection(alpha, cantor, mode="bounded", n_max=edge - 1)
             assert not below.exhausted
+
+    def test_bounded_box_is_cut_to_the_walk(self, gauss, cantor):
+        # n_max*b far above the walk's own box: the order tables are built
+        # only up to the box, so the run answers at once
+        start = time.perf_counter()
+        rep = qc.full_intersection(gauss.element(2), cantor, mode="bounded", n_max=10**12)
+        assert time.perf_counter() - start < 1
+        assert rep.survivors == ((20,),) and rep.exhausted
+        assert _values(rep.points) == _frac_values(gauss, WALL_D2)
 
     def test_seeded_bounded_exhausted_runs_find_every_point(self):
         rng = random.Random(37)
