@@ -54,6 +54,13 @@ def _require(args, *names: str) -> None:
             raise PreconditionError(f"missing required option --{name.replace('_', '-')}")
 
 
+def _cap_of(args, default: int) -> int:
+    cap = int(args.cap) if args.cap is not None else default
+    if cap < 0:
+        raise PreconditionError("--cap must be nonnegative")
+    return cap
+
+
 def _field_of(args):
     _require(args, "d")
     return make_field(int(args.d))
@@ -205,7 +212,7 @@ def _cmd_intersect(args) -> None:
     alpha = parse_element(args.alpha, field)
     mode = args.mode
     n_max = int(args.nmax) if args.nmax is not None else None
-    cap = int(args.cap) if args.cap is not None else DEFAULT_CAP
+    cap = _cap_of(args, DEFAULT_CAP)
     report = full_intersection(alpha, spec, mode=mode, n_max=n_max, cap=cap)
     points = []
     for pt in report.points:
@@ -356,8 +363,7 @@ def _cmd_render(args) -> None:
     spec = _spec_of(args, field)
     _require(args, "depth", "out")
     depth = int(args.depth)
-    cap = int(args.cap) if args.cap is not None else 1 << 20
-    pts = sample_points(spec, depth, cap=cap)
+    pts = sample_points(spec, depth, cap=_cap_of(args, 1 << 20))
     with open(args.out, "w") as fh:
         for z in pts:
             fh.write(f"{z.real:.12f},{z.imag:.12f}\n")

@@ -36,6 +36,7 @@ points the peel keeps are confirmed by ``is_member`` and coded by
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -359,12 +360,7 @@ def survivors(
         m_p[p] = held
 
     walk(0, 1, 1)
-    kept.sort(key=sum, reverse=True)
-    maximal: list[tuple[int, ...]] = []
-    for n in kept:
-        if not any(all(a <= b for a, b in zip(n, t)) for t in maximal):
-            maximal.append(n)
-    return tuple(sorted(maximal)), complete
+    return tuple(_maximal(kept)), complete
 
 
 @dataclass(frozen=True)
@@ -387,13 +383,13 @@ class Sweep(NamedTuple):
 class IntersectionReport:
     """Points found, with the certificate and the sweeps behind them.
 
-    Every point whose denominator divides alpha^level is in ``points``.
-    ``survivors`` are the maximal tuples the exact order does not exclude,
-    and ``swept`` lists each sweep in the order planned: a survivor over the
-    cap (certified mode only) appears unswept, followed by the part of it
-    that fitted unless an earlier entry lists that part or another swept
-    part contains it.  Each tuple is swept and listed once.  ``exhausted``
-    means ``points`` is the whole intersection, at every level.
+    Every point whose denominator divides alpha^level is in ``points``:
+    ``level`` is n0 (certified) or n_max (bounded), or if a survivor fell
+    back the largest level below n0 at which every survivor's min(s, L*b)
+    lies below a swept tuple.  ``survivors`` are the maximal tuples the
+    exact order does not exclude.  Per survivor, ``swept`` lists it unswept
+    if it fell back, then its swept part unless that is listed or lies below
+    another part.  ``exhausted`` means ``points`` is the whole intersection.
     """
 
     points: tuple[IntersectionPoint, ...]
@@ -507,6 +503,12 @@ class _Plan(NamedTuple):
     cost: int
 
 
+def _depth(spec: IFSSpec, fact: ElementFactorization, exponents: tuple[int, ...]) -> int:
+    """The depth of ``_plan``'s cover: least k with N(beta)^k >= N(I) * r'^2."""
+    u = math.prod(prime.norm**n for prime, n in zip(fact.primes, exponents))
+    return covering_exponent(spec.beta.norm(), spec.disk[1], Fraction(1, u))
+
+
 def _plan(spec: IFSSpec, fact: ElementFactorization, exponents: tuple[int, ...]) -> _Plan:
     field = spec.field
     ideal = prime_power_product(field, fact.primes, exponents)
@@ -518,9 +520,8 @@ def _plan(spec: IFSSpec, fact: ElementFactorization, exponents: tuple[int, ...])
         raise ArithmeticError("delta * conj(I) is not divisible by N(I)")
     sub = IdealHNF(field, scaled.a // u, scaled.b // u, scaled.c // u)
     centre, r2 = spec.disk
-    beta_norm = spec.beta.norm()
-    k = covering_exponent(beta_norm, r2, Fraction(1, u))
-    bk_norm = beta_norm**k
+    k = _depth(spec, fact, exponents)
+    bk_norm = spec.beta.norm() ** k
     den = centre.den * bk_norm
     rn = delta.norm() * r2.numerator
     rd = r2.denominator * bk_norm
@@ -696,15 +697,13 @@ def full_intersection(
 
     Both modes search for the maximal tuples the exact order does not
     exclude (``survivors``), at most n_max*b in bounded mode and of any
-    size in certified mode, and sweep the lattice prod P_j^{-n_j} of each.
-    Bounded mode so returns exactly the points of level n_max, and raises
-    ``CapExceededError`` when a survivor's sweep cost from ``_plan`` is over
-    the cap.  Certified mode skips such a
-    survivor s and sweeps in its place min(s, L*b) for the largest level L
-    whose cost fits; it then reports the least such L as ``level``.  Skipped
-    survivors often share that part, so each distinct part is swept once,
-    and not at all when another swept part contains it.  Its certificate n0
-    is reported either way, and decides nothing in the search.
+    size in certified mode, and sweep the lattice prod P_j^{-n_j} of each;
+    bounded mode so returns exactly the points of level n_max.  Certified
+    mode sweeps in place of a survivor s over the cap its part min(s, L*b)
+    for the largest level L whose cost from ``_plan`` fits, or L = 0.  Only
+    the ``_maximal`` parts are swept, and all are checked before the first
+    sweep: one over the cap raises ``CapExceededError`` naming its survivor.
+    The certificate n0 is reported either way, and decides nothing.
 
     ``exhausted`` holds when the survivor search was complete, so that its
     survivors are those of the uncut walk, and none fell back: every
@@ -731,36 +730,45 @@ def full_intersection(
         raise PreconditionError(f"unknown mode {mode!r}")
     fact = report.alpha_factorization
 
-    costs: dict[tuple[int, ...], int] = {}
-
+    @functools.cache
     def cost(n):
-        c = costs.get(n)
-        if c is None:
-            c = costs[n] = _plan(spec, fact, n).cost
-        return c
+        return _plan(spec, fact, n).cost
 
     found, complete = survivors(report, spec, lb, n_max if mode == "bounded" else None)
-    sweeps = []
+    parts = []
     for s in found:
-        c = cost(s)
-        if c <= cap:
-            sweeps.append(Sweep(s, c, True))
-            continue
-        if mode == "bounded":
-            raise CapExceededError(
-                f"sweep of survivor {s} may touch {c} lattice rows and points, "
-                f"over cap {cap}",
-                estimate=c,
-                cap=cap,
-            )
-        sweeps.append(Sweep(s, c, False))
-        fit = _den_power(s, fact) - 1
-        while fit > 0 and cost(_clip(s, fit, fact)) > cap:
-            fit -= 1
-        part = _clip(s, fit, fact)
-        sweeps.append(Sweep(part, cost(part), True))
-        level = min(level, fit)
-    sweeps = _drop_covered(sweeps)
+        part = s
+        # a plan costs at least 2*(#A)^k, so a deep cover is over unbuilt
+        while mode == "certified" and any(part) and (
+            2 * len(spec.digits) ** _depth(spec, fact, part) > cap or cost(part) > cap
+        ):
+            part = _clip(s, _den_power(part, fact) - 1, fact)
+        parts.append(part)
+    ran = _maximal(parts)
+    todo = set(ran)
+    sweeps = []
+    for s, part in zip(found, parts):
+        if part != s:
+            sweeps.append(Sweep(s, cost(s), False))
+        if part in todo:
+            if cost(part) > cap:
+                what = f"survivor {s}" if part == s else f"part {part} of survivor {s}"
+                raise CapExceededError(
+                    f"sweep of {what} may touch {cost(part)} lattice rows and points, "
+                    f"over cap {cap}",
+                    estimate=cost(part), cap=cap,
+                )
+            todo.remove(part)
+            sweeps.append(Sweep(part, cost(part), True))
+    # a fallen survivor's part min(s, L*b) has den power L, its level
+    fell = [_den_power(p, fact) for s, p in zip(found, parts) if p != s]
+    if fell:
+        # a point of level L lies below some s and below L*b: below min(s, L*b)
+        level = min(fell)
+        while level < n0 and ran == _maximal(
+            ran + [_clip(s, level + 1, fact) for s in found]
+        ):
+            level += 1
     points: dict[FieldElement, IntersectionPoint] = {}
     for sweep in sweeps:
         if sweep.swept:
@@ -772,32 +780,23 @@ def full_intersection(
         preconditions=report,
         certified_n0=n0,
         level=level,
-        exhausted=complete and all(s.swept for s in sweeps),
+        exhausted=complete and not fell,
         lower_bound=lb,
         survivors=found,
         swept=tuple(sweeps),
     )
 
 
-def _drop_covered(sweeps: list[Sweep]) -> list[Sweep]:
-    """The sweeps, each swept tuple once and none another swept tuple covers.
-
-    A sweep of n finds every point whose minimal tuple is at most n, so a
-    tuple at most another swept tuple adds no point.  Unswept entries stay.
-    """
-    ran = {s.exponents for s in sweeps if s.swept}
-    listed = set()
-    kept = []
-    for s in sweeps:
-        n = s.exponents
-        if s.swept:
-            if n in listed or any(
-                m != n and all(a <= b for a, b in zip(n, m)) for m in ran
-            ):
-                continue
-            listed.add(n)
-        kept.append(s)
-    return kept
+def _maximal(tuples: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The distinct tuples lying below no other, sorted: a sweep of n finds
+    every point whose minimal tuple is at most n, so sweeping a tuple below
+    another finds no new point.  By falling sum, a tuple lies below another
+    exactly when it lies below an earlier kept one."""
+    kept: list[tuple[int, ...]] = []
+    for n in sorted(set(tuples), key=sum, reverse=True):
+        if not any(all(a <= b for a, b in zip(n, m)) for m in kept):
+            kept.append(n)
+    return sorted(kept)
 
 
 def _clip(n: tuple[int, ...], level: int, fact: ElementFactorization) -> tuple[int, ...]:

@@ -301,6 +301,36 @@ class TestExitCodes:
         )
         assert code == 3
 
+    def test_survivor_over_cap_at_level_zero(self, capsys):
+        # the one survivor (0,) of the first spec is over the cap itself, and
+        # Wall's survivor (20,) has no part that fits, down to level 0: each
+        # run stops before any sweep and names its survivor
+        for argv, message in (
+            (
+                ("-d", "-1", "--alpha=-4-w", "--beta=-4+2*w",
+                 "--digits", "3-w,2,-3-2*w", "--cap", "4"),
+                "sweep of survivor (0,) may touch",
+            ),
+            (
+                ("-d", "-1", "--alpha", "2", "--beta", "3", "--digits", "0,2", "--cap", "5"),
+                "sweep of part (0,) of survivor (20,) may touch 6",
+            ),
+        ):
+            code, out, err = run_cli(capsys, "intersect", *argv, "--mode", "certified")
+            assert code == 3 and out == ""
+            assert message in err
+
+    def test_negative_cap_refused(self, capsys):
+        for argv in (
+            ("intersect", "-d", "-1", "--alpha", "2", "--mode", "certified"),
+            ("render", "-d", "-1", "--depth", "3", "--out", "/dev/null"),
+        ):
+            code, out, err = run_cli(
+                capsys, *argv, "--beta", "3", "--digits", "0,2", "--cap", "-1"
+            )
+            assert code == 2 and out == ""
+            assert "--cap" in err
+
     def test_order_too_long_to_print(self, capsys):
         # 20 * 5^9998 has 6,990 digits, over the interpreter's default 4,300
         code, out, err = run_cli(

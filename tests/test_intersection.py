@@ -841,6 +841,114 @@ class TestFullIntersection:
         assert [(s.exponents, s.cost) for s in rep.fallback] == [((12,), plan.cost)]
         assert rep.points == qc.enumerate_level(rep.level, alpha, gaussian_four, cap=10**6)
 
+    def test_seeded_certified_runs_under_caps(self):
+        # each run either raises for a survivor whose level-0 part is over
+        # the cap and below no other part, or sweeps an antichain of fitting
+        # parts that covers every survivor at the reported level, not above
+        def below(n, m):
+            return all(a <= b for a, b in zip(n, m))
+
+        rng = random.Random(47)
+        raised = fell = climbed = 0
+        for spec, alpha, report, lb, n0, _ in _seeded_cases(
+            rng, (-1, -2, -3, -7, -11), 8, 20000
+        ):
+            fact = report.alpha_factorization
+            found, _ = survivors(report, spec, lb, None)
+            costs = {}
+
+            def cost(n):
+                if n not in costs:
+                    costs[n] = _plan(spec, fact, n).cost
+                return costs[n]
+
+            def parts(s):
+                return [intersection._clip(s, L, fact) for L in range(max(s) + 1)]
+
+            for cap in (4, 16, 64, 256, 1024, 4096, 16384):
+                # a survivor's part is its largest fitting min(s, L*b), else
+                # its level-0 part; only the parts below no other are swept
+                fits = [
+                    max([L for L, n in enumerate(parts(s)) if cost(n) <= cap], default=0)
+                    for s in found
+                ]
+                want = [parts(s)[fit] for s, fit in zip(found, fits)]
+                top = set(_maximal(want))
+                over = [s for s, n in zip(found, want) if n in top and cost(n) > cap]
+                try:
+                    rep = qc.full_intersection(alpha, spec, mode="certified", cap=cap)
+                except CapExceededError as err:
+                    assert over and str(over[0]) in str(err)
+                    assert err.estimate == cost((0,) * fact.ell)
+                    raised += 1
+                    continue
+                assert not over
+                listed = []
+                for s, n in zip(found, want):
+                    if n != s:
+                        listed.append((s, cost(s), False))
+                    if n in top and (n, cost(n), True) not in listed:
+                        listed.append((n, cost(n), True))
+                assert rep.swept == tuple(listed)
+                ran = [s.exponents for s in rep.swept if s.swept]
+                assert all(cost(n) <= cap for n in ran)
+                assert len(set(ran)) == len(ran)
+                assert not any(n != m and below(n, m) for n in ran for m in ran)
+
+                def covered(level):
+                    return all(
+                        any(below(intersection._clip(s, level, fact), m) for m in ran)
+                        for s in found
+                    )
+
+                assert covered(rep.level)
+                if rep.fallback:
+                    assert rep.level < n0 and not covered(rep.level + 1)
+                    least = min(f for f, s, n in zip(fits, found, want) if n != s)
+                    climbed += rep.level > least
+                    fell += 1
+                else:
+                    assert rep.level == n0
+                bounded = qc.full_intersection(
+                    alpha, spec, mode="bounded", n_max=rep.level, cap=10**7
+                )
+                assert set(bounded.points) <= set(rep.points)
+        assert raised >= 3 and fell >= 20 and climbed >= 1
+
+    def test_fallback_level_is_the_largest_the_parts_cover(self, gauss, monkeypatch):
+        # survivors (5, 13) ... (89, 1) fall back to five parts whose sweeps
+        # cover level 6, above the least fallback level 5; levels whose
+        # cover alone is over the cap are skipped without building a plan
+        calls = []
+
+        def counted(*args):
+            calls.append(args[-1])
+            return _plan(*args)
+
+        monkeypatch.setattr(intersection, "_plan", counted)
+        spec = qc.ifs_new(gauss.element(-1, -2), [gauss.element(0), gauss.element(2, 1)])
+        rep = qc.full_intersection(gauss.element(5, 1), spec, mode="certified", cap=2**14)
+        assert rep.certified_n0 == 390 and len(rep.survivors) == 9
+        assert rep.level == 6
+        assert [s.exponents for s in rep.swept if s.swept] == [
+            (6, 6), (7, 5), (11, 4), (15, 3), (22, 1)
+        ]
+        assert len(calls) <= 40
+        bounded = qc.full_intersection(
+            gauss.element(5, 1), spec, mode="bounded", n_max=6, cap=10**7
+        )
+        assert set(bounded.points) <= set(rep.points)
+
+    def test_maximal_keeps_each_undominated_tuple_once(self):
+        rng = random.Random(53)
+        for _ in range(200):
+            ell = rng.randint(1, 3)
+            tuples = [
+                tuple(rng.randint(0, 3) for _ in range(ell))
+                for _ in range(rng.randint(0, 12))
+            ]
+            assert intersection._maximal(tuples) == sorted(set(_maximal(tuples)))
+
     def test_bounded_exhausts_once_its_box_reaches_n0(self, gauss, cantor):
         # from the edge on, the box n_max*b no longer cuts the survivor walk,
         # so the run sweeps the certified survivors; one level lower it does
