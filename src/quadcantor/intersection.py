@@ -27,9 +27,11 @@ images D((W + c)/beta^k, r'/|beta|^k) of the disk D(c, r') of
 N(beta)^k >= u * r'^2.  Its cost, the lattice rows plus points those balls
 can touch, is an exact integer bound, and the cap check and a capped
 certified run's fallback are both decided on it; lattice, cover and cost
-are the tuple's one plan (``_plan``).  The lattice points in the balls are
-decided together by one counting peel over them (``_attractor_numerators``),
-at most #A set lookups each, so the cost bounds the whole sweep; only the
+are the tuple's one plan (``_plan``).  The ball centres are built already
+scaled by the lattice's delta, and one scan over every ball collects the
+lattice points in them (``_candidate_numerators``).  Those are decided
+together by one counting peel over them (``_attractor_numerators``), at
+most #A set lookups each, so the cost bounds the whole sweep; only the
 points the peel keeps are confirmed by ``is_member`` and coded by
 ``coding_of``.
 """
@@ -39,6 +41,7 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -433,14 +436,22 @@ def _shortest(ideal: IdealHNF) -> QuadInt:
 
 
 def _ball_candidates(
-    field, X: int, Y: int, D: int, rn: int, rd: int, out: set, hnf: tuple[int, int, int]
+    field,
+    centres: Iterable[tuple[int, int]],
+    D: int,
+    rn: int,
+    rd: int,
+    out: set,
+    hnf: tuple[int, int, int],
 ) -> None:
-    """Add to ``out`` every (x, y) with |x + y*w - (X + Y*w)/D|^2 <= rn/rd
-    in the ideal whose Hermite form is hnf = (a, b, c).
+    """Add to ``out`` every (x, y) with |x + y*w - (X + Y*w)/D|^2 <= rn/rd,
+    for some (X, Y) in ``centres``, in the ideal whose Hermite form is
+    hnf = (a, b, c).
 
-    Everything sits over one common denominator, and each row y gets its
-    exact chord from ``isqrt``.  With w^2 = s*w + t, the scale m = 1 + s
-    (so w = (s + sqrt(d))/m) and a' = y*D - Y, the disk test reads
+    Every ball sits over one common denominator D and shares one radius, so
+    the constants below are computed once and each ball is scanned row by
+    row with its exact chord from ``isqrt``.  With w^2 = s*w + t, the scale
+    m = 1 + s (so w = (s + sqrt(d))/m) and a' = y*D - Y, the disk test reads
 
       rd*(m*D*x - m*X + s*a')^2 + rd*|d|*a'^2 <= budget = m^2*rn*D^2,
 
@@ -448,7 +459,7 @@ def _ball_candidates(
     m*D*x in [m*X - s*a' - r, m*X - s*a' + r] with
     r = isqrt((budget - rd*|d|*a'^2) // rd).  The ideal's rows are y = c*t,
     and row t holds the x = b*t (mod a): exactly its points in the closed
-    ball.
+    balls.
     """
     a, b, c = hnf
     s = field.s
@@ -458,14 +469,19 @@ def _ball_candidates(
     amax = math.isqrt(budget // rdd)
     md = m * D
     cd = c * D
-    for t in range(-((amax - Y) // cd), (Y + amax) // cd + 1):
-        y = c * t
-        dy = y * D - Y
-        r = math.isqrt((budget - rdd * dy * dy) // rd)
-        mid = m * X - s * dy
-        lo = -((r - mid) // md)
-        lo += (b * t - lo) % a
-        out.update([(x, y) for x in range(lo, (mid + r) // md + 1, a)])
+    isqrt = math.isqrt
+    add = out.add
+    for X, Y in centres:
+        mx = m * X
+        for t in range(-((amax - Y) // cd), (Y + amax) // cd + 1):
+            y = c * t
+            dy = y * D - Y
+            r = isqrt((budget - rdd * dy * dy) // rd)
+            mid = mx - s * dy
+            lo = -((r - mid) // md)
+            lo += (b * t - lo) % a
+            for x in range(lo, (mid + r) // md + 1, a):
+                add((x, y))
 
 
 class _Plan(NamedTuple):
@@ -503,12 +519,6 @@ class _Plan(NamedTuple):
     cost: int
 
 
-def _depth(spec: IFSSpec, fact: ElementFactorization, exponents: tuple[int, ...]) -> int:
-    """The depth of ``_plan``'s cover: least k with N(beta)^k >= N(I) * r'^2."""
-    u = math.prod(prime.norm**n for prime, n in zip(fact.primes, exponents))
-    return covering_exponent(spec.beta.norm(), spec.disk[1], Fraction(1, u))
-
-
 def _plan(spec: IFSSpec, fact: ElementFactorization, exponents: tuple[int, ...]) -> _Plan:
     field = spec.field
     ideal = prime_power_product(field, fact.primes, exponents)
@@ -520,7 +530,7 @@ def _plan(spec: IFSSpec, fact: ElementFactorization, exponents: tuple[int, ...])
         raise ArithmeticError("delta * conj(I) is not divisible by N(I)")
     sub = IdealHNF(field, scaled.a // u, scaled.b // u, scaled.c // u)
     centre, r2 = spec.disk
-    k = _depth(spec, fact, exponents)
+    k = covering_exponent(spec.beta.norm(), r2, Fraction(1, u))
     bk_norm = spec.beta.norm() ** k
     den = centre.den * bk_norm
     rn = delta.norm() * r2.numerator
@@ -535,32 +545,41 @@ def _plan(spec: IFSSpec, fact: ElementFactorization, exponents: tuple[int, ...])
 def _candidate_numerators(spec: IFSSpec, plan: _Plan) -> set[tuple[int, int]]:
     """All g in ``sub`` in the balls of the plan's cover, scaled by delta.
 
-    Every point of the attractor lies in one of them.  The distinct depth-k
-    words are built level by level as integer (x, y) pairs in the shifted
-    coordinate D*W + C, from C with the digits of ``shifted_digits``, and
-    each ball is scanned row by row with exact integer chords.
+    Every point of the attractor lies in one of them.  The ball around the
+    depth-k word W is centred at c*(D*W + C) over den, for the constant
+    c = delta*conj(beta^k), and D*W + C is built from C by the steps
+    V -> beta*V + a' with the digits a' of ``shifted_digits``.
+    Multiplication commutes, so c*(beta*V + a') = beta*(c*V) + c*a': the
+    words are built already scaled, from c*C with the digits c*a', as
+    integer (x, y) pairs, and the distinct ones are kept level by level.
+    The last level is not collected: the depth-(k-1) words times the digits
+    go straight to one ``_ball_candidates`` scan over every ball, where a
+    repeated centre only adds its points again.  At k = 0 the one ball is
+    centred at c*C = delta*C.
     """
     beta = spec.beta
     centre, _ = spec.disk
     b00, b01, b10, b11 = mul_matrix(beta)
-    digits = shifted_digits(spec)
-    words = {(centre.num.x, centre.num.y)}
-    for _ in range(plan.k):
+    c00, c01, c10, c11 = mul_matrix(plan.delta * (beta**plan.k).conj())
+    x, y = centre.num.x, centre.num.y
+    words = {(c00 * x + c01 * y, c10 * x + c11 * y)}
+    digits = [(c00 * x + c01 * y, c10 * x + c11 * y) for x, y in shifted_digits(spec)]
+    for _ in range(plan.k - 1):
         words = {
             (b00 * x + b01 * y + ax, b10 * x + b11 * y + ay)
             for x, y in words
             for ax, ay in digits
         }
-
-    c00, c01, c10, c11 = mul_matrix(plan.delta * (beta**plan.k).conj())
+    centres = words if not plan.k else (
+        (b00 * x + b01 * y + ax, b10 * x + b11 * y + ay)
+        for x, y in words
+        for ax, ay in digits
+    )
     sub = plan.sub
-    hnf = (sub.a, sub.b, sub.c)
     out: set[tuple[int, int]] = set()
-    for x, y in words:
-        _ball_candidates(
-            spec.field, c00 * x + c01 * y, c10 * x + c11 * y,
-            plan.den, plan.rn, plan.rd, out, hnf,
-        )
+    _ball_candidates(
+        spec.field, centres, plan.den, plan.rn, plan.rd, out, (sub.a, sub.b, sub.c)
+    )
     return out
 
 
@@ -700,9 +719,10 @@ def full_intersection(
     size in certified mode, and sweep the lattice prod P_j^{-n_j} of each;
     bounded mode so returns exactly the points of level n_max.  Certified
     mode sweeps in place of a survivor s over the cap its part min(s, L*b)
-    for the largest level L whose cost from ``_plan`` fits, or L = 0.  Only
-    the ``_maximal`` parts are swept, and all are checked before the first
-    sweep: one over the cap raises ``CapExceededError`` naming its survivor.
+    for the largest level L whose cost from ``_plan`` fits, or L = 0
+    (``_fallback_part``).  Only the ``_maximal`` parts are swept, and all
+    are checked before the first sweep: one over the cap raises
+    ``CapExceededError`` naming its survivor.
     The certificate n0 is reported either way, and decides nothing.
 
     ``exhausted`` holds when the survivor search was complete, so that its
@@ -735,15 +755,10 @@ def full_intersection(
         return _plan(spec, fact, n).cost
 
     found, complete = survivors(report, spec, lb, n_max if mode == "bounded" else None)
-    parts = []
-    for s in found:
-        part = s
-        # a plan costs at least 2*(#A)^k, so a deep cover is over unbuilt
-        while mode == "certified" and any(part) and (
-            2 * len(spec.digits) ** _depth(spec, fact, part) > cap or cost(part) > cap
-        ):
-            part = _clip(s, _den_power(part, fact) - 1, fact)
-        parts.append(part)
+    if mode == "certified":
+        parts = [_fallback_part(spec, fact, s, cap, cost) for s in found]
+    else:
+        parts = list(found)
     ran = _maximal(parts)
     todo = set(ran)
     sweeps = []
@@ -785,6 +800,47 @@ def full_intersection(
         survivors=found,
         swept=tuple(sweeps),
     )
+
+
+def _fallback_part(
+    spec: IFSSpec,
+    fact: ElementFactorization,
+    s: tuple[int, ...],
+    cap: int,
+    cost: Callable[[tuple[int, ...]], int],
+) -> tuple[int, ...]:
+    """The part min(s, L*b) a certified run sweeps for survivor s: s itself
+    when it fits, else that of the largest level L whose part's ``cost`` is
+    at most ``cap``, else that of L = 0.  The part of level L has den power
+    L for every L up to that of s.
+
+    A plan costs at least 2*(#A)^k, so a part whose cover depth k is above
+    kcap, the largest k with 2*(#A)^k <= cap, is over the cap unbuilt.  The
+    depth is the least k with N(beta)^k >= u*r'^2, for u = N(I) and
+    r'^2 = rn/rd, so it is above kcap exactly when
+    u*rn > N(beta)^kcap * rd.  u only grows with L, so the levels not that
+    deep are those up to one bisected level; below it the levels are
+    stepped down by ``cost``, which need not fall with L.
+    """
+    n_digits = len(spec.digits)
+    r2 = spec.disk[1]
+    room = -1  # N(beta)^kcap * rd; below every u*rn when no depth fits
+    k = 0
+    while 2 * n_digits**k <= cap:
+        room = spec.beta.norm() ** k * r2.denominator
+        k += 1
+    lo, hi = 0, _den_power(s, fact)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        part = _clip(s, mid, fact)
+        u = math.prod(prime.norm**n for prime, n in zip(fact.primes, part))
+        if u * r2.numerator > room:
+            hi = mid - 1
+        else:
+            lo = mid
+    while lo and cost(_clip(s, lo, fact)) > cap:
+        lo -= 1
+    return _clip(s, lo, fact)
 
 
 def _maximal(tuples: list[tuple[int, ...]]) -> list[tuple[int, ...]]:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -11,7 +12,10 @@ from order_oracle import brute_ord_mod
 import quadcantor as qc
 from quadcantor import CapExceededError, FieldElement, PreconditionError, make_field
 from quadcantor import intersection
+from quadcantor.fractal import covering_exponent
 from quadcantor.ideals import prime_power_product
+from quadcantor.membership import shifted_digits
+from quadcantor.quadring import mul_matrix
 from quadcantor.intersection import (
     _ball_candidates,
     _plan,
@@ -334,7 +338,7 @@ def _whole_disk_points(spec, alpha, level, exps):
     sub = plan.sub
     disk: set = set()
     rn = plan.delta.norm() * r2.numerator
-    _ball_candidates(spec.field, 0, 0, 1, rn, r2.denominator, disk, (sub.a, sub.b, sub.c))
+    _ball_candidates(spec.field, [(0, 0)], 1, rn, r2.denominator, disk, (sub.a, sub.b, sub.c))
     conj_delta = plan.delta.conj()
     out = set()
     for x, y in disk:
@@ -371,16 +375,43 @@ def _scan_cases():
             yield spec, alpha, level, tuple(rng.randint(0, level * b) for b in fact.exponents)
 
 
+def _plain_candidates(spec, plan):
+    """``_candidate_numerators`` built the plain way: the distinct unscaled
+    words D*W + C level by level, each taken through
+    delta*conj(beta^k), then one single-ball scan per word."""
+    b00, b01, b10, b11 = mul_matrix(spec.beta)
+    centre, _ = spec.disk
+    words = {(centre.num.x, centre.num.y)}
+    digits = shifted_digits(spec)
+    for _ in range(plan.k):
+        words = {
+            (b00 * x + b01 * y + ax, b10 * x + b11 * y + ay)
+            for x, y in words
+            for ax, ay in digits
+        }
+    c00, c01, c10, c11 = mul_matrix(plan.delta * (spec.beta**plan.k).conj())
+    sub = plan.sub
+    out: set = set()
+    for x, y in words:
+        _ball_candidates(
+            spec.field, [(c00 * x + c01 * y, c10 * x + c11 * y)],
+            plan.den, plan.rn, plan.rd, out, (sub.a, sub.b, sub.c),
+        )
+    return out
+
+
 class TestScanPlan:
     def test_cost_bounds_the_scan(self, monkeypatch):
         touched = []
 
-        def counting(field, X, Y, D, rn, rd, out, hnf):
-            ball: set = set()
-            _ball_candidates(field, X, Y, D, rn, rd, ball, hnf)
-            # rows that yielded points plus the points themselves
-            touched.append(len({y for _, y in ball}) + len(ball))
-            out |= ball
+        def counting(field, centres, D, rn, rd, out, hnf):
+            # one single-centre scan per ball of the batch
+            for centre in centres:
+                ball: set = set()
+                _ball_candidates(field, [centre], D, rn, rd, ball, hnf)
+                # rows that yielded points plus the points themselves
+                touched.append(len({y for _, y in ball}) + len(ball))
+                out |= ball
 
         monkeypatch.setattr(intersection, "_ball_candidates", counting)
         for spec, alpha, _, exps in _scan_cases():
@@ -394,8 +425,41 @@ class TestScanPlan:
             assert k == 0 or beta.norm() ** (k - 1) < need
             touched.clear()
             intersection._candidate_numerators(spec, plan)
+            assert touched  # the wrapper saw every ball
             assert len(touched) <= len(spec.digits) ** k
             assert sum(touched) <= cost
+
+    def test_scaled_word_tree_matches_the_plain_one(self, gauss, cantor, gaussian_four):
+        # the words built already scaled, with the last level fused into the
+        # scan, against scaling each plain word: the seeded specs, the
+        # sweep-planar plan and Wall D2 up to level 22
+        cases = [(spec, qc.factor_element(alpha), exps) for spec, alpha, _, exps in _scan_cases()]
+        cases.append((gaussian_four, qc.factor_element(gauss.element(-4, 1)), (3,)))
+        wall = qc.factor_element(gauss.element(2))
+        cases += [(cantor, wall, (2 * level,)) for level in (0, 1, 4, 10, 22)]
+        depths = set()
+        for spec, fact, exps in cases:
+            plan = _plan(spec, fact, exps)
+            got = intersection._candidate_numerators(spec, plan)
+            assert got == _plain_candidates(spec, plan)
+            depths.add(min(plan.k, 3))
+        assert depths == {0, 1, 2, 3}
+
+
+def _brute_ball(field, X, Y, D, rn, rd, ideal=None):
+    """The (x, y) with |x + y*w - (X + Y*w)/D|^2 <= rn/rd, in ``ideal`` if
+    given, by a scan of the square around the centre."""
+    # |x - X/D| and |y - Y/D| are at most 2*radius inside the ball
+    reach = 2 * (math.isqrt(rn // rd) + 1) + 2
+    want = set()
+    for x in range(X // D - reach, X // D + reach + 1):
+        for y in range(Y // D - reach, Y // D + reach + 1):
+            gap = field.element(D * x - X, D * y - Y)
+            if Fraction(gap.norm(), D * D) <= Fraction(rn, rd) and (
+                ideal is None or ideal.contains(field.element(x, y))
+            ):
+                want.add((x, y))
+    return want
 
 
 class TestBallCandidates:
@@ -411,18 +475,33 @@ class TestBallCandidates:
                 rn = rng.randint(0, 60)
                 rd = rng.randint(1, 9)
                 got: set = set()
-                _ball_candidates(field, X, Y, D, rn, rd, got, (1, 0, 1))
-                # |x - X/D| and |y - Y/D| are at most 2*radius inside the ball
-                reach = 2 * (math.isqrt(rn // rd) + 1) + 2
-                want = set()
-                for x in range(X // D - reach, X // D + reach + 1):
-                    for y in range(Y // D - reach, Y // D + reach + 1):
-                        gap = field.element(D * x - X, D * y - Y)
-                        if Fraction(gap.norm(), D * D) <= Fraction(rn, rd):
-                            want.add((x, y))
+                _ball_candidates(field, [(X, Y)], D, rn, rd, got, (1, 0, 1))
+                want = _brute_ball(field, X, Y, D, rn, rd)
                 assert got == want
                 kept += len(want)
         assert kept > 0
+
+    def test_batch_is_the_union_of_its_balls(self):
+        # one scan over many centres, overlapping and repeated ones among
+        # them, on the ring and on ideals
+        rng = random.Random(13)
+        shared = 0
+        for d in (-1, -3, -5, -7, -15):
+            field = make_field(d)
+            for _ in range(12):
+                z = field.element(rng.randint(1, 4), rng.randint(-2, 2))
+                ideal = qc.ideal_from_generators([z, field.element(rng.randint(1, 5))])
+                D = rng.randint(1, 6)
+                rn, rd = rng.randint(1, 90), rng.randint(1, 4)
+                centres = [(rng.randint(-20, 20), rng.randint(-20, 20)) for _ in range(6)]
+                centres.append(centres[0])
+                for hnf, lat in (((1, 0, 1), None), ((ideal.a, ideal.b, ideal.c), ideal)):
+                    got: set = set()
+                    _ball_candidates(field, iter(centres), D, rn, rd, got, hnf)
+                    balls = [_brute_ball(field, X, Y, D, rn, rd, lat) for X, Y in centres]
+                    assert got == set().union(*balls)
+                    shared += sum(map(len, balls)) > len(got)
+        assert shared > 0
 
 
 class TestSublattice:
@@ -442,16 +521,8 @@ class TestSublattice:
                 X, Y = rng.randint(-30, 30), rng.randint(-30, 30)
                 rn, rd = rng.randint(0, 90), rng.randint(1, 4)
                 got: set = set()
-                _ball_candidates(field, X, Y, D, rn, rd, got, (ideal.a, ideal.b, ideal.c))
-                reach = 2 * (math.isqrt(rn // rd) + 1) + 2
-                want = set()
-                for x in range(X // D - reach, X // D + reach + 1):
-                    for y in range(Y // D - reach, Y // D + reach + 1):
-                        gap = field.element(D * x - X, D * y - Y)
-                        if Fraction(gap.norm(), D * D) <= Fraction(rn, rd) and ideal.contains(
-                            field.element(x, y)
-                        ):
-                            want.add((x, y))
+                _ball_candidates(field, [(X, Y)], D, rn, rd, got, (ideal.a, ideal.b, ideal.c))
+                want = _brute_ball(field, X, Y, D, rn, rd, ideal)
                 assert got == want
                 kept += len(want)
         assert kept > 0
@@ -938,6 +1009,58 @@ class TestFullIntersection:
             gauss.element(5, 1), spec, mode="bounded", n_max=6, cap=10**7
         )
         assert set(bounded.points) <= set(rep.points)
+
+    def test_fallback_part_matches_the_stepwise_descent(self, gauss):
+        # the bisected descent against stepping the level down one at a
+        # time, rerunning the cover depth at each step
+        def depth(spec, fact, part):
+            u = math.prod(p.norm**n for p, n in zip(fact.primes, part))
+            return covering_exponent(spec.beta.norm(), spec.disk[1], Fraction(1, u))
+
+        def stepwise(spec, fact, s, cap, cost):
+            # the part, how many levels it skipped by depth, and the first
+            # part whose cover alone fits
+            part, deep, first = s, 0, None
+            while any(part):
+                fits = 2 * len(spec.digits) ** depth(spec, fact, part) <= cap
+                first = first or (part if fits else None)
+                if fits and cost(part) <= cap:
+                    break
+                deep += not fits
+                part = intersection._clip(s, intersection._den_power(part, fact) - 1, fact)
+            return part, deep, first
+
+        rng = random.Random(59)
+        cases = []
+        for spec, _, report, lb, _, _ in _seeded_cases(rng, (-1, -2, -3, -7, -11), 4, 20000):
+            cases.append((spec, report.alpha_factorization, survivors(report, spec, lb, None)[0]))
+        # u*r'^2 = 64/64 = N(beta)^0 at the part (6,): its depth 0 is kcap
+        # itself at caps 2 and 3, so (6,) is the first part costed there
+        edge = qc.ifs_new(gauss.element(4, -3), [gauss.element(0), gauss.element(1)])
+        assert edge.disk[1] == Fraction(1, 64)
+        cases.append((edge, qc.factor_element(gauss.element(2)), [(20,)]))
+        moved = deep = costly = 0
+        for spec, fact, found in cases:
+            cost = functools.cache(lambda n, spec=spec, fact=fact: _plan(spec, fact, n).cost)
+            for cap in (0, 1, 2, 3, 5, 16, 64, 256, 4096, 2**16, 2**20):
+                for s in found:
+                    asked = []
+                    part = intersection._fallback_part(
+                        spec, fact, s, cap, lambda n: asked.append(n) or cost(n)
+                    )
+                    want, skipped, first = stepwise(spec, fact, s, cap, cost)
+                    assert part == want
+                    # no plan is built for a part whose cover alone is over,
+                    # and the first one built is the deepest that is not
+                    assert all(2 * len(spec.digits) ** depth(spec, fact, n) <= cap for n in asked)
+                    assert asked[:1] == ([first] if first else [])
+                    if spec is edge and cap in (2, 3):
+                        assert first == (6,)
+                    moved += want != s
+                    deep += skipped > 1
+                    costly += want != s and not skipped
+        # descents of several levels by depth, and some by cost alone
+        assert moved >= 50 and deep >= 10 and costly >= 3
 
     def test_maximal_keeps_each_undominated_tuple_once(self):
         rng = random.Random(53)
