@@ -1,9 +1,11 @@
 """Command-line front end: factor, order, member, intersect, bound, dim,
 render, cns.
 
-Every subcommand emits one JSON record with sorted keys and a ``schema``
-version; all numbers are decimal strings so arbitrary precision survives
-serialization.  Exit codes: 0 success, 1 element-syntax error, 2 failed
+Every subcommand builds one record from plain library values and hands it
+to ``_emit``, which applies the format: ``_plain`` writes every number as a
+decimal string, so arbitrary precision survives serialization, and the
+record is printed as JSON with sorted keys and the integer ``schema``
+version.  Exit codes: 0 success, 1 element-syntax error, 2 failed
 precondition, 3 size cap exceeded.
 """
 
@@ -14,6 +16,7 @@ import decimal
 import json
 import math
 import sys
+from fractions import Fraction
 
 from . import cns as cnsmod
 from .errors import CapExceededError, FieldError, ParseError, PreconditionError
@@ -34,18 +37,31 @@ from .intersection import (
 )
 from .membership import coding_of, state_count
 from .orders import c2_constant, stabilization
-from .quadring import element_text, make_field, parse_element, parse_point
+from .quadring import FieldElement, QuadInt, make_field, parse_element, parse_point
 
 SCHEMA = 1
 
 
+def _plain(value):
+    """The JSON form of a record value: bools, strings and None as they are,
+    a float to 15 significant digits, an integer, element (``element_text``),
+    field element or fraction as its exact text, containers member by member.
+    Anything else is left for ``json.dumps`` to reject."""
+    if value is None or isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, float):
+        return f"{value:.15g}"
+    if isinstance(value, (int, QuadInt, FieldElement, Fraction)):
+        return str(value)
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
 def _emit(record: dict) -> None:
-    record["schema"] = SCHEMA
-    print(json.dumps(record, sort_keys=True, indent=2))
-
-
-def _fmt_float(x: float) -> str:
-    return f"{x:.15g}"
+    print(json.dumps(_plain(record) | {"schema": SCHEMA}, sort_keys=True, indent=2))
 
 
 def _require(args, *names: str) -> None:
@@ -80,16 +96,16 @@ def _cmd_factor(args) -> None:
     _emit(
         {
             "command": "factor",
-            "d": str(field.d),
-            "element": element_text(element),
-            "norm": str(element.norm()),
+            "d": field.d,
+            "element": element,
+            "norm": element.norm(),
             "factors": [
                 {
-                    "p": str(p.p),
-                    "e": str(p.e),
-                    "f": str(p.f),
-                    "hnf": [str(p.hnf.a), str(p.hnf.b), str(p.hnf.c)],
-                    "exponent": str(b),
+                    "p": p.p,
+                    "e": p.e,
+                    "f": p.f,
+                    "hnf": [p.hnf.a, p.hnf.b, p.hnf.c],
+                    "exponent": b,
                 }
                 for p, b in fact.factors
             ],
@@ -157,15 +173,15 @@ def _cmd_order(args) -> None:
     _emit(
         {
             "command": "order",
-            "d": str(field.d),
-            "beta": element_text(beta),
-            "p": str(prime.p),
-            "e": str(prime.e),
-            "f": str(prime.f),
-            "n": str(n),
-            "order": str(order),
-            "n0": str(stab.n0),
-            "m": str(stab.m),
+            "d": field.d,
+            "beta": beta,
+            "p": prime.p,
+            "e": prime.e,
+            "f": prime.f,
+            "n": n,
+            "order": order,
+            "n0": stab.n0,
+            "m": stab.m,
             "used_closed_form": n > prime.e + 1,
         }
     )
@@ -180,13 +196,13 @@ def _cmd_member(args) -> None:
     _emit(
         {
             "command": "member",
-            "d": str(field.d),
-            "point": str(point),
+            "d": field.d,
+            "point": point,
             "member": coding is not None,
-            "preperiod": [element_text(a) for a in coding.preperiod] if coding else [],
-            "period": [element_text(a) for a in coding.period] if coding else [],
-            "states": str(state_count(point.num, point.den, spec)),
-            "bound": str(period_bound(spec, point.den * point.den)),
+            "preperiod": coding.preperiod if coding else [],
+            "period": coding.period if coding else [],
+            "states": state_count(point.num, point.den, spec),
+            "bound": period_bound(spec, point.den * point.den),
         }
     )
 
@@ -199,7 +215,7 @@ def _precondition_record(report) -> dict:
         "case_ii_applicable": report.case_ii_applicable,
         "applicable_case": report.applicable_case,
         "alpha_factors": [
-            {"p": str(p.p), "e": str(p.e), "f": str(p.f), "exponent": str(b)}
+            {"p": p.p, "e": p.e, "f": p.f, "exponent": b}
             for p, b in report.alpha_factorization.factors
         ],
     }
@@ -220,33 +236,33 @@ def _cmd_intersect(args) -> None:
         assert scaled.is_integral()
         points.append(
             {
-                "num": element_text(scaled.num),
-                "den_pow": str(pt.den_pow),
-                "value": str(pt.value),
-                "tuple": [str(n) for n in pt.exponents],
-                "preperiod": [element_text(a) for a in pt.coding.preperiod],
-                "period": [element_text(a) for a in pt.coding.period],
+                "num": scaled.num,
+                "den_pow": pt.den_pow,
+                "value": pt.value,
+                "tuple": pt.exponents,
+                "preperiod": pt.coding.preperiod,
+                "period": pt.coding.period,
             }
         )
     _emit(
         {
             "command": "intersect",
-            "d": str(field.d),
-            "alpha": element_text(alpha),
-            "beta": element_text(spec.beta),
+            "d": field.d,
+            "alpha": alpha,
+            "beta": spec.beta,
             "preconditions": _precondition_record(report.preconditions),
-            "sigma": _fmt_float(report.preconditions.sigma),
+            "sigma": report.preconditions.sigma,
             "c1_params": {
-                "r_prime_sq": str(spec.radius_sq),
-                "beta_norm": str(spec.beta.norm()),
-                "digit_count": str(len(spec.digits)),
+                "r_prime_sq": spec.radius_sq,
+                "beta_norm": spec.beta.norm(),
+                "digit_count": len(spec.digits),
             },
-            "c2": str(report.lower_bound.c2) if report.lower_bound else None,
-            "n0": str(report.certified_n0) if report.certified_n0 is not None else None,
-            "level": str(report.level),
+            "c2": report.lower_bound.c2 if report.lower_bound else None,
+            "n0": report.certified_n0,
+            "level": report.level,
             "exhausted": report.exhausted,
             "points": points,
-            "survivors": [[str(n) for n in s] for s in report.survivors],
+            "survivors": report.survivors,
             "swept": [_sweep_record(s) for s in report.swept],
             "fallback": [_sweep_record(s) for s in report.fallback] or None,
         }
@@ -254,11 +270,7 @@ def _cmd_intersect(args) -> None:
 
 
 def _sweep_record(sweep) -> dict:
-    return {
-        "tuple": [str(n) for n in sweep.exponents],
-        "cost": str(sweep.cost),
-        "swept": sweep.swept,
-    }
+    return {"tuple": sweep.exponents, "cost": sweep.cost, "swept": sweep.swept}
 
 
 def _cmd_bound(args) -> None:
@@ -269,40 +281,29 @@ def _cmd_bound(args) -> None:
     report = preconditions(alpha, spec)
     record = {
         "command": "bound",
-        "d": str(field.d),
-        "alpha": element_text(alpha),
-        "beta": element_text(spec.beta),
+        "d": field.d,
+        "alpha": alpha,
+        "beta": spec.beta,
         "preconditions": _precondition_record(report),
-        "sigma": _fmt_float(report.sigma),
-        "r_prime_sq": str(spec.radius_sq),
+        "sigma": report.sigma,
+        "r_prime_sq": spec.radius_sq,
         "case": report.applicable_case,
-        "ell": str(report.alpha_factorization.ell),
+        "ell": report.alpha_factorization.ell,
     }
     if report.applicable_case is None:
-        record.update({"c2": None, "m_exponents": None, "n0": None, "samples": []})
+        record.update(c2=None, m_exponents=None, n0=None, samples=[])
         _emit(record)
         return
     covering = covering_constants(spec)
     lb = c2_constant(spec.beta, report.alpha_factorization.primes)
     n0 = certified_bound(report, covering, lb)
-    samples = []
     ell = report.alpha_factorization.ell
-    for j in range(ell):
-        tup = tuple(n0 if i == j else 0 for i in range(ell))
-        samples.append(
-            {
-                "tuple": [str(n) for n in tup],
-                "excluded": tuple_is_excluded(spec, lb, report.applicable_case, tup),
-            }
-        )
-    record.update(
-        {
-            "c2": str(lb.c2),
-            "m_exponents": [str(m) for m in lb.m_exponents],
-            "n0": str(n0),
-            "samples": samples,
-        }
-    )
+    tuples = [tuple(n0 if i == j else 0 for i in range(ell)) for j in range(ell)]
+    samples = [
+        {"tuple": t, "excluded": tuple_is_excluded(spec, lb, report.applicable_case, t)}
+        for t in tuples
+    ]
+    record.update(c2=lb.c2, m_exponents=lb.m_exponents, n0=n0, samples=samples)
     _emit(record)
 
 
@@ -317,21 +318,16 @@ def _cmd_dim(args) -> None:
     abs_beta = math.sqrt(spec.beta.norm())
     table = []
     for k in range(rows):
-        delta = r_prime / abs_beta**k
         table.append(
-            {
-                "k": str(k),
-                "delta": _fmt_float(delta),
-                "bound": str(len(spec.digits) ** k),
-            }
+            {"k": k, "delta": r_prime / abs_beta**k, "bound": len(spec.digits) ** k}
         )
     _emit(
         {
             "command": "dim",
-            "d": str(field.d),
-            "beta": element_text(spec.beta),
-            "sigma": _fmt_float(similarity_dimension(spec)),
-            "r_prime_sq": str(r2),
+            "d": field.d,
+            "beta": spec.beta,
+            "sigma": similarity_dimension(spec),
+            "r_prime_sq": r2,
             "covering": table,
         }
     )
@@ -374,7 +370,7 @@ def _cmd_render(args) -> None:
             "command": "render",
             "written": args.out,
             "svg": args.svg,
-            "points": str(len(pts)),
+            "points": len(pts),
         }
     )
 
@@ -391,9 +387,9 @@ def _cmd_cns(args) -> None:
         _emit(
             {
                 "command": "cns",
-                "n": str(basis.n),
-                "gamma": element_text(gamma),
-                "digits": [str(d) for d in digits],
+                "n": basis.n,
+                "gamma": gamma,
+                "digits": digits,
             }
         )
         return
@@ -402,9 +398,9 @@ def _cmd_cns(args) -> None:
     _emit(
         {
             "command": "cns",
-            "n": str(basis.n),
-            "digits": [str(d) for d in digits],
-            "value": element_text(value),
+            "n": basis.n,
+            "digits": digits,
+            "value": value,
         }
     )
 

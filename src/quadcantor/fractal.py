@@ -50,10 +50,11 @@ class IFSSpec:
 
         c = m/(beta - 1) for the digit centroid m.  With n = #A, r'^2 is the
         radius bound of the integral digits n*a - sum(A), divided by n^2.  Its
-        search tries the one denominator 64, which keeps the setup of each
-        spec short: one integer search in place of the 64 of ``radius_sq``.
-        When the disk is not smaller than R', the 0-centred disk of R' is
-        kept.  ``membership.state_count`` counts the states in this disk.
+        search tries the one denominator 64, one integer search in place of
+        the 64 of ``radius_sq``; but the comparison with R' reads
+        ``radius_sq``, so the first access runs that search too (and caches
+        it).  When the disk is not smaller than R', the 0-centred disk of R'
+        is kept.  ``membership.state_count`` counts the states in this disk.
         """
         n = len(self.digits)
         total = sum(self.digits, self.field.zero)

@@ -77,7 +77,7 @@ from .membership import (
     peel,
     shifted_digits,
 )
-from .orders import LowerBoundSpec, c2_constant, order_lower_bound
+from .orders import LowerBoundSpec, _power_mod, c2_constant, order_lower_bound
 from .quadring import FieldElement, QuadInt, mul_matrix, norm_form
 
 UFD_FIELDS = frozenset({-1, -2, -3, -7, -11, -19, -43, -67, -163})
@@ -328,7 +328,8 @@ def survivors(
         for st, t in zip(lb.stabilizations, top)
     ]
     n_digits = len(spec.digits)
-    order_max = n_digits ** bisect_left(highs, u_max)
+    bounds = [n_digits**k for k in range(len(highs) + 1)]  # period_bound per step
+    order_max = bounds[bisect_left(highs, u_max)]
     m_p = dict.fromkeys((prime.p for prime in primes), 0)
     last = len(primes) - 1
     path = [0] * len(primes)
@@ -354,7 +355,7 @@ def survivors(
                 path[j] = nj
                 m_p[p] = m
                 walk(j + 1, uj, oj)
-            elif oj <= n_digits ** bisect_left(highs, uj):
+            elif oj <= bounds[bisect_left(highs, uj)]:
                 best = nj
         else:
             complete = False
@@ -676,8 +677,7 @@ def enumerate_level(
         g = QuadInt(spec.field, x, y)
         # z = g/delta = v/u with v = g * conj(delta) / N(sub)
         v = g * conj_delta
-        if sub_norm > 1:
-            v = QuadInt(spec.field, v.x // sub_norm, v.y // sub_norm)
+        v = QuadInt(spec.field, v.x // sub_norm, v.y // sub_norm)
         value = FieldElement(v, u)
         if not is_member(v, u, spec):
             raise ArithmeticError(f"the peel kept {value}, which is not in the attractor")
@@ -699,10 +699,13 @@ def enumerate_level(
 def period_congruence_holds(
     point: IntersectionPoint, fact: ElementFactorization, beta: QuadInt
 ) -> bool:
-    """beta^m - 1 lies in prod p_j^{n_j} for the point's period length m."""
-    m = len(point.coding.period)
+    """beta^m - 1 lies in prod p_j^{n_j} for the point's period length m.
+
+    beta^m is powered modulo the product, so the cost grows with log m.
+    """
     product = prime_power_product(beta.field, fact.primes, point.exponents)
-    return product.contains(beta**m - 1)
+    pw = _power_mod(product)
+    return pw(beta.x, beta.y, len(point.coding.period)) == pw(1, 0, 0)
 
 
 def full_intersection(

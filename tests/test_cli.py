@@ -1,13 +1,15 @@
 import hashlib
 import json
+import shlex
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import quadcantor as qc
 from quadcantor import ntheory
-from quadcantor.cli import _decimal_digits, main
+from quadcantor.cli import _decimal_digits, _emit, _plain, main
 from quadcantor.intersection import DEFAULT_CAP
 
 
@@ -106,6 +108,28 @@ class TestOrder:
         code, _, err = run_cli(capsys, "order", "-d", "-1", "--beta", "3", "--p", "5")
         assert code == 2
         assert "disambiguate" in err
+
+    def test_hnf_picks_the_prime_of_its_root(self, capsys):
+        # in Z[i], (5, w-2) has the form 5,3,1 and (5, w-3), which holds
+        # beta = 2+w, the form 5,2,1
+        argv = ("order", "-d", "-1", "--beta", "2+w", "--p", "5")
+        by_hnf = run_cli(capsys, *argv, "--hnf", "5,3,1")
+        assert by_hnf[0] == 0 and by_hnf == run_cli(capsys, *argv, "--root", "2")
+        by_hnf = run_cli(capsys, *argv, "--hnf", "5,2,1")
+        assert by_hnf == run_cli(capsys, *argv, "--root", "3")
+        code, out, err = by_hnf
+        assert code == 2 and out == ""
+        assert "lies in the prime (5, w-3)" in err
+
+    def test_no_such_prime_exits_2(self, capsys):
+        argv = ("order", "-d", "-1", "--beta", "2+w", "--p", "5")
+        for option, message in (
+            (("--hnf", "5,1,1"), "hnf 5,1,1 is not a prime above 5"),
+            (("--root", "4"), "w-4 does not cut out a prime above 5"),
+        ):
+            code, out, err = run_cli(capsys, *argv, *option)
+            assert code == 2 and out == ""
+            assert message in err
 
 
 class TestMember:
@@ -412,3 +436,53 @@ class TestConfig:
             capsys, "member", "--config", str(cfg), "--point", "1/4"
         )
         assert record["member"] is True
+
+
+def _readme_commands():
+    """The argv of each command in the README's "Command line" block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [line for line in block.splitlines() if line.startswith("quadcantor ")]
+    return [shlex.split(line)[1:] for line in lines]
+
+
+def _leaves(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for v in value:
+            yield from _leaves(v)
+    else:
+        yield value
+
+
+class TestFormat:
+    def test_readme_records_hold_only_text_bools_and_null(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # render writes its files here
+        commands = _readme_commands()
+        assert {argv[0] for argv in commands} == {
+            "factor", "order", "member", "intersect", "bound", "dim", "render", "cns"
+        }
+        for argv in commands:
+            record = run_json(capsys, *argv)
+            assert record.pop("schema") == 1
+            for leaf in _leaves(record):
+                assert leaf is None or isinstance(leaf, (str, bool)), (argv, leaf)
+
+    def test_plain_maps_each_type(self, gauss):
+        z = gauss.element(-4, 1)
+        assert _plain(True) is True and _plain(False) is False
+        assert _plain(None) is None and _plain("1/4") == "1/4"
+        assert _plain(0.1 + 0.2) == "0.3" and _plain(1 / 3) == "0.333333333333333"
+        assert _plain(-(10**40)) == "-1" + "0" * 40 and _plain(0) == "0"
+        assert _plain(z) == "-4+w"
+        assert _plain(qc.FieldElement(z, 5)) == "(-4+w)/5"
+        assert _plain(Fraction(-3, 4)) == "-3/4"
+        assert _plain({"a": (1, [True, None]), "b": {"c": z}}) == {
+            "a": ["1", [True, None]],
+            "b": {"c": "-4+w"},
+        }
+        other = object()
+        assert _plain([other]) == [other]
+        with pytest.raises(TypeError):
+            _emit({"value": other})

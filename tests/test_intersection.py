@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -191,6 +192,59 @@ class TestCertifiedBound:
             assert qc.tuple_is_excluded(cantor, lb, "case_i", tup)
 
 
+    @staticmethod
+    def _widen_below(monkeypatch, top):
+        """Widen every log2 bracket asked for below ``top`` bits by 1/64,
+        too wide to separate the floors; return the precisions asked for."""
+        exact = intersection.log2_interval
+        asked = []
+
+        def widened(x, prec):
+            asked.append(prec)
+            lo, hi = exact(x, prec)
+            if prec < top:
+                return lo - Fraction(1, 64), hi + Fraction(1, 64)
+            return lo, hi
+
+        monkeypatch.setattr(intersection, "log2_interval", widened)
+        return asked
+
+    @staticmethod
+    def _bound_cases(gauss, cantor, gaussian_four):
+        """(report, covering, lb, n0): Wall D2 in case (i), the Gaussian
+        four-digit spec in case (ii)."""
+        out = []
+        for spec, alpha in ((cantor, gauss.element(2)), (gaussian_four, gauss.element(-4, 1))):
+            rep = qc.preconditions(alpha, spec)
+            covering = qc.covering_constants(spec)
+            lb = qc.c2_constant(spec.beta, rep.alpha_factorization.primes)
+            out.append((rep, covering, lb, qc.certified_bound(rep, covering, lb)))
+        return out
+
+    def test_precision_doubles_until_the_brackets_separate(
+        self, gauss, cantor, gaussian_four, monkeypatch
+    ):
+        cases = self._bound_cases(gauss, cantor, gaussian_four)
+        asked = self._widen_below(monkeypatch, 256)
+        for rep, covering, lb, n0 in cases:
+            asked.clear()
+            assert qc.certified_bound(rep, covering, lb) == n0
+            assert sorted(set(asked)) == [64, 128, 256]
+
+    def test_fallback_past_4096_bits_is_sound(self, gauss, cantor, gaussian_four, monkeypatch):
+        # brackets that never separate: the larger candidate of the last
+        # pass is returned, at least n0, and it still excludes its tuple
+        cases = self._bound_cases(gauss, cantor, gaussian_four)
+        asked = self._widen_below(monkeypatch, math.inf)
+        for rep, covering, lb, n0 in cases:
+            asked.clear()
+            got = qc.certified_bound(rep, covering, lb)
+            assert max(asked) == 4096
+            assert got >= n0
+            spec = cantor if rep.applicable_case == "case_i" else gaussian_four
+            assert qc.tuple_is_excluded(spec, lb, rep.applicable_case, (got,))
+
+
 class TestEnumerateLevel:
     def test_wall_level_four(self, gauss, cantor):
         pts = qc.enumerate_level(4, gauss.element(2), cantor)
@@ -279,6 +333,56 @@ class TestEnumerateLevel:
         assert stored <= sum(
             qc.state_count(p.value.num, p.value.den, spec) for p in pts
         )
+
+
+class TestPeriodCongruence:
+    @staticmethod
+    def _with_period(point, m, exponents=None):
+        """The point with a coding period of length m and, optionally,
+        other exponents."""
+        coding = qc.Coding(preperiod=(), period=(point.value.num.field.zero,) * m)
+        return dataclasses.replace(
+            point, coding=coding, exponents=exponents or point.exponents
+        )
+
+    def test_matches_the_power_rule(self, gauss, gaussian_four):
+        # on the fixed and seeded sweep points, and on each with a longer
+        # period or a raised exponent: the answer of beta^m - 1 in the ideal
+        seen = set()
+        for spec, alpha, level, exps in _fixed_cases(gauss, gaussian_four) + list(
+            _scan_cases()
+        ):
+            fact = qc.factor_element(alpha)
+            for pt in qc.enumerate_level(level, alpha, spec, cap=10**6, exponents=exps):
+                m = len(pt.coding.period)
+                raised = [
+                    tuple(n + (i == j) for i, n in enumerate(pt.exponents))
+                    for j in range(fact.ell)
+                ]
+                for q, tup in itertools.product((m, m + 1, 2 * m + 1), [pt.exponents, *raised]):
+                    ideal = prime_power_product(spec.field, fact.primes, tup)
+                    want = ideal.contains(spec.beta**q - 1)
+                    variant = self._with_period(pt, q, tup)
+                    assert qc.period_congruence_holds(variant, fact, spec.beta) == want
+                    seen.add(want)
+        assert seen == {True, False}
+
+    def test_long_period_checks_fast(self, gauss, cantor):
+        # the answer is whether the exact order divides the period length
+        alpha = gauss.element(10)
+        fact = qc.factor_element(alpha)
+        value = FieldElement(gauss.element(1), 40)
+        [pt] = [p for p in qc.enumerate_level(3, alpha, cantor) if p.value == value]
+        ideal = prime_power_product(gauss, fact.primes, pt.exponents)
+        order = qc.ord_mod(cantor.beta, ideal)
+        assert order > 1
+        multiple = 10**6 // order * order
+        for m in (multiple, multiple + 1):
+            long = self._with_period(pt, m)
+            start = time.perf_counter()
+            holds = qc.period_congruence_holds(long, fact, cantor.beta)
+            assert time.perf_counter() - start < 0.25
+            assert holds == (m % order == 0)
 
 
 def _fixed_cases(gauss, gaussian_four):
