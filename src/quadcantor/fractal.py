@@ -29,8 +29,10 @@ class IFSSpec:
     """A base beta with norm >= 2 and a digit set of at least two elements.
 
     Everything derived from the spec alone is cached on it: R'^2, the orbit
-    disk and the orbit graphs ``membership`` explores (``_spaces``, from u to
-    its graph).  So the caches live exactly as long as the spec does.
+    disk and the labels ``membership`` searches find (``_spaces``, from u to
+    the labelled states over u).  The labels cover only the states some
+    search finished, not whole orbit graphs.  So the caches live exactly as
+    long as the spec does.
     """
 
     field: FieldSpec
@@ -54,7 +56,8 @@ class IFSSpec:
         the 64 of ``radius_sq``; but the comparison with R' reads
         ``radius_sq``, so the first access runs that search too (and caches
         it).  When the disk is not smaller than R', the 0-centred disk of R'
-        is kept.  ``membership.state_count`` counts the states in this disk.
+        is kept.  ``membership.state_count`` counts the states a walk reaches
+        in this disk, testing each one; it reads no stored label.
         """
         n = len(self.digits)
         total = sum(self.digits, self.field.zero)

@@ -74,7 +74,6 @@ from .membership import (
     Coding,
     coding_of,
     is_member,
-    peel,
     shifted_digits,
 )
 from .orders import LowerBoundSpec, _power_mod, c2_constant, order_lower_bound
@@ -591,11 +590,17 @@ def _attractor_numerators(spec: IFSSpec, plan: _Plan) -> list[tuple[int, int]]:
     S.  The successor beta*z - a of z = g/delta is g'/delta with
     g' = beta*g - a*delta, which lies in ``sub`` because delta does, so each
     candidate makes #A set lookups and no division.  Each candidate counts
-    its successors in C and records itself as their predecessor, and
-    ``peel`` leaves a positive count on exactly the candidates that an
-    infinite path inside C leaves.  Those are returned.
+    its successors in C and records itself as their predecessor.  The peel
+    then lowers the count of each predecessor of a candidate whose count is
+    0, and peels those that reach 0 too.  The candidates left unpeeled are
+    returned.
 
-    Proof.  The unpeeled set Y is S ∩ L, for L the swept lattice.  S ∩ L
+    Proof.  A candidate is peeled only once all its successors are peeled
+    before it, so by induction no infinite path inside C leaves it; an
+    unpeeled one has an unpeeled successor, so following such successors
+    never stops.  So the unpeeled set Y is the set of candidates an infinite
+    path inside C leaves (a self-loop, as for 0 when 0 is a digit, keeps its
+    candidate's count positive).  Y is S ∩ L, for L the swept lattice.  S ∩ L
     lies in C, and each of its points has a successor in S (a coding's first
     step), which lies in L because beta and the digits are integral; so an
     infinite path inside C leaves each, and S ∩ L ⊆ Y.  An infinite path
@@ -622,7 +627,11 @@ def _attractor_numerators(spec: IFSSpec, plan: _Plan) -> list[tuple[int, int]]:
         count[g] = n
         if not n:
             dead.append(g)
-    peel(count, preds, dead)
+    while dead:
+        for p in preds[dead.pop()]:
+            count[p] -= 1
+            if not count[p]:
+                dead.append(p)
     return [g for g, n in count.items() if n]
 
 

@@ -16,17 +16,20 @@ So a state is alive exactly when it lies in S, whatever K is.  Membership
 does not depend on the disk, nor do codings, whose walk takes the lowest
 digit with a successor in S; only ``state_count`` does.
 
-Each spec keeps one explored graph per denominator u, so repeated queries
-over one spec and u explore each state once, and dropping the spec frees
-them.  A graph keeps one label per state, and walks recompute the
-successors beta*s - a.  Level sweeps decide their candidates by the same
-``peel`` (``intersection``) and query only the points they keep, so the
-spec holds just those points' orbits.
+Each spec keeps one labelled graph per denominator u, so repeated queries
+over one spec and u search each state at most once, and dropping the spec
+frees them.  A query is one depth-first search in digit order that stops
+at its first proof (``_label``), and it stores for each state it finishes
+that state's coding digit: the lowest digit whose successor lies in S, or
+-1 for none.  A coding follows the stored digits, one successor per step,
+and walks recompute the successors beta*s - a.  Level sweeps decide their
+candidates by a counting peel of their own (``intersection``) and query
+only the points they keep, so the spec holds just those points' searches.
 
 A coding is checked by the same orbit map: ``verify_coding`` walks
 s -> beta*s - a*u from the numerator v along the coding's digits and
 accepts exactly when the period brings the walk back to the state where it
-began.  Like the exploration, it runs on integer coordinate pairs and needs
+began.  Like the search, it runs on integer coordinate pairs and needs
 no power of beta.
 """
 
@@ -61,7 +64,7 @@ def shifted_digits(spec: IFSSpec) -> tuple[tuple[int, int], ...]:
 
 
 class _Space:
-    """The lazily explored orbit graph over the denominator u.
+    """The lazily searched orbit graph over the denominator u.
 
     With c = C/D in lowest terms, the point v/u has the state
     s = D*v - C*u, so s/(D*u) = v/u - c.  The edge v -> beta*v - a*u becomes
@@ -69,10 +72,13 @@ class _Space:
     (``shifted_digits``) are integral, and the disk test is
     N(s) * rd <= rn * D^2 * u^2 for r'^2 = rn/rd.
 
-    ``alive`` maps each explored state to whether an infinite path leaves
-    it.  A region enters it only after ``_ensure_alive`` has explored and
-    labelled all of it, so every key lies in the disk and every successor of
-    a key that lies in the disk is a key: being a key is the disk test.
+    ``alive`` maps each state a search has finished to its label: the index
+    of its lowest digit whose successor is alive, or -1 when no infinite
+    path leaves it (``_label``).  Only final labels are written, so queries
+    in several threads may share it.  Every key lies in the disk, but a
+    search stops at its first proof and leaves the other successors of the
+    states it finished alive unlabelled: the keys are not closed under
+    successors.
     """
 
     def __init__(self, spec: IFSSpec, u: int):
@@ -84,133 +90,131 @@ class _Space:
         self.nxy, self.nyy = norm_form(spec.field)
         self.bound_num = r2.numerator * d * d * u * u
         self.bound_den = r2.denominator
-        self.alive: dict[tuple[int, int], bool] = {}
+        self.alive: dict[tuple[int, int], int] = {}
 
     def inside(self, x: int, y: int) -> bool:
         return (x * x + self.nxy * x * y + self.nyy * y * y) * self.bound_den <= self.bound_num
 
 
-def peel(count: dict, preds: dict, dead: list) -> None:
-    """Lower ``count`` to 0 on exactly the states no infinite path leaves.
+def _label(space: _Space, root: tuple[int, int]) -> int:
+    """The label of a state in the disk, found by one search in digit order.
 
-    The graph is a finite region plus states outside it already labelled.
-    ``count`` maps each state of the region to its number of successors that
-    lie in the region or are known alive, ``preds`` lists for each state of
-    the region its predecessors in the region (once per edge), and ``dead``
-    holds the states whose count is 0.  A dead state's death lowers the
-    count of each of its predecessors, and one that reaches 0 is dead too.
+    A depth-first search keeps its path, the states it has started and not
+    finished, in a set of its own.  A state tries its successors
+    w_i = beta*s - a_i for i = 0, 1, ... in turn: it skips w_i when w_i
+    lies outside the disk or is labelled -1, and searches w_i first when
+    w_i is unlabelled and off the path.  It finishes with the label i as
+    soon as w_i is labelled alive (>= 0) or lies on the path, and with -1
+    once it has skipped every successor.  When one state finishes alive,
+    so does each state below it on the path, with the digit it was trying:
+    the search stops at its first proof.
 
-    Proof.  A state is peeled only once all its successors are known dead or
-    peeled before it, so by induction on the peeling order no infinite path
-    leaves a peeled state.  An unpeeled state has a successor that is known
-    alive or unpeeled itself, so following such successors never stops.  A
-    self-loop counts like any other edge and keeps its state's count
-    positive, as for 0 when 0 is a digit.
-    """
-    while dead:
-        for p in preds[dead.pop()]:
-            count[p] -= 1
-            if not count[p]:
-                dead.append(p)
-
-
-def _ensure_alive(space: _Space, root: tuple[int, int]) -> None:
-    """Explore and label the unlabelled region the root reaches, in one pass.
-
-    A state is alive when an infinite path leaves it; in a finite graph that
-    is the same as reaching a cycle.  A DFS over the new region counts each
-    state's successors in the disk not known dead and records its
-    predecessors in the region; ``peel`` then finds the dead states.
+    Proof, by induction on the finish order, that a state finishes with
+    i >= 0 exactly when an infinite path in the disk leaves it, and then i
+    is its lowest digit whose successor is alive.  Let every state that
+    finished before s have an exact label, in this search or another.  If
+    w_i is labelled alive, an infinite path leaves w_i and so s.  If w_i
+    lies on the path, the search reached s from w_i by edges in the disk,
+    and w_i -> ... -> s -> w_i is a cycle.  Each w_j with j < i was skipped:
+    it lies outside the disk, so not in S, or it finished with -1 before s,
+    which is exact.  If s finishes with -1, each of its successors lies
+    outside the disk or finished with -1 before s, so no infinite path
+    leaves s.  A self-loop is a successor on the path, as for 0 when 0 is
+    a digit.  Labels enter ``alive`` only when final, so another search
+    reads only exact ones.
     """
     alive = space.alive
-    if root in alive:
-        return
+    known = alive.get(root)
+    if known is not None:
+        return known
     m00, m01, m10, m11 = space.beta_matrix
     nxy, nyy = space.nxy, space.nyy
     bound_num, bound_den = space.bound_num, space.bound_den
     digits = space.scaled_digits
-    count = {}
-    dead = []
-    preds: dict[tuple[int, int], list[tuple[int, int]]] = {root: []}
-    stack = [root]
-    while stack:
-        key = stack.pop()
-        x, y = key
-        bx = m00 * x + m01 * y
-        by = m10 * x + m11 * y
-        n = 0
-        for ax, ay in digits:
+    n = len(digits)
+    x, y = root
+    path = {root}
+    # one frame per state on the path: the state, beta*state, the digit tried
+    stack = [[root, m00 * x + m01 * y, m10 * x + m11 * y, 0]]
+    while True:
+        frame = stack[-1]
+        key, bx, by, i = frame
+        while i < n:
+            ax, ay = digits[i]
             wx = bx - ax
             wy = by - ay
             if (wx * wx + nxy * wx * wy + nyy * wy * wy) * bound_den <= bound_num:  # inside()
                 w = (wx, wy)
+                if w in path:
+                    break
                 known = alive.get(w)
                 if known is None:
-                    n += 1
-                    into = preds.get(w)
-                    if into is None:
-                        preds[w] = [key]
-                        stack.append(w)
-                    else:
-                        into.append(key)
-                elif known:
-                    n += 1
-        count[key] = n
-        if not n:
-            dead.append(key)
-    peel(count, preds, dead)
-    alive.update({key: n > 0 for key, n in count.items()})
+                    frame[3] = i
+                    path.add(w)
+                    stack.append([w, m00 * wx + m01 * wy, m10 * wx + m11 * wy, 0])
+                    break
+                if known >= 0:
+                    break
+            i += 1
+        else:
+            alive[key] = -1
+            path.remove(key)
+            stack.pop()
+            if not stack:
+                return -1
+            stack[-1][3] += 1
+            continue
+        if stack[-1] is frame:
+            # w_i proves the top state alive, and with it the whole path
+            frame[3] = i
+            for key, _, _, i in reversed(stack):
+                alive[key] = i
+            return i
 
 
-def _explore(v: QuadInt, u: int, spec: IFSSpec) -> tuple[_Space, tuple[int, int]] | None:
-    """The query's space and root, or None when v/u lies outside the disk.
+def _root(v: QuadInt, u: int, spec: IFSSpec) -> tuple[_Space, tuple[int, int] | None]:
+    """The query's space and root state, the root None when v/u lies outside the disk.
 
-    This is each query's one exploration: on return every state reachable
-    from the root within the disk is a key of ``alive``, with its label.
+    The inputs are checked before any space is looked up or built.
     """
+    if not isinstance(u, int) or isinstance(u, bool):
+        raise TypeError("denominator u must be an int")
+    if u < 1:
+        raise ValueError("denominator u must be a positive integer")
+    if v.field is not spec.field and v.field != spec.field:
+        raise FieldError("operands belong to different fields")
     space = spec._spaces.get(u)
     if space is None:
-        if u < 1:
-            raise ValueError("denominator u must be a positive integer")
-        space = spec._spaces[u] = _Space(spec, u)
+        space = spec._spaces.setdefault(u, _Space(spec, u))
     root = (space.d * v.x - space.cux, space.d * v.y - space.cuy)
-    if not space.inside(*root):
-        return None
-    _ensure_alive(space, root)
-    return space, root
+    return space, root if space.inside(*root) else None
 
 
 def is_member(v: QuadInt, u: int, spec: IFSSpec) -> bool:
     """Whether v/u lies in S(beta, A); exact, independent of the pruning disk."""
-    found = _explore(v, u, spec)
-    if found is None:
-        return False
-    space, root = found
-    return space.alive[root]
+    space, root = _root(v, u, spec)
+    return root is not None and _label(space, root) >= 0
 
 
 def state_count(v: QuadInt, u: int, spec: IFSSpec) -> int:
     """Number of orbit states reachable from v/u in the disk, 0 outside it.
 
-    The walk recomputes successors and follows the keys of ``alive``, the
-    ones in the disk, so it creates no states and makes no disk test.
+    The walk tests each successor against the disk and keeps its states to
+    itself: it neither reads nor writes labels.
     """
-    found = _explore(v, u, spec)
-    if found is None:
+    space, root = _root(v, u, spec)
+    if root is None:
         return 0
-    space, root = found
-    alive = space.alive
     m00, m01, m10, m11 = space.beta_matrix
-    digits = space.scaled_digits
     seen = {root}
     stack = [root]
     while stack:
         x, y = stack.pop()
         bx = m00 * x + m01 * y
         by = m10 * x + m11 * y
-        for ax, ay in digits:
+        for ax, ay in space.scaled_digits:
             w = (bx - ax, by - ay)
-            if w in alive and w not in seen:
+            if w not in seen and space.inside(*w):
                 seen.add(w)
                 stack.append(w)
     return len(seen)
@@ -220,16 +224,18 @@ def coding_of(v: QuadInt, u: int, spec: IFSSpec) -> Coding | None:
     """An eventually periodic coding of v/u, or None for non-members.
 
     The walk always takes the lowest digit index whose successor still
-    reaches a cycle, then cuts at the first repeated state, which makes the
-    returned coding deterministic.
+    reaches a cycle, the label of its state, then cuts at the first
+    repeated state, which makes the returned coding deterministic.  A state
+    the walk finds unlabelled (another thread's search may not have
+    finished it yet) is searched.
     """
-    found = _explore(v, u, spec)
-    if found is None:
+    space, root = _root(v, u, spec)
+    if root is None:
         return None
-    space, root = found
+    i = _label(space, root)
+    if i < 0:
+        return None
     alive = space.alive
-    if not alive[root]:
-        return None
     m00, m01, m10, m11 = space.beta_matrix
     digits = space.scaled_digits
     pos = {root: 0}
@@ -237,20 +243,17 @@ def coding_of(v: QuadInt, u: int, spec: IFSSpec) -> Coding | None:
     cur = root
     while True:
         x, y = cur
-        bx = m00 * x + m01 * y
-        by = m10 * x + m11 * y
-        for i, (ax, ay) in enumerate(digits):
-            cur = (bx - ax, by - ay)
-            if alive.get(cur):
-                break
-        else:
-            raise AssertionError("alive node must have an alive successor")
+        ax, ay = digits[i]
+        cur = (m00 * x + m01 * y - ax, m10 * x + m11 * y - ay)
         digit_indices.append(i)
         if cur in pos:
             cut = pos[cur]
             values = [spec.digits[i] for i in digit_indices]
             return Coding(tuple(values[:cut]), tuple(values[cut:]))
         pos[cur] = len(digit_indices)
+        i = alive.get(cur)
+        if i is None:
+            i = _label(space, cur)
 
 
 def _coding_ratio(coding: Coding, beta: QuadInt) -> tuple[QuadInt, QuadInt]:

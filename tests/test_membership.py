@@ -315,10 +315,6 @@ class TestKernelQueryOrder:
         return out
 
     @staticmethod
-    def spaces(queries):
-        return [space for spec in {q[0] for q in queries} for space in spec._spaces.values()]
-
-    @staticmethod
     def answers(queries):
         for spec, _, _ in queries:
             spec._spaces.clear()
@@ -334,18 +330,16 @@ class TestKernelQueryOrder:
     def test_orders_agree_with_each_other_and_exhaustive_search(self):
         queries = self.queries()
         forward = self.answers(queries)
-        forks = 0  # states with an alive successor beside a dead one
-        for space in self.spaces(queries):
-            for s in space.alive:
-                labels = {space.alive[w] for w in _disk_successors(space, s)}
-                forks += labels == {True, False}
         shuffled = list(queries)
         random.Random(7).shuffle(shuffled)
         assert self.answers(shuffled) == forward
-        assert forks > 0
+        forks = 0  # states with an alive successor beside a dead one
         members = 0
         for (spec, v, u), (member, coding, count) in forward.items():
             seen, can = exhaustive_graph(v, u, spec, spec.disk)
+            for key in seen:
+                labels = {w in can for w in _oracle_successors(spec, u, key) if w in seen}
+                forks += labels == {True, False}
             assert member == ((v.x, v.y) in can)
             assert count == len(seen)
             assert (coding is not None) == member
@@ -353,29 +347,74 @@ class TestKernelQueryOrder:
                 assert qc.verify_coding(coding, v, u, spec)
                 members += 1
         assert 0 < members < len(forward)
+        assert forks > 0
 
-    def test_alive_keys_are_closed_in_the_disk(self):
-        # the labels stand in for successor lists: after every query each
-        # key lies in the disk, and each successor in the disk is a key
+    def test_labels_are_the_lowest_alive_digits(self):
+        # after every query each key lies in the disk, its label agrees with
+        # the oracle's cycle-reaching set, and an alive key's label is the
+        # lowest digit whose successor reaches a cycle
         queries = self.queries()
         random.Random(7).shuffle(queries)
         for spec, v, u in queries:
             spec._spaces.clear()
+        reaches = {}  # (spec, u) -> {numerator: reaches a cycle}
         for spec, v, u in queries:
             qc.coding_of(v, u, spec)
             space = spec._spaces[u]
-            for s in space.alive:
+            known = reaches.setdefault((spec, u), {})
+            for s, label in space.alive.items():
                 assert space.inside(*s)
-                assert all(w in space.alive for w in _disk_successors(space, s))
+                key = _numerator(space, s)
+                if key not in known:
+                    seen, can = exhaustive_graph(spec.field.element(*key), u, spec, spec.disk)
+                    known.update({w: w in can for w in seen})
+                assert (label >= 0) == known[key]
+                if label >= 0:
+                    alive = [known.get(w, False) for w in _oracle_successors(spec, u, key)]
+                    assert label == alive.index(True)
+
+    def test_dead_branch_beside_a_member_is_searched_later(self):
+        # a member's search stops at its lowest alive digit, so a dead
+        # successor under a higher digit stays unlabelled; a query rooted
+        # there must still find it dead
+        checked = 0
+        for spec, v, u in self.queries():
+            seen, can = exhaustive_graph(v, u, spec, spec.disk)
+            if (v.x, v.y) not in can:
+                continue
+            succ = _oracle_successors(spec, u, (v.x, v.y))
+            low = next(i for i, w in enumerate(succ) if w in can)
+            dead = [w for w in succ[low + 1 :] if w in seen and w not in can]
+            if not dead:
+                continue
+            fresh = qc.ifs_new(spec.beta, spec.digits)
+            assert qc.is_member(v, u, fresh)
+            space = fresh._spaces[u]
+            roots = [spec.field.element(*key) for key in dead]
+            unlabelled = [
+                w for w in roots
+                if (space.d * w.x - space.cux, space.d * w.y - space.cuy) not in space.alive
+            ]
+            for w in unlabelled:
+                branch, _ = exhaustive_graph(w, u, spec, spec.disk)
+                assert not qc.is_member(w, u, fresh)
+                assert qc.coding_of(w, u, fresh) is None
+                assert qc.state_count(w, u, fresh) == len(branch)
+                checked += 1
+        assert checked > 0
 
 
-def _disk_successors(space, s):
-    """The successors beta*s - a of an orbit state that lie in the disk."""
-    m00, m01, m10, m11 = space.beta_matrix
-    x, y = s
-    bx, by = m00 * x + m01 * y, m10 * x + m11 * y
-    out = [(bx - ax, by - ay) for ax, ay in space.scaled_digits]
-    return [w for w in out if space.inside(*w)]
+def _oracle_successors(spec, u, key):
+    """The successors beta*z - a*u of a numerator, in digit order, as pairs."""
+    bz = spec.beta * spec.field.element(*key)
+    return [((bz - a * u).x, (bz - a * u).y) for a in spec.digits]
+
+
+def _numerator(space, s):
+    """The numerator v over u of the orbit state s = D*v - C*u."""
+    x, y = s[0] + space.cux, s[1] + space.cuy
+    assert x % space.d == 0 and y % space.d == 0
+    return x // space.d, y // space.d
 
 
 def disk_specs():
@@ -583,6 +622,83 @@ class TestConcurrentQueries:
         with ThreadPoolExecutor(max_workers=8) as pool:
             threaded = list(pool.map(lambda q: qc.is_member(q[0], q[1], cantor), queries))
         assert threaded == sequential
+
+    def test_threaded_codings_and_state_counts_match_sequential(self):
+        # each run starts from fresh specs, so threads meet states that
+        # another thread's search has started and not labelled yet; a short
+        # switch interval makes such interleavings frequent
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        calls = [
+            (fn, spec, v, u)
+            for fn in (qc.coding_of, qc.state_count, qc.is_member)
+            for spec, v, u in TestKernelQueryOrder.queries()
+        ]
+        random.Random(31).shuffle(calls)
+
+        def run(mapper):
+            fresh = {spec: qc.ifs_new(spec.beta, spec.digits) for _, spec, _, _ in calls}
+            return list(mapper(lambda c: c[0](c[2], c[3], fresh[c[1]]), calls))
+
+        sequential = run(map)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                threaded = run(lambda fn, items: pool.map(fn, items, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == sequential
+
+    def test_walk_searches_a_state_it_finds_unlabelled(self):
+        # a concurrent search writes the root's label before those of the
+        # states its digits lead to; dropping every other label leaves the
+        # walk in that position at each step
+        members = 0
+        for spec, v, u in TestKernelQueryOrder.queries():
+            fresh = qc.ifs_new(spec.beta, spec.digits)
+            coding = qc.coding_of(v, u, fresh)
+            if coding is None:
+                continue
+            space = fresh._spaces[u]
+            root = (space.d * v.x - space.cux, space.d * v.y - space.cuy)
+            labels = space.alive
+            space.alive = {root: labels[root]}
+            assert qc.coding_of(v, u, fresh) == coding
+            assert space.alive.items() <= labels.items()
+            members += len(coding.preperiod) + len(coding.period) > 1
+        assert members > 0
+
+
+QUERIES = (qc.is_member, qc.coding_of, qc.state_count)
+
+
+class TestQueryInputs:
+    """Bad inputs raise before any orbit space is looked up or built."""
+
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_numerator_of_another_field_raises(self, query, cantor):
+        spec = qc.ifs_new(cantor.beta, cantor.digits)
+        with pytest.raises(qc.FieldError):
+            query(make_field(-3).element(1), 4, spec)
+        assert not spec._spaces
+
+    @pytest.mark.parametrize("query", QUERIES)
+    @pytest.mark.parametrize("u", (2.5, 4.0, True, Fraction(4)))
+    def test_denominator_that_is_no_int_raises(self, query, u, gauss, cantor):
+        spec = qc.ifs_new(cantor.beta, cantor.digits)
+        with pytest.raises(TypeError):
+            query(gauss.element(1), u, spec)
+        assert not spec._spaces
+
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_denominator_below_one_raises(self, query, gauss, cantor):
+        spec = qc.ifs_new(cantor.beta, cantor.digits)
+        for u in (0, -4):
+            with pytest.raises(ValueError):
+                query(gauss.element(1), u, spec)
+        assert not spec._spaces
 
 
 class TestOracleEquivalence:
