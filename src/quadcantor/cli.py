@@ -6,7 +6,7 @@ to ``_emit``, which applies the format: ``_plain`` writes every number as a
 decimal string, so arbitrary precision survives serialization, and the
 record is printed as JSON with sorted keys and the integer ``schema``
 version.  Exit codes: 0 success, 1 element-syntax error, 2 failed
-precondition, 3 size cap exceeded.
+precondition or float overflow, 3 size cap exceeded.
 """
 
 from __future__ import annotations
@@ -536,6 +536,9 @@ def main(argv=None) -> int:
         return 3
     except (PreconditionError, FieldError, ValueError, ZeroDivisionError) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"out of float range: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -1,10 +1,10 @@
 """Exact decision helpers for quantities involving one square root or log2.
 
-Floors and ceilings of a +- sqrt(b) with rational a, b are fixed by exact
-squaring, never by floating point.  Logarithm comparisons needed by the
-certificate search are made rigorous with dyadic brackets of log2 of a
-rational: directed-rounding mantissa squaring gives a provable (lo, hi) pair
-of Fractions whose width halves per extracted bit.
+Floors and ceilings of a +- sqrt(b) with rational a, b are read from one
+integer square root, never from floating point.  Logarithm comparisons
+needed by the certificate search are made rigorous with dyadic brackets of
+log2 of a rational: directed-rounding mantissa squaring gives a provable
+(lo, hi) pair of Fractions whose width halves per extracted bit.
 """
 
 from __future__ import annotations
@@ -14,25 +14,15 @@ from fractions import Fraction
 
 
 def floor_add_sqrt(a: Fraction, b: Fraction) -> int:
-    """floor(a + sqrt(b)) for rational a and rational b >= 0, exactly."""
+    """floor(a + sqrt(b)) for rational a and rational b >= 0, exactly.
+
+    For a = p/q and b = r/s, a + sqrt(b) = (p*s + sqrt(q*q*r*s))/(q*s), and
+    the floor of (P + t)/Q with integers P, Q > 0 is (P + floor(t)) // Q.
+    """
     if b < 0:
         raise ValueError("sqrt argument must be nonnegative")
-    # integer hint within a couple of the truth, then exact fix-up
-    hint = a.numerator // a.denominator + math.isqrt(b.numerator // b.denominator)
-
-    def le_exact(m: int) -> bool:
-        # m <= a + sqrt(b)
-        t = Fraction(m) - a
-        if t <= 0:
-            return True
-        return t * t <= b
-
-    m = hint
-    while not le_exact(m):
-        m -= 1
-    while le_exact(m + 1):
-        m += 1
-    return m
+    p, q, r, s = a.numerator, a.denominator, b.numerator, b.denominator
+    return (p * s + math.isqrt(q * q * r * s)) // (q * s)
 
 
 def ceil_sub_sqrt(a: Fraction, b: Fraction) -> int:
@@ -41,17 +31,10 @@ def ceil_sub_sqrt(a: Fraction, b: Fraction) -> int:
 
 
 def _floor_log2(p: int, q: int) -> int:
-    """floor(log2(p/q)) for positive integers, exactly."""
+    """floor(log2(p/q)) for positive integers, exactly: for e the difference
+    of their bit lengths, 2^(e-1) < p/q < 2^(e+1), so it is e iff q*2^e <= p."""
     e = p.bit_length() - q.bit_length()
-    # correct e so that q*2^e <= p < q*2^(e+1)
-    def le_pow2(k: int) -> bool:  # 2^k <= p/q ?
-        return (q << k) <= p if k >= 0 else q <= (p << -k)
-
-    while not le_pow2(e):
-        e -= 1
-    while le_pow2(e + 1):
-        e += 1
-    return e
+    return e if q << max(e, 0) <= p << max(-e, 0) else e - 1
 
 
 def log2_interval(r: Fraction, prec_bits: int = 64) -> tuple[Fraction, Fraction]:

@@ -2,13 +2,13 @@
 
 The attractor of the maps z -> (z + a)/beta, a in A, lies in the closed disk
 of radius R = max|a| / (|beta| - 1).  All certificate arithmetic replaces R
-by a rational over-approximation R' and the Hausdorff dimension by the
-similarity dimension sigma = 2*log(#A)/log(N(beta)), so that every covering
-count is the explicit integer (#A)^k with k decided by the exact comparison
-N(beta)^k * delta^2 >= R'^2.  Floating point is confined to the sampling and
-box-counting diagnostics, which use plain Python complex numbers.  The
-spec owns both R'^2 (``IFSSpec.radius_sq``) and the disk that prunes
-membership's orbit graphs (``IFSSpec.disk``), each computed once.
+by a rational over-approximation R', read from integer square roots
+(``least_radius_sq``), so that every covering count is the explicit integer
+(#A)^k with k decided by the exact comparison N(beta)^k * delta^2 >= R'^2.
+Floating point is confined to the similarity dimension
+sigma = 2*log(#A)/log(N(beta)), which is only reported, and the sampling
+and box-counting diagnostics.  The spec owns both R'^2 (``radius_sq``) and
+the disk that prunes membership's orbit graphs (``disk``), each computed once.
 """
 
 from __future__ import annotations
@@ -95,25 +95,20 @@ class CoveringConstants:
 def least_radius_sq(m: int, b: int, dens) -> Fraction:
     """r^2 for the least r = num/den >= sqrt(m)/(sqrt(b) - 1) over den in dens.
 
-    This is the radius bound for digits of largest norm m and a base of norm
-    b.  For num >= 0, num/den >= sqrt(m)/(sqrt(b) - 1) squares into the
-    integer test t = num^2 (b - 1) - m den^2 >= 0 and t^2 >= 4 num^2 m den^2.
+    The radius bound for digits of largest norm m and a base of norm b.  For
+    X = m*b*den^2 and Y = m*den^2, num = ceil(S/(b - 1)) with
+    S = sqrt(X) + sqrt(Y), and floor(S) = isqrt(X + Y + isqrt(4XY)), since
+    floor(sqrt(z)) = isqrt(floor(z)).  S is rational, so an integer, only
+    when X and Y are squares, as sqrt(X) - sqrt(Y) = (X - Y)/S; otherwise
+    S/(b - 1) is no integer and its ceiling is floor(S) // (b - 1) + 1.
     """
-    hint = math.sqrt(m) / (math.sqrt(b) - 1)
-
-    def reached(num: int, md2: int) -> bool:
-        t = num * num * (b - 1) - md2
-        return t >= 0 and t * t >= 4 * num * num * md2
-
     radii = []
     for den in dens:
-        md2 = m * den * den
-        num = max(0, int(hint * den) - 2)
-        while not reached(num, md2):
-            num += 1
-        while num > 0 and reached(num - 1, md2):
-            num -= 1
-        radii.append(Fraction(num, den))
+        y = m * den * den
+        x = b * y
+        s = math.isqrt(x + y + math.isqrt(4 * x * y))
+        exact = math.isqrt(x) ** 2 == x and math.isqrt(y) ** 2 == y
+        radii.append(Fraction(-(-s // (b - 1)) if exact else s // (b - 1) + 1, den))
     return min(radii) ** 2
 
 

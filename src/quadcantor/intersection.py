@@ -305,6 +305,12 @@ def survivors(
     current exponent gives a u at most u(n) and an lcm dividing ord(n), the
     order modulo P^k dividing that modulo P^(k+1).
 
+    Maximality takes one pass over the visited prefixes q in reverse walk
+    order: up[q], the largest last exponent kept at q or a prefix above it,
+    is read from the up[q + e_i], and (q, best) is kept when best exceeds
+    them all.  Both stops only grow with each exponent, so every prefix
+    above a visited q is visited, and comes after q in the walk.
+
     The box n_j <= e_j * (bit_length(limit) + 1) stops every loop by the u
     test, p^m_p alone being above the limit at its top.  A loop that the cut
     n_max*b_j lets run to its top makes the search incomplete; a complete
@@ -332,7 +338,7 @@ def survivors(
     m_p = dict.fromkeys((prime.p for prime in primes), 0)
     last = len(primes) - 1
     path = [0] * len(primes)
-    kept = []
+    best_at = {}  # visited prefix -> its largest kept last exponent, or -1
     complete = True
 
     def walk(j: int, u: int, order: int) -> None:
@@ -340,7 +346,7 @@ def survivors(
         p, e = primes[j].p, primes[j].e
         held = m_p[p]
         order_j = orders[j]
-        best = None
+        best = -1
         for nj in range(top[j] + 1):
             m = -(-nj // e)
             if m > held:
@@ -358,12 +364,19 @@ def survivors(
                 best = nj
         else:
             complete = False
-        if best is not None:
-            kept.append((*path[:j], best))
+        if j == last:
+            best_at[tuple(path[:j])] = best
         m_p[p] = held
 
     walk(0, 1, 1)
-    return tuple(_maximal(kept)), complete
+    kept = []
+    up = {}  # prefix q -> the largest kept last exponent over prefixes >= q
+    for q, best in reversed(best_at.items()):
+        above = max([-1] + [up.get((*q[:i], q[i] + 1, *q[i + 1:]), -1) for i in range(last)])
+        if best > above:
+            kept.append((*q, best))
+        up[q] = max(best, above)
+    return tuple(reversed(kept)), complete
 
 
 @dataclass(frozen=True)
@@ -388,8 +401,8 @@ class IntersectionReport:
 
     Every point whose denominator divides alpha^level is in ``points``:
     ``level`` is n0 (certified) or n_max (bounded), or if a survivor fell
-    back the largest level below n0 at which every survivor's min(s, L*b)
-    lies below a swept tuple.  ``survivors`` are the maximal tuples the
+    back min(n0, min_s max_p min_{j: s_j > p_j} p_j // b_j) over survivors s
+    and swept parts p.  ``survivors`` are the maximal tuples the
     exact order does not exclude.  Per survivor, ``swept`` lists it unswept
     if it fell back, then its swept part unless that is listed or lies below
     another part.  ``exhausted`` means ``points`` is the whole intersection.
@@ -739,7 +752,9 @@ def full_intersection(
 
     ``exhausted`` holds when the survivor search was complete, so that its
     survivors are those of the uncut walk, and none fell back: every
-    point's tuple then lies below a swept survivor.
+    point's tuple then lies below a swept survivor.  After a fallback the
+    level is min(n0, min_s max_p min_{j: s_j > p_j} p_j // b_j) over parts p,
+    as min(s, L*b) <= p iff L*b_j <= p_j wherever s_j > p_j.
     """
     report = preconditions(alpha, spec)
     lb = None
@@ -787,15 +802,12 @@ def full_intersection(
                 )
             todo.remove(part)
             sweeps.append(Sweep(part, cost(part), True))
-    # a fallen survivor's part min(s, L*b) has den power L, its level
-    fell = [_den_power(p, fact) for s, p in zip(found, parts) if p != s]
+    fell = any(p != s for s, p in zip(found, parts))
     if fell:
-        # a point of level L lies below some s and below L*b: below min(s, L*b)
-        level = min(fell)
-        while level < n0 and ran == _maximal(
-            ran + [_clip(s, level + 1, fact) for s in found]
-        ):
-            level += 1
+        def covered(s, p):  # the largest L <= n0 with min(s, L*b) <= p
+            over = (pj // b for sj, pj, b in zip(s, p, fact.exponents) if sj > pj)
+            return min(over, default=n0)
+        level = min(n0, *(max(covered(s, p) for p in ran) for s in found))
     points: dict[FieldElement, IntersectionPoint] = {}
     for sweep in sweeps:
         if sweep.swept:

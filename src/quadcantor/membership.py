@@ -181,6 +181,8 @@ def _root(v: QuadInt, u: int, spec: IFSSpec) -> tuple[_Space, tuple[int, int] | 
         raise TypeError("denominator u must be an int")
     if u < 1:
         raise ValueError("denominator u must be a positive integer")
+    if not isinstance(v, QuadInt):
+        raise TypeError(f"numerator v must be a QuadInt, not {type(v).__name__}")
     if v.field is not spec.field and v.field != spec.field:
         raise FieldError("operands belong to different fields")
     space = spec._spaces.get(u)
@@ -313,6 +315,8 @@ def verify_coding(coding: Coding, v: QuadInt, u: int, spec: IFSSpec) -> bool:
         # a plain int equal to a digit compares equal to it but is no digit
         if not isinstance(a, QuadInt) or a not in digits:
             raise ValueError(f"digit {a} is not in the digit set")
+    if not isinstance(v, QuadInt):
+        raise TypeError(f"numerator v must be a QuadInt, not {type(v).__name__}")
     if v.field is not spec.field and v.field != spec.field:
         raise FieldError("operands belong to different fields")
     m00, m01, m10, m11 = mul_matrix(spec.beta)

@@ -419,6 +419,46 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "factor", "-d", "-4", "10")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("member", "-d", "-1", "--digits", "0,2", "--point", "1/4"),
+             "missing required option --beta"),
+            (("cns", "--n", "2", "--expand", "5", "--evaluate", "0,1"),
+             "cns needs exactly one of --expand or --evaluate"),
+            (("cns", "--n", "2"), "cns needs exactly one of --expand or --evaluate"),
+        ],
+        ids=["missing-option", "cns-both", "cns-neither"],
+    )
+    def test_option_misuse(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("dim", "-d", "-1", "--beta", "1" + "0" * 200, "--digits", "0,1" + "0" * 170),
+            ("render", "-d", "-1", "--beta", "1" + "0" * 309, "--digits", "0,1" + "0" * 170,
+             "--depth", "1", "--out", "/dev/null"),
+        ],
+        ids=["dim", "render"],
+    )
+    def test_float_overflow(self, capsys, argv):
+        # dim's |beta| and render's samples are floats, bounded near 1.8e308
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "out of float range" in err
+
+    def test_exact_commands_take_norms_beyond_the_float_range(self, capsys):
+        spec = ("-d", "-1", "--beta", "1" + "0" * 200, "--digits", "0,1" + "0" * 170)
+        member = run_json(capsys, "member", *spec, "--point", "0")
+        assert member["member"] is True
+        bound = run_json(capsys, "bound", "--alpha", "3", *spec)
+        assert bound["r_prime_sq"] == "1/4096"
+        cert = run_json(capsys, "intersect", "--alpha", "3", *spec, "--mode", "certified")
+        assert cert["exhausted"] is True and cert["level"] == cert["n0"]
+
 
 class TestConfig:
     def test_defaults_from_file(self, capsys, tmp_path):
@@ -428,6 +468,13 @@ class TestConfig:
             capsys, "member", "--config", str(cfg), "--point", "1/4"
         )
         assert record["member"] is True
+
+    def test_line_without_equals_refused(self, capsys, tmp_path):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("d = -1\nbeta 3\n")
+        code, out, err = run_cli(capsys, "member", "--config", str(cfg), "--point", "1/4")
+        assert code == 2 and out == ""
+        assert "job.cfg:2: expected 'key = value'" in err
 
     def test_cli_overrides_config(self, capsys, tmp_path):
         cfg = tmp_path / "job.cfg"

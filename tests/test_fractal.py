@@ -69,6 +69,33 @@ class TestBoundingRadius:
             checked += 1
 
 
+    def test_norms_beyond_the_float_range(self, gauss):
+        # R = 10^170/(10^200 - 1), or just below it, under 1/64 either way:
+        # the rational branch (N(beta) a square) and the irrational one
+        for beta in (gauss.element(10**200), gauss.element(10**200, 1)):
+            spec = qc.ifs_new(beta, [gauss.element(0), gauss.element(10**170)])
+            assert spec.radius_sq == Fraction(1, 4096)
+
+    def test_least_numerator_by_the_exact_predicate(self):
+        # squares for m, b and m*b take the rational branch
+        def reached(num, den, m, b):
+            # num/den >= sqrt(m)/(sqrt(b) - 1), squared twice into integers
+            t = num * num * (b - 1) - m * den * den
+            return t >= 0 and t * t >= 4 * num * num * m * den * den
+
+        rng = random.Random(24)
+        for _ in range(3000):
+            m = rng.choice((rng.randint(1, 10**9), rng.randint(1, 10**4) ** 2))
+            b = rng.choice(
+                (rng.randint(2, 10**9), rng.randint(2, 10**4) ** 2, m * rng.randint(1, 9) ** 2)
+            )
+            den = rng.randint(1, 64)
+            r2 = fractal.least_radius_sq(m, b, (den,))
+            num = math.isqrt(r2.numerator) * den // math.isqrt(r2.denominator)
+            assert Fraction(num, den) ** 2 == r2
+            assert reached(num, den, m, b) and not reached(num - 1, den, m, b)
+
+
 def _radius_sq_by_fractions(spec):
     """Reference: the Fraction search with a sign-and-square sqrt predicate."""
     m = max(a.norm() for a in spec.digits)

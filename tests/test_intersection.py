@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import random
+import re
 import time
 from bisect import bisect_left
 from fractions import Fraction
@@ -1236,3 +1237,33 @@ class TestFullIntersection:
         a = qc.full_intersection(gauss.element(2), cantor, mode="bounded", n_max=4)
         b = qc.full_intersection(gauss.element(2), cantor, mode="bounded", n_max=4)
         assert [p.value for p in a.points] == [p.value for p in b.points]
+
+
+OTHER_FIELD_ALPHA = make_field(-2).element(2)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda g, s: qc.enumerate_level(-1, g.element(2), s), ValueError,
+         "level must be nonnegative"),
+        (lambda g, s: qc.enumerate_level(2, OTHER_FIELD_ALPHA, s), PreconditionError,
+         "alpha must lie in the spec's field"),
+        (lambda g, s: qc.enumerate_level(2, g.omega, s), PreconditionError,
+         "|alpha| > 1 is required"),
+        (lambda g, s: qc.full_intersection(g.element(2), s, mode="bounded", n_max=-1),
+         PreconditionError, "bounded mode needs n_max >= 0"),
+        (lambda g, s: qc.preconditions(OTHER_FIELD_ALPHA, s), PreconditionError,
+         "alpha must lie in the spec's field"),
+    ],
+    ids=[
+        "enumerate_level-negative-level",
+        "enumerate_level-other-field",
+        "enumerate_level-unit-alpha",
+        "full_intersection-negative-n_max",
+        "preconditions-other-field",
+    ],
+)
+def test_bad_argument_raises(call, error, message, gauss, cantor):
+    with pytest.raises(error, match=re.escape(message)):
+        call(gauss, cantor)

@@ -674,14 +674,27 @@ class TestConcurrentQueries:
 QUERIES = (qc.is_member, qc.coding_of, qc.state_count)
 
 
+def verify_coding_query(v, u, spec):
+    """``verify_coding`` of a coding over the spec's digits, called as a query."""
+    return qc.verify_coding(Coding((), spec.digits), v, u, spec)
+
+
 class TestQueryInputs:
     """Bad inputs raise before any orbit space is looked up or built."""
 
-    @pytest.mark.parametrize("query", QUERIES)
+    @pytest.mark.parametrize("query", (*QUERIES, verify_coding_query))
     def test_numerator_of_another_field_raises(self, query, cantor):
         spec = qc.ifs_new(cantor.beta, cantor.digits)
         with pytest.raises(qc.FieldError):
             query(make_field(-3).element(1), 4, spec)
+        assert not spec._spaces
+
+    @pytest.mark.parametrize("query", (*QUERIES, verify_coding_query))
+    def test_numerator_that_is_no_quadint_raises(self, query, gauss, cantor):
+        spec = qc.ifs_new(cantor.beta, cantor.digits)
+        for v in (1, FieldElement(gauss.one)):
+            with pytest.raises(TypeError, match=f"must be a QuadInt, not {type(v).__name__}"):
+                query(v, 4, spec)
         assert not spec._spaces
 
     @pytest.mark.parametrize("query", QUERIES)

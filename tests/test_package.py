@@ -50,6 +50,70 @@ def test_no_module_imports_a_name_it_never_reads():
     assert found == []
 
 
+# the modules that decide anything, and the float diagnostics allowed in them
+DECISION_MODULES = (
+    "ntheory", "ideals", "orders", "exactmath", "membership", "intersection", "fractal"
+)
+FLOAT_DIAGNOSTICS = {"fractal": {"similarity_dimension", "sample_points", "box_dim_estimate"}}
+
+
+def float_calls(path: Path, allowed=frozenset()) -> list[str]:
+    """Calls that make a float or complex number, outside the ``allowed``
+    top-level functions: float, complex, math.sqrt, math.log*, math.exp,
+    math.pow and .to_complex."""
+    found = []
+    for top in ast.parse(path.read_text()).body:
+        if isinstance(top, ast.FunctionDef) and top.name in allowed:
+            continue
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Name) and f.id in ("float", "complex"):
+                name = f.id
+            elif isinstance(f, ast.Attribute) and f.attr == "to_complex":
+                name = ".to_complex"
+            elif (
+                isinstance(f, ast.Attribute)
+                and isinstance(f.value, ast.Name)
+                and f.value.id == "math"
+                and (f.attr in ("sqrt", "exp", "pow") or f.attr.startswith("log"))
+            ):
+                name = f"math.{f.attr}"
+            else:
+                continue
+            found.append(f"{path.name}:{node.lineno} {name}")
+    return found
+
+
+def test_decision_modules_make_no_floats():
+    root = Path(qc.__file__).parent
+    found = [
+        call
+        for name in DECISION_MODULES
+        for call in float_calls(root / f"{name}.py", FLOAT_DIAGNOSTICS.get(name, frozenset()))
+    ]
+    assert found == []
+
+
+def test_float_guard_sees_each_float_call(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "import math\n"
+        "def f(z, w):\n"
+        "    return float(z), complex(z), math.sqrt(z), math.log2(z), math.exp(z),"
+        " math.pow(z, 2), w.to_complex(), math.isqrt(z), math.floor(z)\n"
+        "def g(z):\n"
+        "    return math.log(z)\n"
+    )
+    assert float_calls(path, {"g"}) == [
+        f"m.py:3 {name}"
+        for name in (
+            "float", "complex", "math.sqrt", "math.log2", "math.exp", "math.pow", ".to_complex"
+        )
+    ]
+
+
 def test_import_loads_no_numpy():
     code = "import sys, quadcantor; print('numpy' in sys.modules)"
     src = str(Path(qc.__file__).parents[1])

@@ -171,7 +171,10 @@ class TestParse:
     def test_forms(self, gauss, text, x, y):
         assert qc.parse_element(text, gauss) == gauss.element(x, y)
 
-    @pytest.mark.parametrize("bad,token", [("1**w", "*"), ("2x", "x"), ("", ""), ("1+", "+")])
+    @pytest.mark.parametrize(
+        "bad,token",
+        [("1**w", "*"), ("2x", "x"), ("", ""), ("1+", "+"), ("2 3", "3"), ("*w", "*")],
+    )
     def test_errors_name_token(self, gauss, bad, token):
         with pytest.raises(ParseError) as exc:
             qc.parse_element(bad, gauss)
@@ -190,6 +193,12 @@ class TestParse:
         assert q == FieldElement(gauss.element(-3, -1), 10)
         r = qc.parse_point("3/(1+w)", gauss)
         assert r == FieldElement.from_ratio(gauss.element(3), gauss.element(1, 1))
+
+    @pytest.mark.parametrize("bad,token", [("1/0", "0"), ("1/2/3", "1/2/3")])
+    def test_point_errors_name_token(self, gauss, bad, token):
+        with pytest.raises(ParseError) as exc:
+            qc.parse_point(bad, gauss)
+        assert exc.value.token == token
 
 
 class TestFieldElement:
