@@ -2,8 +2,9 @@
 
 Here sigma = 2 log4 / log5 > 1, so the planar (case ii) hypotheses carry the
 finiteness proof: the field is a UFD and alpha is coprime to its conjugate.
-The certificate level n0 is far beyond any enumerable lattice, but bounded
-sweeps stay cheap and every reported point re-verifies exactly.
+The certificate level n0 is far beyond any enumerable lattice, but a hole
+in S + O_K empties every tuple above (2,), so the certified run sweeps one
+small lattice, and every reported point re-verifies exactly.
 
 Run:  python demos/05_certified_bound_gaussian.py
 """
@@ -36,3 +37,10 @@ for pt in result.points:
     ok = qc.verify_coding(pt.coding, pt.value.num, pt.value.den, spec)
     congruent = qc.period_congruence_holds(pt, report.alpha_factorization, spec.beta)
     print(f"  {pt.value}  tuple={pt.exponents}  verified={ok} congruence={congruent}")
+
+certified = qc.full_intersection(alpha, spec, mode="certified")
+hole = certified.hole
+print("\ncertified run: survivors", certified.survivors, " exhausted:", certified.exhausted)
+print(f"hole: the closed disk around {hole.centre} of squared radius {hole.rho_sq}")
+print(f"  misses S + O_K ({hole.nodes} piece tests) and drops {certified.dropped} tuples")
+print("points:", [str(p.value) for p in certified.points])

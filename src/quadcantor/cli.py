@@ -266,7 +266,19 @@ def _cmd_intersect(args) -> None:
             "swept": [_sweep_record(s) for s in report.swept],
             "fallback": [_sweep_record(s) for s in report.fallback] or None,
         }
+        | _hole_record(report)
     )
+
+
+def _hole_record(report) -> dict:
+    """The ``hole`` key of a case-(ii) run, whose survivors the hole test
+    decides: the largest hole found and the tuples it dropped, or None."""
+    if report.preconditions.applicable_case != "case_ii":
+        return {}
+    hole = report.hole
+    return {"hole": hole and {
+        "centre": hole.centre, "rho_sq": hole.rho_sq, "nodes": hole.nodes, "dropped": report.dropped
+    }}
 
 
 def _sweep_record(sweep) -> dict:

@@ -8,20 +8,32 @@ by a rational over-approximation R', read from integer square roots
 Floating point is confined to the similarity dimension
 sigma = 2*log(#A)/log(N(beta)), which is only reported, and the sampling
 and box-counting diagnostics.  The spec owns both R'^2 (``radius_sq``) and
-the disk that prunes membership's orbit graphs (``disk``), each computed once.
+the disk that prunes membership's orbit graphs (``disk``), each computed once,
+and the holes in S + O_K that its searches certify (``IFSSpec.hole``).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import math
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import CapExceededError, PreconditionError
-from .quadring import FieldElement, FieldSpec, QuadInt
+from .quadring import FieldElement, FieldSpec, QuadInt, mul_matrix, norm_form
+
+
+class Hole(NamedTuple):
+    """A closed disk D(centre, rho) that misses S + O_K, with rho^2 = ``rho_sq``,
+    certified after ``nodes`` piece tests (``IFSSpec.hole``)."""
+
+    centre: FieldElement
+    rho_sq: Fraction
+    nodes: int
 
 
 @dataclass(frozen=True)
@@ -29,16 +41,19 @@ class IFSSpec:
     """A base beta with norm >= 2 and a digit set of at least two elements.
 
     Everything derived from the spec alone is cached on it: R'^2, the orbit
-    disk and the labels ``membership`` searches find (``_spaces``, from u to
-    the labelled states over u).  The labels cover only the states some
-    search finished, not whole orbit graphs.  So the caches live exactly as
-    long as the spec does.
+    disk, the labels ``membership`` searches find (``_spaces``, from u to
+    the labelled states over u) and the outcome of each hole search
+    (``_holes``, from rho^2 to its hole, or to None with the budget it ran
+    out of, or with None when no hole of that radius exists).  The labels
+    cover only the states some search finished, not whole orbit graphs.  So
+    the caches live exactly as long as the spec does.
     """
 
     field: FieldSpec
     beta: QuadInt
     digits: tuple[QuadInt, ...]
     _spaces: dict = dataclasses.field(default_factory=dict, init=False, compare=False, repr=False)
+    _holes: dict = dataclasses.field(default_factory=dict, init=False, compare=False, repr=False)
 
     @cached_property
     def radius_sq(self) -> Fraction:
@@ -66,6 +81,23 @@ class IFSSpec:
         if r2 < self.radius_sq:
             return FieldElement.from_ratio(total, (self.beta - 1) * n), r2
         return FieldElement(self.field.zero), self.radius_sq
+
+    def hole(self, rho_sq: Fraction, budget: int) -> Hole | None:
+        """A closed disk of squared radius rho_sq that misses S + O_K, found
+        by ``_hole_search`` within ``budget`` piece tests, or None.
+
+        The search's path does not depend on the budget, so it succeeds
+        exactly when its hole takes at most ``budget`` tests; the cache
+        answers every later call that this rule decides.
+        """
+        hole, spent = self._holes.get(rho_sq, (None, -1))
+        if hole is not None:
+            return hole if hole.nodes <= budget else None
+        if spent is None or budget <= spent:
+            return None
+        hole, dry = _hole_search(self, rho_sq, budget)
+        self._holes[rho_sq] = (hole, None if dry else budget)
+        return hole
 
 
 def ifs_new(beta: QuadInt, digits) -> IFSSpec:
@@ -110,6 +142,156 @@ def least_radius_sq(m: int, b: int, dens) -> Fraction:
         exact = math.isqrt(x) ** 2 == x and math.isqrt(y) ** 2 == y
         radii.append(Fraction(-(-s // (b - 1)) if exact else s // (b - 1) + 1, den))
     return min(radii) ** 2
+
+
+def _ceil_sqrt(n: int, d: int) -> int:
+    """The least integer k >= 0 with k^2 >= n/d, for n >= 0 and d > 0."""
+    k = math.isqrt(n // d)
+    return k if k * k * d >= n else k + 1
+
+
+def _hole_search(spec: IFSSpec, rho_sq: Fraction, budget: int) -> tuple[Hole | None, bool]:
+    """A hole of squared radius rho_sq in S + O_K, by one best-first descent
+    over the quadtree cells of the unit cell {x + y*w : 0 <= x, y < 1} of O_K;
+    and whether the search ran dry, which proves that no such hole exists.
+    It gives up before its piece tests pass ``budget``: each root translate
+    is one test, and each expansion is charged its tests before it runs, so
+    the search holds at most about ``budget`` pieces.
+
+    The pieces.  S lies in the disk D(c, r') of ``IFSSpec.disk``, which every
+    map z -> (z + a)/beta sends into itself.  So S + O_K lies in the union of
+    the depth-j pieces D(f_W(c) + g, r_j), r_j = r'/|beta|^j, over the
+    depth-j words W and g in O_K; each piece holds the point f_W(S) + g of
+    S + O_K, and the #A pieces of depth j + 1 below it lie inside it.  With
+    c = C/D and E_j = D*N(beta)^j, a centre is P/E_j for an integer pair P,
+    and its children are N(beta)*P + a'*conj(beta)^(j+1), a' running over the
+    integral digits D*a - (beta - 1)*C of ``membership.shifted_digits``.
+
+    The descent.  A node is a cell of side 2^-l with centre m, and the pieces
+    of depth j(l) that may come within rho of it, j(l) the least depth
+    (never below its parent's) with r_j at most twice the cell's
+    circumradius R_l.  Its four subcells test each child piece exactly in
+    integers.  In units of the common denominator of m and the pieces, let
+    ``a``, ``rho`` and ``r`` be the ceilings of R_l, rho and r_j:
+      - a piece with |m - p| > a + rho + r (``keep``) is dropped: every point
+        of the cell, and so every later centre below it, is more than
+        rho + r_j from it and from every piece below it;
+      - a piece with |m - p| + a + r at most the floor of rho (``full``)
+        holds a point of S + O_K within rho of every point of the cell,
+        which is dropped: it holds no centre;
+      - a subcell whose pieces all have |m - p| > rho + r (``clear``) is a
+        hole at m.  Every piece of the tree below (W, g) is in its own piece,
+        each of those is more than rho + r from m, and together they cover
+        S + O_K, so the closed disk D(m, rho) misses it.
+    The root's pieces are the translates g with |c + g - m| <= a + rho + r,
+    read row by row with exact chords, as in ``intersection._ball_candidates``.
+    Cells are taken by the upper bound |m - p| - r_j + R_l of the clearance
+    in them, the largest first; every comparison is on integers, and ties go
+    to the older cell, so the path depends on the spec and rho^2 alone.
+    """
+    field = spec.field
+    s, nyy = norm_form(field)
+    disc = 4 * nyy - s * s  # 4*Q(x, y) = (2x + s*y)^2 + disc*y^2
+    kappa = 1 + s + nyy  # Q(1, 1): R_l^2 = kappa / 4^(l+1)
+    centre, r2 = spec.disk
+    C, D = centre.num, centre.den
+    beta = spec.beta
+    b = beta.norm()
+    rn, rd = r2.numerator, r2.denominator
+    pn, pd = rho_sq.numerator, rho_sq.denominator
+    shift = (beta - 1) * C
+    digits = [(a.x * D - shift.x, a.y * D - shift.y) for a in spec.digits]
+    steps: list[list[tuple[int, int]]] = [[]]  # steps[j]: the a'*conj(beta)^j
+    depths = [0]
+    bounds: dict[int, tuple[int, int, int, int, int]] = {}
+
+    def depth(level):
+        # r_j^2 <= 4*R_l^2, that is rn * 4^l <= kappa * rd * b^j
+        while len(depths) <= level:
+            j = depths[-1]
+            while rn * 4 ** len(depths) > kappa * rd * b**j:
+                j += 1
+            depths.append(j)
+        return depths[level]
+
+    def step(j):
+        while len(steps) <= j:
+            m00, m01, m10, m11 = mul_matrix(beta.conj() ** len(steps))
+            steps.append([(m00 * x + m01 * y, m10 * x + m11 * y) for x, y in digits])
+        return steps[j]
+
+    def bound(level):
+        """(keep, clear, full, key_shift, scale) for the cells of one level,
+        the squared bounds and the shift in units of scale = E_j * 2^(l+1)."""
+        if level not in bounds:
+            j = depth(level)
+            scale = D * b**j << (level + 1)
+            a = _ceil_sqrt(kappa * scale * scale, 4 ** (level + 1))
+            rho = _ceil_sqrt(pn * scale * scale, pd)
+            r = _ceil_sqrt(rn * scale * scale, rd * b**j)
+            low = math.isqrt(pn * scale * scale // pd) - a - r
+            full = low * low if low >= 0 else -1
+            bounds[level] = ((a + rho + r) ** 2, (rho + r) ** 2, full, r - a, scale)
+        return bounds[level]
+
+    keep, clear, full, _, _ = bound(0)
+    # the root: centre (1 + w)/2 and pieces (C + g*D)/D, so the scaled
+    # offsets are the (x, y) = 2*(C + g*D) - (D, D) with Q(x, y) <= keep
+    cx, cy, d2 = 2 * C.x - D, 2 * C.y - D, 2 * D
+    ymax = math.isqrt(4 * keep // disc)
+    root = []
+    nearest = None
+    for y in range(-ymax + (cy + ymax) % d2, ymax + 1, d2):
+        r = math.isqrt(4 * keep - disc * y * y)
+        lo = -((r + s * y) // 2)
+        for x in range(lo + (cx - lo) % d2, (r - s * y) // 2 + 1, d2):
+            q = x * x + s * x * y + nyy * y * y
+            if q <= full:
+                return None, True
+            root.append(((x + D) // 2, (y + D) // 2))
+            if len(root) > budget:
+                return None, False
+            if nearest is None or q < nearest:
+                nearest = q
+    nodes = len(root)
+    if nearest is None or nearest > clear:
+        return Hole(FieldElement(QuadInt(field, 1, 1), 2), rho_sq, nodes), False
+    heap = [(0, 0, 0, 0, 0, root)]
+    tick = 0
+    while heap:
+        _, _, level, i, k, pieces = heapq.heappop(heap)
+        # an expansion is charged its 4 * (child pieces) tests up front
+        nodes += 4 * len(pieces) * len(digits) ** (depth(level + 1) - depth(level))
+        if nodes > budget:
+            return None, False
+        for j in range(depth(level) + 1, depth(level + 1) + 1):
+            pieces = [(b * x + ax, b * y + ay) for x, y in pieces for ax, ay in step(j)]
+        keep, clear, full, key_shift, scale = bound(level + 1)
+        e = scale >> (level + 2)
+        f = 1 << (level + 2)
+        scaled = [(x * f, y * f, (x, y)) for x, y in pieces]
+        for i2 in (2 * i, 2 * i + 1):
+            for k2 in (2 * k, 2 * k + 1):
+                mx, my = (2 * i2 + 1) * e, (2 * k2 + 1) * e
+                live = []
+                nearest = None
+                for px, py, piece in scaled:
+                    dx, dy = px - mx, py - my
+                    q = dx * (dx + s * dy) + nyy * dy * dy
+                    if q <= keep:
+                        if q <= full:
+                            break
+                        live.append(piece)
+                        if nearest is None or q < nearest:
+                            nearest = q
+                else:
+                    if nearest is None or nearest > clear:
+                        m = FieldElement(QuadInt(field, 2 * i2 + 1, 2 * k2 + 1), f)
+                        return Hole(m, rho_sq, nodes), False
+                    tick += 1
+                    key = -((math.isqrt(nearest) - key_shift) << 40) // scale
+                    heapq.heappush(heap, (key, tick, level + 1, i2, k2, live))
+    return None, True
 
 
 def similarity_dimension(spec: IFSSpec) -> float:

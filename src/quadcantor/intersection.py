@@ -17,9 +17,10 @@ logarithms of rationals and is done with rigorous dyadic brackets, never
 bare floating point.  It is only reported: the exact order excludes far
 more, and decides alone.  ``survivors`` finds, by one pruned depth-first
 walk over the exponents, the maximal tuples whose order does not beat the
-covering count, and each is swept as the lattice prod P_j^{-n_j}.  A walk
-that no bounded box cut is the certified walk, so a run whose sweeps all
-fit then covers every point.
+covering count and, in case (ii), that no certified hole in S + O_K
+empties (``_Holes``), and each is swept as the lattice prod P_j^{-n_j}.  A
+walk that no bounded box cut is the certified walk, so a run whose sweeps
+all fit then covers every point.
 
 A sweep scans the balls of a depth-k cylinder cover of the attractor: the
 images D((W + c)/beta^k, r'/|beta|^k) of the disk D(c, r') of
@@ -54,6 +55,7 @@ from .exactmath import ceil_sub_sqrt, floor_add_sqrt  # noqa: F401
 from .ideals import ideal_pow  # noqa: F401
 from .fractal import (
     CoveringConstants,
+    Hole,
     IFSSpec,
     covering_constants,
     covering_exponent,
@@ -243,9 +245,14 @@ def _u_norm(case: str, u: int) -> int:
     each rational prime p, is the least positive integer in prod P_j^{n_j}.
     Case (i) clears the denominator with u itself, of norm u^2.  Case (ii)
     has a single split prime above each p, so u is the norm of
-    prod P_j^{n_j}, whose generator clears the denominator.
+    prod P_j^{n_j}, whose generator clears the denominator.  Any other case
+    raises ``ValueError``.
     """
-    return u if case == "case_ii" else u * u
+    if case == "case_ii":
+        return u
+    if case == "case_i":
+        return u * u
+    raise ValueError(f"unknown finiteness case {case!r}: expected 'case_i' or 'case_ii'")
 
 
 def _u_limit(spec: IFSSpec, lb: LowerBoundSpec, case: str) -> tuple[int, list[int]]:
@@ -279,10 +286,12 @@ def survivors(
     spec: IFSSpec,
     lb: LowerBoundSpec | None,
     n_max: int | None,
+    holes: _Holes | None = None,
 ) -> tuple[tuple[tuple[int, ...], ...], bool]:
-    """Maximal tuples not excluded by their exact order, each at most
-    n_max*b (any size when n_max is None), and whether the search is
-    complete: no loop of the walk ran to the top of its box.
+    """Maximal tuples not excluded by their exact order, nor by a hole in
+    S + O_K when ``holes`` is given, each at most n_max*b (any size when
+    n_max is None), and whether the search is complete: no loop of the walk
+    ran to the top of its box.
 
     A point with minimal tuple n has a coding period m with beta^m = 1
     modulo prod P_j^{n_j} (``period_congruence_holds``), so m is a multiple
@@ -296,7 +305,8 @@ def survivors(
     u = prod p^m_p over the primes set so far and the lcm of their orders.
     Per setting of the earlier exponents it keeps the largest last one whose
     lcm is at most period_bound(u_norm(u)), read from the steps of
-    ``_u_limit``; a smaller one lies below it.  It stops raising n_j once u
+    ``_u_limit``, and that ``holes`` does not drop (``_Holes.largest_kept``);
+    a smaller one lies below it.  It stops raising n_j once u
     is above ``_u_limit`` or the lcm is above the period bound at that
     limit.  Neither stop cuts the way to a point's minimal tuple n:
     ord(n) >= c2*u(n) (``order_lower_bound``) puts u(n) below the limit,
@@ -346,7 +356,7 @@ def survivors(
         p, e = primes[j].p, primes[j].e
         held = m_p[p]
         order_j = orders[j]
-        best = -1
+        passed = []  # the last exponents whose order passes
         for nj in range(top[j] + 1):
             m = -(-nj // e)
             if m > held:
@@ -361,11 +371,19 @@ def survivors(
                 m_p[p] = m
                 walk(j + 1, uj, oj)
             elif oj <= bounds[bisect_left(highs, uj)]:
-                best = nj
+                passed.append(nj)
         else:
             complete = False
         if j == last:
-            best_at[tuple(path[:j])] = best
+            prefix = tuple(path[:j])
+            if holes is None or not passed:
+                best_at[prefix] = passed[-1] if passed else -1
+            else:
+                ords = [orders[i][ni] for i, ni in enumerate(prefix)]
+                best_at[prefix] = holes.largest_kept(
+                    [(*prefix, nj) for nj in passed],
+                    [_hole_exponents(primes, (*ords, order_j[nj])) for nj in passed],
+                )
         m_p[p] = held
 
     walk(0, 1, 1)
@@ -377,6 +395,100 @@ def survivors(
             kept.append((*q, best))
         up[q] = max(best, above)
     return tuple(reversed(kept)), complete
+
+
+def _hole_exponents(primes, ords: tuple[int, ...]) -> tuple[int, ...]:
+    """The v_j of ``_Holes`` for one tuple, from its orders
+    ord_j = ord(beta mod P_j^{n_j}): the p_j-valuation of the order of
+    beta^{L_j} modulo P_j^{n_j}, L_j = lcm_{i != j} ord_i, which is
+    ord_j / gcd(ord_j, L_j); and 0 for a prime over 2."""
+    out = []
+    for j, (prime, o) in enumerate(zip(primes, ords)):
+        v = 0
+        if prime.p != 2:
+            h = o // math.gcd(o, math.lcm(*ords[:j], *ords[j + 1:]))
+            while h % prime.p == 0:
+                h //= prime.p
+                v += 1
+        out.append(v)
+    return tuple(out)
+
+
+class _Holes:
+    """The hole test of one case-(ii) run of ``survivors``: a tuple n whose
+    order passes is dropped when a closed disk D(y, rho) that misses S + O_K
+    has rho at least the covering radius of the lattice prod P_j^{-v_j}, for
+    the v_j of ``_hole_exponents``.
+
+    Proof.  In case (ii) O_K is a PID and the primes P_j of alpha are split
+    over distinct rational primes p_j, so O_K/P_j^{n_j} is Z/p_j^{n_j}.  Let
+    z have minimal tuple n and I = prod P_j^{n_j}, so zO_K + O_K = I^-1.  The
+    orbit of z under z -> beta*z - a, following its coding, stays in S and
+    keeps the denominator I, since beta is a unit modulo I; so it reaches a
+    cycle z'_0, ..., z'_{m-1} in S with z'_i = beta^i z'_0 (mod O_K), and
+    S + O_K holds x*z'_0 + O_K for every x in the group <beta> of units
+    modulo I.  Put t_j = n_j - v_j.  For odd p_j the group (Z/p_j^{n_j})^*
+    is cyclic, and beta^{L_j} is 1 modulo every other P_i^{n_i} and has
+    order of p_j-valuation v_j modulo P_j^{n_j}; a power of it has order
+    p_j^{v_j} there, so it generates the one subgroup of that order,
+    1 + p_j^{t_j} Z/p_j^{n_j} (v_j < n_j, as the p-part of (Z/p^n)^* has
+    order p^(n-1)).  For p_j = 2, v_j = 0 gives the trivial subgroup, t_j =
+    n_j.  By the Chinese remainder theorem <beta> contains 1 + J modulo I,
+    J = prod P_j^{t_j}, so S + O_K contains z'_0 + J*z'_0 + O_K =
+    z'_0 + J*I^-1, as J*z'_0 + O_K = J*(z'_0 O_K + O_K) = J*I^-1 for J
+    containing I.  J*I^-1 = prod P_j^{-v_j} has a point of every coset
+    within its covering radius mu of y.  So if mu <= rho, D(y, rho) meets
+    S + O_K, which it misses: no point has minimal tuple n.
+
+    mu^2 is that of the integral lattice I' = prod P_j^{v_j}
+    (``_covering_radius_sq``) divided by N(I')^2, as I'^-1 = conj(I')/N(I')
+    and conjugation is an isometry.  A tuple with every v_j = 0 has the
+    lattice O_K, which meets every disk of its covering radius, and is
+    never searched.  Each search for rho = mu is ``IFSSpec.hole``, given at
+    most ``budget(n)`` piece tests, the cost of the sweep it could save.
+    ``hole`` is the largest hole found, which certifies every drop, and
+    ``dropped`` counts the tuples dropped.
+    """
+
+    def __init__(self, spec: IFSSpec, fact: ElementFactorization, budget: Callable[[tuple[int, ...]], int]):
+        self.spec = spec
+        self.fact = fact
+        self.budget = budget
+        self.hole: Hole | None = None
+        self.dropped = 0
+        self._radius: dict[tuple[int, ...], Fraction] = {}
+
+    def radius_sq(self, v: tuple[int, ...]) -> Fraction:
+        """mu^2 of the lattice prod P_j^{-v_j}."""
+        if v not in self._radius:
+            ideal = prime_power_product(self.spec.field, self.fact.primes, v)
+            self._radius[v] = _covering_radius_sq(ideal) / ideal.norm**2
+        return self._radius[v]
+
+    def largest_kept(self, tuples: list[tuple[int, ...]], vs: list[tuple[int, ...]]) -> int:
+        """The largest last exponent of ``tuples``, which share every other
+        exponent, that no hole drops, or -1.
+
+        The tuples are taken by falling mu^2, the larger last exponent first
+        on a tie; one at or below the last exponent kept needs no test, and
+        one with mu^2 at most that of a hole already found needs no search,
+        as a hole of radius rho is one of every smaller radius.
+        """
+        best = -1
+        ranked = sorted(zip(tuples, vs), key=lambda tv: (self.radius_sq(tv[1]), tv[0][-1]), reverse=True)
+        for n, v in ranked:
+            if n[-1] <= best:
+                continue
+            mu_sq = self.radius_sq(v)
+            if self.hole is not None and mu_sq <= self.hole.rho_sq:
+                continue
+            hole = self.spec.hole(mu_sq, self.budget(n)) if any(v) else None
+            if hole is None:
+                best = n[-1]
+            else:
+                self.hole = hole
+        self.dropped += sum(n[-1] > best for n in tuples)
+        return best
 
 
 @dataclass(frozen=True)
@@ -402,10 +514,13 @@ class IntersectionReport:
     Every point whose denominator divides alpha^level is in ``points``:
     ``level`` is n0 (certified) or n_max (bounded), or if a survivor fell
     back min(n0, min_s max_p min_{j: s_j > p_j} p_j // b_j) over survivors s
-    and swept parts p.  ``survivors`` are the maximal tuples the
-    exact order does not exclude.  Per survivor, ``swept`` lists it unswept
-    if it fell back, then its swept part unless that is listed or lies below
-    another part.  ``exhausted`` means ``points`` is the whole intersection.
+    and swept parts p.  ``survivors`` are the maximal tuples that neither the
+    exact order nor, in case (ii), a hole in S + O_K excludes: ``hole`` is
+    the largest hole the run certified, or None, and ``dropped`` the number
+    of tuples it dropped that the order kept (``_Holes``).  Per survivor,
+    ``swept`` lists it unswept if it fell back, then its swept part unless
+    that is listed or lies below another part.  ``exhausted`` means
+    ``points`` is the whole intersection.
     """
 
     points: tuple[IntersectionPoint, ...]
@@ -416,6 +531,8 @@ class IntersectionReport:
     lower_bound: LowerBoundSpec | None
     survivors: tuple[tuple[int, ...], ...]
     swept: tuple[Sweep, ...]
+    hole: Hole | None = None
+    dropped: int = 0
 
     @property
     def fallback(self) -> tuple[Sweep, ...]:
@@ -423,11 +540,11 @@ class IntersectionReport:
         return tuple(s for s in self.swept if not s.swept)
 
 
-def _shortest(ideal: IdealHNF) -> QuadInt:
-    """A nonzero element of least norm in the ideal.
+def _reduced(ideal: IdealHNF) -> tuple[tuple[int, int], tuple[int, int]]:
+    """A Lagrange-Gauss reduced basis (u, v) of the ideal under the norm form
+    Q, as (x, y) pairs: |2B(u, v)| <= Q(u) <= Q(v), so u is a shortest vector.
 
-    Lagrange-Gauss reduction of the basis {a, b + c*w} under the norm form:
-    once |2B(u, v)| <= Q(u) <= Q(v), u is a shortest vector.
+    It reduces the basis {a, b + c*w} of the Hermite form.
     """
     nxy, nyy = norm_form(ideal.field)
 
@@ -443,9 +560,41 @@ def _shortest(ideal: IdealHNF) -> QuadInt:
         # 2B(u, v) = Q(u + v) - Q(u) - Q(v)
         mu = (q(ux + vx, uy + vy) - qv) // (2 * qu)
         if not mu:
-            return QuadInt(ideal.field, ux, uy)
+            return (ux, uy), (vx, vy)
         vx, vy = vx - mu * ux, vy - mu * uy
         qv = q(vx, vy)
+
+
+def _shortest(ideal: IdealHNF) -> QuadInt:
+    """A nonzero element of least norm in the ideal (``_reduced``)."""
+    return QuadInt(ideal.field, *_reduced(ideal)[0])
+
+
+def _covering_radius_sq(ideal: IdealHNF) -> Fraction:
+    """The squared covering radius of the ideal as a lattice in C: the
+    largest squared distance from a point of C to its nearest lattice point.
+
+    Take a reduced basis (u, v) (``_reduced``) with B(u, v) >= 0, flipping v
+    if needed.  Then every angle of the triangle 0, u, v is at most 90
+    degrees: B(u, v) >= 0 at 0, and Q(u) - B(u, v) and Q(v) - B(u, v) are
+    positive as 2B(u, v) <= Q(u) <= Q(v).  Its translates and those of
+    u, v, u + v tile the plane, each holding its circumcentre, so they are
+    a Delaunay triangulation: the circumcentre is its farthest point from
+    the lattice, at the circumradius R.  With sides Q(u), Q(v), Q(v - u)
+    squared and area |det|*sqrt(|disc|)/4, det = u_x*v_y - u_y*v_x, the
+    formula R = abc/(4*area) gives R^2 = Q(u)*Q(v)*Q(v - u) / (det^2*|disc|).
+    """
+    nxy, nyy = norm_form(ideal.field)
+
+    def q(x, y):
+        return x * x + nxy * x * y + nyy * y * y
+
+    (ux, uy), (vx, vy) = _reduced(ideal)
+    if q(ux + vx, uy + vy) < q(ux, uy) + q(vx, vy):
+        vx, vy = -vx, -vy
+    det = ux * vy - uy * vx
+    disc = 4 * nyy - nxy * nxy
+    return Fraction(q(ux, uy) * q(vx, vy) * q(vx - ux, vy - uy), det * det * disc)
 
 
 def _ball_candidates(
@@ -740,8 +889,10 @@ def full_intersection(
     """Intersection report in certified or bounded mode.
 
     Both modes search for the maximal tuples the exact order does not
-    exclude (``survivors``), at most n_max*b in bounded mode and of any
-    size in certified mode, and sweep the lattice prod P_j^{-n_j} of each;
+    exclude (``survivors``), nor in case (ii) a hole in S + O_K whose search
+    takes at most min(cost, cap) piece tests (``_Holes``), at most n_max*b
+    in bounded mode and of any size in certified mode, and sweep the
+    lattice prod P_j^{-n_j} of each;
     bounded mode so returns exactly the points of level n_max.  Certified
     mode sweeps in place of a survivor s over the cap its part min(s, L*b)
     for the largest level L whose cost from ``_plan`` fits, or L = 0
@@ -781,7 +932,10 @@ def full_intersection(
     def cost(n):
         return _plan(spec, fact, n).cost
 
-    found, complete = survivors(report, spec, lb, n_max if mode == "bounded" else None)
+    holes = None
+    if report.applicable_case == "case_ii":
+        holes = _Holes(spec, fact, lambda n: min(cost(n), cap))
+    found, complete = survivors(report, spec, lb, n_max if mode == "bounded" else None, holes)
     if mode == "certified":
         parts = [_fallback_part(spec, fact, s, cap, cost) for s in found]
     else:
@@ -823,6 +977,8 @@ def full_intersection(
         lower_bound=lb,
         survivors=found,
         swept=tuple(sweeps),
+        hole=holes.hole if holes else None,
+        dropped=holes.dropped if holes else 0,
     )
 
 

@@ -196,11 +196,14 @@ def test_criterion_6_certified_case_two():
         for pt in result.points:
             assert qc.verify_coding(pt.coding, pt.value.num, pt.value.den, GAUSSIAN_FOUR)
             assert qc.period_congruence_holds(pt, fact, GAUSSIAN_FOUR.beta)
-        # the level-n0 lattice is far beyond desk scale: certified mode must
-        # degrade gracefully, keeping the certificate attached
-        certified = qc.full_intersection(
-            alpha, GAUSSIAN_FOUR, mode="certified", cap=10**6
-        )
+        # the level-n0 lattice is far beyond desk scale: a hole in S + O_K
+        # leaves the survivor (2,) of cost 1536, which the default cap sweeps;
+        # under a smaller cap certified mode must degrade gracefully,
+        # keeping the certificate attached
+        certified = qc.full_intersection(alpha, GAUSSIAN_FOUR, mode="certified")
+        assert certified.exhausted and certified.level == n0
+        assert [str(p.value) for p in certified.points] == ["0"]
+        certified = qc.full_intersection(alpha, GAUSSIAN_FOUR, mode="certified", cap=1024)
         assert certified.certified_n0 == n0
         assert not certified.exhausted and certified.level < n0
         print(f"          (n0 = {n0}, {len(result.points)} points at level 3)", flush=True)

@@ -10,7 +10,6 @@ import pytest
 import quadcantor as qc
 from quadcantor import ntheory
 from quadcantor.cli import _decimal_digits, _emit, _plain, main
-from quadcantor.intersection import DEFAULT_CAP
 
 
 def run_cli(capsys, *argv):
@@ -205,20 +204,51 @@ class TestIntersect:
         assert {p["value"] for p in record["points"]} == {"0", "1/4", "3/4", "1"}
 
     def test_certified_case_two_names_the_over_cap_survivor(self, capsys):
+        # the survivor (2,) left by the hole costs 1536, over this cap
+        cap = 1024
+        record = run_json(
+            capsys, "intersect", "-d", "-1", "--alpha=-4+w", "--beta=-2+w",
+            "--digits", "0,1,2,3", "--mode", "certified", "--cap", str(cap),
+        )
+        assert record["exhausted"] is False
+        assert record["n0"] == "109"
+        assert record["survivors"] == [["2"]]
+        [skipped] = record["fallback"]
+        assert skipped["tuple"] == ["2"] and skipped["swept"] is False
+        assert int(skipped["cost"]) > cap
+        swept = [s for s in record["swept"] if s["swept"]]
+        assert swept == [{"tuple": [record["level"]], "cost": swept[0]["cost"], "swept": True}]
+        assert int(swept[0]["cost"]) <= cap
+        assert {p["value"] for p in record["points"]} == {"0"}
+
+    def test_certified_case_two_exhausts_with_its_hole(self, capsys):
         record = run_json(
             capsys, "intersect", "-d", "-1", "--alpha=-4+w", "--beta=-2+w",
             "--digits", "0,1,2,3", "--mode", "certified",
         )
-        assert record["exhausted"] is False
-        assert record["n0"] == "109"
-        assert record["survivors"] == [["12"]]
-        [skipped] = record["fallback"]
-        assert skipped["tuple"] == ["12"] and skipped["swept"] is False
-        assert int(skipped["cost"]) > DEFAULT_CAP
-        swept = [s for s in record["swept"] if s["swept"]]
-        assert swept == [{"tuple": [record["level"]], "cost": swept[0]["cost"], "swept": True}]
-        assert int(swept[0]["cost"]) <= DEFAULT_CAP
-        assert {p["value"] for p in record["points"]} == {"0"}
+        assert record["exhausted"] is True
+        assert record["level"] == record["n0"] == "109"
+        assert record["survivors"] == [["2"]]
+        assert record["swept"] == [{"tuple": ["2"], "cost": "1536", "swept": True}]
+        assert record["fallback"] is None
+        assert [p["value"] for p in record["points"]] == ["0"]
+        hole = record["hole"]
+        assert hole["rho_sq"] == "1/578" and hole["dropped"] == "10"
+        assert set(hole) == {"centre", "rho_sq", "nodes", "dropped"}
+
+    def test_hole_key_only_in_case_two(self, capsys):
+        # case (i) runs keep their records; a case-(ii) run without a hole
+        # says so
+        record = run_json(
+            capsys, "intersect", "-d", "-1", "--alpha", "2", "--beta", "3",
+            "--digits", "0,2", "--mode", "certified",
+        )
+        assert "hole" not in record
+        record = run_json(
+            capsys, "intersect", "-d", "-1", "--alpha=-4+w", "--beta=-2+w",
+            "--digits", "0,1,2,3", "--mode", "bounded", "--nmax", "1",
+        )
+        assert record["hole"] is None and record["survivors"] == [["1"]]
 
 
 class TestBound:

@@ -1010,12 +1010,25 @@ class TestFullIntersection:
         assert _values(rep.points) == _frac_values(gauss, WALL_D10)
 
     def test_certified_case_two_names_the_skipped_survivor(self, gauss, gaussian_four):
+        # the hole drops (3,) through (12,); the survivor (2,) costs 1536, over
+        # this cap, so the run falls back and names it
         alpha = gauss.element(-4, 1)
-        rep = qc.full_intersection(alpha, gaussian_four, mode="certified", cap=10**6)
+        rep = qc.full_intersection(alpha, gaussian_four, mode="certified", cap=1024)
         assert rep.certified_n0 == 109 and not rep.exhausted
-        plan = _plan(gaussian_four, rep.preconditions.alpha_factorization, (12,))
-        assert [(s.exponents, s.cost) for s in rep.fallback] == [((12,), plan.cost)]
+        plan = _plan(gaussian_four, rep.preconditions.alpha_factorization, (2,))
+        assert plan.cost == 1536
+        assert [(s.exponents, s.cost) for s in rep.fallback] == [((2,), plan.cost)]
         assert rep.points == qc.enumerate_level(rep.level, alpha, gaussian_four, cap=10**6)
+
+    def test_certified_case_two_exhausts_at_the_default_cap(self, gauss, gaussian_four):
+        # the order keeps (12,); a hole of radius^2 1/578, the covering
+        # radius^2 of P^-2, drops (3,) through (12,), and (2,) is swept
+        rep = qc.full_intersection(gauss.element(-4, 1), gaussian_four, mode="certified")
+        assert rep.exhausted and rep.level == rep.certified_n0 == 109
+        assert rep.survivors == ((2,),) and rep.dropped == 10
+        assert rep.swept == (intersection.Sweep((2,), 1536, True),)
+        assert [str(p.value) for p in rep.points] == ["0"]
+        assert rep.hole.rho_sq == Fraction(1, 578)
 
     def test_seeded_certified_runs_under_caps(self):
         # each run either raises for a survivor whose level-0 part is over
