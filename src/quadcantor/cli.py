@@ -46,7 +46,9 @@ def _plain(value):
     """The JSON form of a record value: bools, strings and None as they are,
     a float to 15 significant digits, an integer, element (``element_text``),
     field element or fraction as its exact text, containers member by member.
-    Anything else is left for ``json.dumps`` to reject."""
+    A record (a named tuple) is rejected here, where ``json.dumps`` would
+    write it as a bare list of its fields; anything else is left for
+    ``json.dumps`` to reject."""
     if value is None or isinstance(value, (bool, str)):
         return value
     if isinstance(value, float):
@@ -56,6 +58,8 @@ def _plain(value):
     if isinstance(value, dict):
         return {key: _plain(v) for key, v in value.items()}
     if isinstance(value, (list, tuple)):
+        if hasattr(value, "_fields"):
+            raise TypeError(f"a {type(value).__name__} record is not JSON serializable")
         return [_plain(v) for v in value]
     return value
 

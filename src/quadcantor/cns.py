@@ -7,7 +7,7 @@ isomorphism Z[i]/(theta) = Z/(n^2+1), which sends i to n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapExceededError, FieldError
 from .quadring import FieldElement, QuadInt, exact_div, make_field
@@ -15,8 +15,7 @@ from .quadring import FieldElement, QuadInt, exact_div, make_field
 _GAUSS = make_field(-1)
 
 
-@dataclass(frozen=True)
-class CnsBasis:
+class CnsBasis(NamedTuple):
     n: int
     theta: QuadInt
     digit_count: int  # n^2 + 1 = N(theta)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import math
-import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -115,8 +114,7 @@ def ifs_new(beta: QuadInt, digits) -> IFSSpec:
     return IFSSpec(field=field, beta=beta, digits=digits)
 
 
-@dataclass(frozen=True)
-class CoveringConstants:
+class CoveringConstants(NamedTuple):
     """Explicit constants behind the covering chain for one spec."""
 
     radius_sq_bound: Fraction
@@ -361,8 +359,7 @@ def sample_points(spec: IFSSpec, depth: int, cap: int = 1 << 20) -> list[complex
     return z
 
 
-@dataclass(frozen=True)
-class BoxDimEstimate:
+class BoxDimEstimate(NamedTuple):
     dimension: float
     counts: tuple[tuple[int, float, int], ...]  # (depth, delta, boxes)
 
@@ -372,8 +369,8 @@ def box_dim_estimate(spec: IFSSpec, depths) -> BoxDimEstimate:
     depths = list(depths)
     if len(depths) < 2:
         raise ValueError("need at least two depths for a slope")
-    if sorted(depths) != depths:
-        raise ValueError("depths must be ascending")
+    if any(a >= b for a, b in zip(depths, depths[1:])):
+        raise ValueError("depths must be strictly ascending")
     abs_beta = math.sqrt(spec.beta.norm())
     rows = []
     for depth in depths:
@@ -385,5 +382,7 @@ def box_dim_estimate(spec: IFSSpec, depths) -> BoxDimEstimate:
         rows.append((depth, delta, len(cells)))
     xs = [-math.log(delta) for _, delta, _ in rows]
     ys = [math.log(n) for _, _, n in rows]
-    slope = statistics.linear_regression(xs, ys).slope
+    mx, my = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    slope = sxy / math.fsum((x - mx) ** 2 for x in xs)
     return BoxDimEstimate(dimension=slope, counts=tuple(rows))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import FieldError
 from .ntheory import ext_gcd, factor_int, is_prime, kronecker_at_prime, sqrt_mod
@@ -67,8 +68,7 @@ class IdealHNF:
         return f"({self.a}, {self.b}+{self.c}w)"
 
 
-@dataclass(frozen=True)
-class PrimeIdeal:
+class PrimeIdeal(NamedTuple):
     """A prime ideal with its rational prime p, ramification e, degree f.
 
     ``root`` is the residue r with w = r (mod ideal) when f = 1, None when
@@ -94,8 +94,7 @@ class PrimeIdeal:
         return f"({self.p}, w-{self.root})"
 
 
-@dataclass(frozen=True)
-class PrimeSplitting:
+class PrimeSplitting(NamedTuple):
     """How a rational prime decomposes: ramified, split or inert."""
 
     p: int
@@ -103,8 +102,7 @@ class PrimeSplitting:
     primes: tuple[PrimeIdeal, ...]
 
 
-@dataclass(frozen=True)
-class ElementFactorization:
+class ElementFactorization(NamedTuple):
     """alpha * O_K as a product of distinct prime-ideal powers."""
 
     element: QuadInt

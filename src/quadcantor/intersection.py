@@ -86,8 +86,7 @@ UFD_FIELDS = frozenset({-1, -2, -3, -7, -11, -19, -43, -67, -163})
 DEFAULT_CAP = 1 << 18
 
 
-@dataclass(frozen=True)
-class PreconditionReport:
+class PreconditionReport(NamedTuple):
     """Exact evaluation of every hypothesis a finiteness certificate needs."""
 
     alpha: QuadInt

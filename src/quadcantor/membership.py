@@ -35,15 +35,14 @@ no power of beta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import FieldError
 from .fractal import IFSSpec
 from .quadring import FieldElement, QuadInt, mul_matrix, norm_form
 
 
-@dataclass(frozen=True)
-class Coding:
+class Coding(NamedTuple):
     """Eventually periodic digit expansion: preperiod then repeating period."""
 
     preperiod: tuple[QuadInt, ...]

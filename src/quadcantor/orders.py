@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import PreconditionError
 from .ideals import IdealHNF, PrimeIdeal, ideal_from_generators, ideal_mul, ideal_pow
@@ -21,8 +21,7 @@ from .ntheory import factor_int
 from .quadring import QuadInt
 
 
-@dataclass(frozen=True)
-class StabilizationData:
+class StabilizationData(NamedTuple):
     """Order m modulo prime^n0 together with n0 = v(beta^m - 1)."""
 
     prime: PrimeIdeal
@@ -49,8 +48,7 @@ class StabilizationData:
         return k * self.prime.p**lift
 
 
-@dataclass(frozen=True)
-class LowerBoundSpec:
+class LowerBoundSpec(NamedTuple):
     """Explicit constant c2 = 1/prod(p_j^m_j) for the order lower bound.
 
     ``stabilizations`` keeps each prime's stabilization data, from which

@@ -18,32 +18,26 @@ is rationalized by multiplying through with its conjugate.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import FieldError, ParseError
 from .ntheory import is_squarefree
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """An imaginary quadratic field Q(sqrt(d)) and its integral basis {1, w}."""
+class FieldSpec(NamedTuple):
+    """An imaginary quadratic field Q(sqrt(d)) and its integral basis {1, w}.
+
+    Built by ``make_field``, which derives the rest from d: disc is the
+    field discriminant; w^2 = s*w + t, and s = 1 exactly when d = 1 (mod 4),
+    i.e. w = (1+sqrt(d))/2.
+    """
 
     d: int
-    # derived from d: disc is the field discriminant; w^2 = s*w + t, and
-    # s = 1 exactly when d = 1 (mod 4), i.e. w = (1+sqrt(d))/2
-    disc: int = dataclasses.field(init=False, compare=False)
-    s: int = dataclasses.field(init=False, compare=False)
-    t: int = dataclasses.field(init=False, compare=False)
-
-    def __post_init__(self):
-        half = self.d % 4 == 1
-        s, t = (1, (self.d - 1) // 4) if half else (0, self.d)
-        object.__setattr__(self, "disc", self.d if half else 4 * self.d)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "t", t)
+    disc: int
+    s: int
+    t: int
 
     def element(self, x: int, y: int = 0) -> QuadInt:
         return QuadInt(self, x, y)
@@ -73,7 +67,9 @@ def make_field(d: int) -> FieldSpec:
         raise FieldError(f"d must be negative, got {d}")
     if not is_squarefree(d):
         raise FieldError(f"d must be squarefree, got {d}")
-    return FieldSpec(d=d)
+    if d % 4 == 1:
+        return FieldSpec(d, d, 1, (d - 1) // 4)
+    return FieldSpec(d, 4 * d, 0, d)
 
 
 class QuadInt:
@@ -116,10 +112,15 @@ class QuadInt:
         return QuadInt(self.field, -self.x, -self.y)
 
     def __mul__(self, other) -> QuadInt:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
         f = self.field
+        # the common operand skips the call to _coerce, which pays for the
+        # two named-tuple reads of s and t below
+        if other.__class__ is QuadInt and other.field is f:
+            o = other
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
         yy = self.y * o.y
         return QuadInt(
             f, self.x * o.x + f.t * yy, self.x * o.y + self.y * o.x + f.s * yy

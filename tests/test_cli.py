@@ -563,3 +563,15 @@ class TestFormat:
         assert _plain([other]) == [other]
         with pytest.raises(TypeError):
             _emit({"value": other})
+
+    def test_plain_rejects_a_record(self, gauss):
+        # records are named tuples, which json.dumps would write as bare lists
+        coding = qc.Coding((), (gauss.element(0),))
+        prime = qc.factor_rational_prime(gauss, 5).primes[0]
+        for record in (coding, prime):
+            name = type(record).__name__
+            with pytest.raises(TypeError, match=name):
+                _plain(record)
+            with pytest.raises(TypeError, match=name):
+                _emit({"value": [record]})
+        assert _plain((1, (gauss.element(2),))) == ["1", ["2"]]

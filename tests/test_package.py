@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import gc
 import os
 import subprocess
@@ -6,6 +7,8 @@ import sys
 import weakref
 from pathlib import Path
 from types import ModuleType
+
+import pytest
 
 import quadcantor as qc
 import quadcantor.cli  # noqa: F401
@@ -115,7 +118,8 @@ def test_float_guard_sees_each_float_call(tmp_path):
 
 
 def test_import_loads_no_numpy():
-    code = "import sys, quadcantor; print('numpy' in sys.modules)"
+    # nor statistics: each command is a fresh process that pays for its import
+    code = "import sys, quadcantor; print('numpy' in sys.modules or 'statistics' in sys.modules)"
     src = str(Path(qc.__file__).parents[1])
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -152,3 +156,80 @@ def test_a_dropped_spec_is_freed():
     del spec, rep
     gc.collect()
     assert ref() is None
+
+
+# the records that stay dataclasses, each for what a named tuple cannot do;
+# every other value record is a NamedTuple, whose class costs no generated code
+DATACLASS_RECORDS = {
+    "IFSSpec",  # holds cached_property caches and must stay weak-referenceable
+    "IdealHNF",  # validates its Hermite form in the constructor
+    "IntersectionPoint",  # copied with dataclasses.replace by callers
+    "IntersectionReport",  # likewise
+}
+
+
+def test_only_the_listed_records_are_dataclasses():
+    found = set()
+    for path in Path(qc.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for dec in node.decorator_list:
+                f = dec.func if isinstance(dec, ast.Call) else dec
+                if getattr(f, "attr", getattr(f, "id", None)) == "dataclass":
+                    found.add(node.name)
+    assert found == DATACLASS_RECORDS
+
+
+def record_samples() -> list:
+    """One library-made instance of every exported record class."""
+    field = qc.make_field(-1)
+    spec = qc.ifs_new(field.element(3), [field.element(0), field.element(2)])
+    report = qc.full_intersection(field.element(2), spec, mode="certified", cap=10**4)
+    fact = report.preconditions.alpha_factorization
+    lb = report.lower_bound
+    return [
+        field,
+        spec,
+        qc.cns_basis(2),
+        qc.covering_constants(spec),
+        qc.box_dim_estimate(spec, [2, 3]),
+        fact,
+        fact.primes[0],
+        fact.primes[0].hnf,
+        qc.factor_rational_prime(field, 5),
+        report.preconditions,
+        lb,
+        lb.stabilizations[0],
+        report,
+        report.points[-1],
+        report.points[-1].coding,
+    ]
+
+
+def test_record_samples_cover_every_exported_record():
+    exported = {
+        v for v in vars(qc).values()
+        if isinstance(v, type) and (hasattr(v, "_fields") or dataclasses.is_dataclass(v))
+    }
+    assert {type(r) for r in record_samples()} == exported
+
+
+@pytest.mark.parametrize("record", record_samples(), ids=lambda r: type(r).__name__)
+def test_record_contract(record):
+    cls = type(record)
+    if dataclasses.is_dataclass(record):
+        names = [f.name for f in dataclasses.fields(record) if f.init]
+    else:
+        names = record._fields
+    values = {name: getattr(record, name) for name in names}
+    for name, value in values.items():
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+    twin = cls(**values)
+    assert twin is not record and twin == record and hash(twin) == hash(record)
+    if cls is qc.FieldSpec:
+        assert repr(record) == "FieldSpec(d=-1)"
+    else:
+        shown = ", ".join(f"{name}={value!r}" for name, value in values.items())
+        assert repr(record) == f"{cls.__name__}({shown})"
