@@ -6,7 +6,8 @@ to ``_emit``, which applies the format: ``_plain`` writes every number as a
 decimal string, so arbitrary precision survives serialization, and the
 record is printed as JSON with sorted keys and the integer ``schema``
 version.  Exit codes: 0 success, 1 element-syntax error, 2 failed
-precondition or float overflow, 3 size cap exceeded.
+precondition, float overflow or a file that cannot be read or written,
+3 size cap exceeded.
 """
 
 from __future__ import annotations
@@ -421,7 +422,8 @@ def _cmd_cns(args) -> None:
     )
 
 
-def _read_config(path: str) -> dict[str, str]:
+def _read_config(path: str, keys: frozenset[str]) -> dict[str, str]:
+    """The ``key = value`` lines of a config file; each key must be in ``keys``."""
     out: dict[str, str] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -430,15 +432,18 @@ def _read_config(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise PreconditionError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+            key, value = (t.strip() for t in line.split("=", 1))
+            name = key.replace("-", "_")
+            if name not in keys:
+                raise PreconditionError(f"{path}:{lineno}: '{key}' is no option of any command")
+            out[name] = value
     return out
 
 
 def _apply_config(args) -> None:
     if getattr(args, "config", None) is None:
         return
-    for key, value in _read_config(args.config).items():
+    for key, value in _read_config(args.config, args.config_keys).items():
         if getattr(args, key, None) is None:
             setattr(args, key, value)
 
@@ -515,6 +520,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--evaluate", default=None, help="digits d0,d1,... to evaluate")
     p.set_defaults(func=_cmd_cns)
 
+    # a config file may set an option of any subcommand, and no other key
+    keys = {a.dest for p in sub.choices.values() for a in p._actions if a.option_strings}
+    parser.set_defaults(config_keys=frozenset(keys - {"help"}))
     return parser
 
 
@@ -555,6 +563,9 @@ def main(argv=None) -> int:
         return 2
     except OverflowError as exc:
         print(f"out of float range: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return 2
     return 0
 

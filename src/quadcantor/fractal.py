@@ -7,9 +7,11 @@ by a rational over-approximation R', read from integer square roots
 (#A)^k with k decided by the exact comparison N(beta)^k * delta^2 >= R'^2.
 Floating point is confined to the similarity dimension
 sigma = 2*log(#A)/log(N(beta)), which is only reported, and the sampling
-and box-counting diagnostics.  The spec owns both R'^2 (``radius_sq``) and
-the disk that prunes membership's orbit graphs (``disk``), each computed once,
-and the holes in S + O_K that its searches certify (``IFSSpec.hole``).
+and box-counting diagnostics.  The spec owns R'^2 (``radius_sq``), the disk
+that prunes membership's orbit graphs (``disk``) and the integral digits its
+walks and word trees step by (``shifted_digits``), each computed once.
+``_hole_search`` certifies holes in S + O_K for the hole test of a
+case-(ii) run, which keeps its outcomes for that run alone.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .quadring import FieldElement, FieldSpec, QuadInt, mul_matrix, norm_form
 
 class Hole(NamedTuple):
     """A closed disk D(centre, rho) that misses S + O_K, with rho^2 = ``rho_sq``,
-    certified after ``nodes`` piece tests (``IFSSpec.hole``)."""
+    certified after ``nodes`` piece tests (``_hole_search``)."""
 
     centre: FieldElement
     rho_sq: Fraction
@@ -40,19 +42,16 @@ class IFSSpec:
     """A base beta with norm >= 2 and a digit set of at least two elements.
 
     Everything derived from the spec alone is cached on it: R'^2, the orbit
-    disk, the labels ``membership`` searches find (``_spaces``, from u to
-    the labelled states over u) and the outcome of each hole search
-    (``_holes``, from rho^2 to its hole, or to None with the budget it ran
-    out of, or with None when no hole of that radius exists).  The labels
-    cover only the states some search finished, not whole orbit graphs.  So
-    the caches live exactly as long as the spec does.
+    disk, its integral digits and the labels ``membership`` searches find
+    (``_spaces``, from u to the labelled states over u).  The labels cover
+    only the states some search finished, not whole orbit graphs.  So the
+    caches live exactly as long as the spec does.  No run keeps state here.
     """
 
     field: FieldSpec
     beta: QuadInt
     digits: tuple[QuadInt, ...]
     _spaces: dict = dataclasses.field(default_factory=dict, init=False, compare=False, repr=False)
-    _holes: dict = dataclasses.field(default_factory=dict, init=False, compare=False, repr=False)
 
     @cached_property
     def radius_sq(self) -> Fraction:
@@ -81,22 +80,19 @@ class IFSSpec:
             return FieldElement.from_ratio(total, (self.beta - 1) * n), r2
         return FieldElement(self.field.zero), self.radius_sq
 
-    def hole(self, rho_sq: Fraction, budget: int) -> Hole | None:
-        """A closed disk of squared radius rho_sq that misses S + O_K, found
-        by ``_hole_search`` within ``budget`` piece tests, or None.
+    @cached_property
+    def shifted_digits(self) -> tuple[tuple[int, int], ...]:
+        """The integral digits D*a - (beta - 1)*C, as (x, y), for the centre
+        c = C/D of ``disk``.
 
-        The search's path does not depend on the budget, so it succeeds
-        exactly when its hole takes at most ``budget`` tests; the cache
-        answers every later call that this rule decides.
+        In the coordinate s = D*z - C the map z -> beta*z + a reads
+        s -> beta*s + (D*a - (beta - 1)*C), which keeps every word and every
+        orbit state integral.
         """
-        hole, spent = self._holes.get(rho_sq, (None, -1))
-        if hole is not None:
-            return hole if hole.nodes <= budget else None
-        if spent is None or budget <= spent:
-            return None
-        hole, dry = _hole_search(self, rho_sq, budget)
-        self._holes[rho_sq] = (hole, None if dry else budget)
-        return hole
+        centre, _ = self.disk
+        c, d = centre.num, centre.den
+        shift = (self.beta - 1) * c
+        return tuple((a.x * d - shift.x, a.y * d - shift.y) for a in self.digits)
 
 
 def ifs_new(beta: QuadInt, digits) -> IFSSpec:
@@ -148,13 +144,14 @@ def _ceil_sqrt(n: int, d: int) -> int:
     return k if k * k * d >= n else k + 1
 
 
-def _hole_search(spec: IFSSpec, rho_sq: Fraction, budget: int) -> tuple[Hole | None, bool]:
+def _hole_search(spec: IFSSpec, rho_sq: Fraction, budget: int) -> Hole | None:
     """A hole of squared radius rho_sq in S + O_K, by one best-first descent
-    over the quadtree cells of the unit cell {x + y*w : 0 <= x, y < 1} of O_K;
-    and whether the search ran dry, which proves that no such hole exists.
-    It gives up before its piece tests pass ``budget``: each root translate
-    is one test, and each expansion is charged its tests before it runs, so
-    the search holds at most about ``budget`` pieces.
+    over the quadtree cells of the unit cell {x + y*w : 0 <= x, y < 1} of O_K,
+    or None.  It gives up before its piece tests pass ``budget``: each root
+    translate is one test, and each expansion is charged its tests before it
+    runs, so the search holds at most about ``budget`` pieces.  Its path does
+    not depend on ``budget``, so it finds its hole exactly when the hole's
+    ``nodes`` are at most ``budget``.
 
     The pieces.  S lies in the disk D(c, r') of ``IFSSpec.disk``, which every
     map z -> (z + a)/beta sends into itself.  So S + O_K lies in the union of
@@ -163,7 +160,7 @@ def _hole_search(spec: IFSSpec, rho_sq: Fraction, budget: int) -> tuple[Hole | N
     S + O_K, and the #A pieces of depth j + 1 below it lie inside it.  With
     c = C/D and E_j = D*N(beta)^j, a centre is P/E_j for an integer pair P,
     and its children are N(beta)*P + a'*conj(beta)^(j+1), a' running over the
-    integral digits D*a - (beta - 1)*C of ``membership.shifted_digits``.
+    integral digits D*a - (beta - 1)*C of ``IFSSpec.shifted_digits``.
 
     The descent.  A node is a cell of side 2^-l with centre m, and the pieces
     of depth j(l) that may come within rho of it, j(l) the least depth
@@ -197,8 +194,7 @@ def _hole_search(spec: IFSSpec, rho_sq: Fraction, budget: int) -> tuple[Hole | N
     b = beta.norm()
     rn, rd = r2.numerator, r2.denominator
     pn, pd = rho_sq.numerator, rho_sq.denominator
-    shift = (beta - 1) * C
-    digits = [(a.x * D - shift.x, a.y * D - shift.y) for a in spec.digits]
+    digits = spec.shifted_digits
     steps: list[list[tuple[int, int]]] = [[]]  # steps[j]: the a'*conj(beta)^j
     depths = [0]
     bounds: dict[int, tuple[int, int, int, int, int]] = {}
@@ -245,15 +241,15 @@ def _hole_search(spec: IFSSpec, rho_sq: Fraction, budget: int) -> tuple[Hole | N
         for x in range(lo + (cx - lo) % d2, (r - s * y) // 2 + 1, d2):
             q = x * x + s * x * y + nyy * y * y
             if q <= full:
-                return None, True
+                return None
             root.append(((x + D) // 2, (y + D) // 2))
             if len(root) > budget:
-                return None, False
+                return None
             if nearest is None or q < nearest:
                 nearest = q
     nodes = len(root)
     if nearest is None or nearest > clear:
-        return Hole(FieldElement(QuadInt(field, 1, 1), 2), rho_sq, nodes), False
+        return Hole(FieldElement(QuadInt(field, 1, 1), 2), rho_sq, nodes)
     heap = [(0, 0, 0, 0, 0, root)]
     tick = 0
     while heap:
@@ -261,7 +257,7 @@ def _hole_search(spec: IFSSpec, rho_sq: Fraction, budget: int) -> tuple[Hole | N
         # an expansion is charged its 4 * (child pieces) tests up front
         nodes += 4 * len(pieces) * len(digits) ** (depth(level + 1) - depth(level))
         if nodes > budget:
-            return None, False
+            return None
         for j in range(depth(level) + 1, depth(level + 1) + 1):
             pieces = [(b * x + ax, b * y + ay) for x, y in pieces for ax, ay in step(j)]
         keep, clear, full, key_shift, scale = bound(level + 1)
@@ -285,11 +281,11 @@ def _hole_search(spec: IFSSpec, rho_sq: Fraction, budget: int) -> tuple[Hole | N
                 else:
                     if nearest is None or nearest > clear:
                         m = FieldElement(QuadInt(field, 2 * i2 + 1, 2 * k2 + 1), f)
-                        return Hole(m, rho_sq, nodes), False
+                        return Hole(m, rho_sq, nodes)
                     tick += 1
                     key = -((math.isqrt(nearest) - key_shift) << 40) // scale
                     heapq.heappush(heap, (key, tick, level + 1, i2, k2, live))
-    return None, True
+    return None
 
 
 def similarity_dimension(spec: IFSSpec) -> float:

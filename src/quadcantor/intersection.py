@@ -61,6 +61,7 @@ from .fractal import (
     covering_exponent,
     period_bound,
     similarity_dimension,
+    _hole_search,
 )
 from .ideals import (
     ElementFactorization,
@@ -72,12 +73,7 @@ from .ideals import (
     principal_ideal,
     valuation,
 )
-from .membership import (
-    Coding,
-    coding_of,
-    is_member,
-    shifted_digits,
-)
+from .membership import Coding, coding_of, is_member
 from .orders import LowerBoundSpec, _power_mod, c2_constant, order_lower_bound
 from .quadring import FieldElement, QuadInt, mul_matrix, norm_form
 
@@ -443,10 +439,12 @@ class _Holes:
     (``_covering_radius_sq``) divided by N(I')^2, as I'^-1 = conj(I')/N(I')
     and conjugation is an isometry.  A tuple with every v_j = 0 has the
     lattice O_K, which meets every disk of its covering radius, and is
-    never searched.  Each search for rho = mu is ``IFSSpec.hole``, given at
+    never searched.  Each search for rho = mu is ``_hole_search``, given at
     most ``budget(n)`` piece tests, the cost of the sweep it could save.
     ``hole`` is the largest hole found, which certifies every drop, and
-    ``dropped`` counts the tuples dropped.
+    ``dropped`` counts the tuples dropped.  A search that failed at budget
+    B fails at every smaller one, its path being the same: ``_failed`` keeps
+    the largest such B per mu^2 for the run, and the spec keeps nothing.
     """
 
     def __init__(self, spec: IFSSpec, fact: ElementFactorization, budget: Callable[[tuple[int, ...]], int]):
@@ -456,6 +454,7 @@ class _Holes:
         self.hole: Hole | None = None
         self.dropped = 0
         self._radius: dict[tuple[int, ...], Fraction] = {}
+        self._failed: dict[Fraction, int] = {}
 
     def radius_sq(self, v: tuple[int, ...]) -> Fraction:
         """mu^2 of the lattice prod P_j^{-v_j}."""
@@ -471,7 +470,8 @@ class _Holes:
         The tuples are taken by falling mu^2, the larger last exponent first
         on a tie; one at or below the last exponent kept needs no test, and
         one with mu^2 at most that of a hole already found needs no search,
-        as a hole of radius rho is one of every smaller radius.
+        as a hole of radius rho is one of every smaller radius, nor does one
+        whose mu^2 failed at a budget at least its own.
         """
         best = -1
         ranked = sorted(zip(tuples, vs), key=lambda tv: (self.radius_sq(tv[1]), tv[0][-1]), reverse=True)
@@ -481,7 +481,11 @@ class _Holes:
             mu_sq = self.radius_sq(v)
             if self.hole is not None and mu_sq <= self.hole.rho_sq:
                 continue
-            hole = self.spec.hole(mu_sq, self.budget(n)) if any(v) else None
+            hole = None
+            if any(v) and (budget := self.budget(n)) > self._failed.get(mu_sq, -1):
+                hole = _hole_search(self.spec, mu_sq, budget)
+                if hole is None:
+                    self._failed[mu_sq] = budget
             if hole is None:
                 best = n[-1]
             else:
@@ -709,7 +713,7 @@ def _candidate_numerators(spec: IFSSpec, plan: _Plan) -> set[tuple[int, int]]:
     Every point of the attractor lies in one of them.  The ball around the
     depth-k word W is centred at c*(D*W + C) over den, for the constant
     c = delta*conj(beta^k), and D*W + C is built from C by the steps
-    V -> beta*V + a' with the digits a' of ``shifted_digits``.
+    V -> beta*V + a' with the digits a' of ``IFSSpec.shifted_digits``.
     Multiplication commutes, so c*(beta*V + a') = beta*(c*V) + c*a': the
     words are built already scaled, from c*C with the digits c*a', as
     integer (x, y) pairs, and the distinct ones are kept level by level.
@@ -724,7 +728,7 @@ def _candidate_numerators(spec: IFSSpec, plan: _Plan) -> set[tuple[int, int]]:
     c00, c01, c10, c11 = mul_matrix(plan.delta * (beta**plan.k).conj())
     x, y = centre.num.x, centre.num.y
     words = {(c00 * x + c01 * y, c10 * x + c11 * y)}
-    digits = [(c00 * x + c01 * y, c10 * x + c11 * y) for x, y in shifted_digits(spec)]
+    digits = [(c00 * x + c01 * y, c10 * x + c11 * y) for x, y in spec.shifted_digits]
     for _ in range(plan.k - 1):
         words = {
             (b00 * x + b01 * y + ax, b10 * x + b11 * y + ay)

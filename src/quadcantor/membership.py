@@ -49,27 +49,14 @@ class Coding(NamedTuple):
     period: tuple[QuadInt, ...]
 
 
-def shifted_digits(spec: IFSSpec) -> tuple[tuple[int, int], ...]:
-    """The integral digits D*a - (beta - 1)*C, as (x, y), for c = C/D.
-
-    c is the centre of ``IFSSpec.disk``.  In the coordinate s = D*z - C the
-    map z -> beta*z + a reads s -> beta*s + (D*a - (beta - 1)*C), which
-    keeps every word and every orbit state integral.
-    """
-    centre, _ = spec.disk
-    c, d = centre.num, centre.den
-    shift = (spec.beta - 1) * c
-    return tuple((a.x * d - shift.x, a.y * d - shift.y) for a in spec.digits)
-
-
 class _Space:
     """The lazily searched orbit graph over the denominator u.
 
     With c = C/D in lowest terms, the point v/u has the state
     s = D*v - C*u, so s/(D*u) = v/u - c.  The edge v -> beta*v - a*u becomes
     s -> beta*s - D*(a - m)*u, whose digits D*(a - m) = D*a - (beta - 1)*C
-    (``shifted_digits``) are integral, and the disk test is
-    N(s) * rd <= rn * D^2 * u^2 for r'^2 = rn/rd.
+    (``IFSSpec.shifted_digits``, scaled here by u) are integral, and the
+    disk test is N(s) * rd <= rn * D^2 * u^2 for r'^2 = rn/rd.
 
     ``alive`` maps each state a search has finished to its label: the index
     of its lowest digit whose successor is alive, or -1 when no infinite
@@ -84,7 +71,7 @@ class _Space:
         centre, r2 = spec.disk
         c, d = centre.num, centre.den
         self.beta_matrix = mul_matrix(spec.beta)
-        self.scaled_digits = tuple((x * u, y * u) for x, y in shifted_digits(spec))
+        self.scaled_digits = tuple((x * u, y * u) for x, y in spec.shifted_digits)
         self.d, self.cux, self.cuy = d, c.x * u, c.y * u
         self.nxy, self.nyy = norm_form(spec.field)
         self.bound_num = r2.numerator * d * d * u * u

@@ -296,6 +296,17 @@ class TestDimRenderCns:
         assert all("," in line for line in lines)
         assert svg.read_text().startswith("<svg")
 
+    @pytest.mark.parametrize("target", ["--out", "--svg"])
+    def test_render_to_a_missing_directory_exits_two(self, capsys, tmp_path, target):
+        paths = {"--out": str(tmp_path / "pts.csv"), "--svg": str(tmp_path / "pts.svg")}
+        paths[target] = str(tmp_path / "missing" / "x")
+        code, out, err = run_cli(
+            capsys, "render", "-d", "-1", "--beta", "3", "--digits", "0,2", "--depth", "3",
+            *(t for item in paths.items() for t in item),
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and paths[target] in err
+
     def test_render_deterministic(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_json(capsys, "render", "-d", "-1", "--beta", "3", "--digits", "0,2",
@@ -505,6 +516,27 @@ class TestConfig:
         code, out, err = run_cli(capsys, "member", "--config", str(cfg), "--point", "1/4")
         assert code == 2 and out == ""
         assert "job.cfg:2: expected 'key = value'" in err
+
+    def test_missing_file_exits_two(self, capsys, tmp_path):
+        missing = str(tmp_path / "none.cfg")
+        code, out, err = run_cli(capsys, "member", "--config", missing, "--point", "1/4")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and missing in err
+
+    def test_key_of_no_option_refused(self, capsys, tmp_path):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("d = -1\nbeta = 3\ndigit = 0,2\n")
+        code, out, err = run_cli(capsys, "member", "--config", str(cfg), "--point", "1/4")
+        assert code == 2 and out == ""
+        assert "job.cfg:3: 'digit' is no option of any command" in err
+
+    def test_file_shared_across_commands(self, capsys, tmp_path):
+        # alpha and mode are options of intersect, not of member
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("d = -1\nbeta = 3\ndigits = 0,2\nalpha = 10\nmode = certified\n")
+        assert run_json(capsys, "member", "--config", str(cfg), "--point", "1/4")["member"] is True
+        record = run_json(capsys, "intersect", "--config", str(cfg))
+        assert record["exhausted"] is True
 
     def test_cli_overrides_config(self, capsys, tmp_path):
         cfg = tmp_path / "job.cfg"

@@ -121,6 +121,18 @@ def _radius_sq_by_fractions(spec):
     return best * best
 
 
+class TestShiftedDigits:
+    def test_are_the_digits_seen_from_the_disk_centre(self, gauss, cantor, gaussian_four):
+        # a'/D = a - (beta - 1)*c for the disk centre c = C/D
+        seven = make_field(-7)
+        other = qc.ifs_new(seven.element(-1, -1), [seven.element(-1, 1), seven.element(2, 1)])
+        for spec in (cantor, gaussian_four, other):
+            centre, _ = spec.disk
+            want = [qc.FieldElement(a) - centre * (spec.beta - 1) for a in spec.digits]
+            got = [qc.FieldElement(spec.field.element(x, y), centre.den) for x, y in spec.shifted_digits]
+            assert got == want
+
+
 class TestSimilarityDimension:
     def test_cantor(self, cantor):
         assert qc.similarity_dimension(cantor) == pytest.approx(

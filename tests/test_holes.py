@@ -13,7 +13,7 @@ from order_oracle import brute_ord_mod
 import quadcantor as qc
 from quadcantor import FieldElement, make_field
 from quadcantor import intersection
-from quadcantor.fractal import IFSSpec
+from quadcantor.fractal import _hole_search
 from quadcantor.ideals import (
     factor_rational_prime,
     ideal_from_generators,
@@ -234,7 +234,7 @@ class TestHoleSearch:
         for spec in _planar_specs():
             unit = _covering_radius_sq(ideal_from_generators([spec.field.one]))
             for p in (3, 9, 27, 81):
-                hole = spec.hole(unit / p, 20000)
+                hole = _hole_search(spec, unit / p, 20000)
                 if hole is not None:
                     assert hole.rho_sq == unit / p and hole.nodes <= 20000
                     assert _misses(spec, hole)
@@ -245,37 +245,48 @@ class TestHoleSearch:
         # S + O_K is the middle-thirds Cantor set plus Z[i]: the point
         # farthest from it is (1 + i)/2, at squared distance 1/4 + 1/36
         widest = Fraction(5, 18)
-        hole = cantor.hole(widest - Fraction(1, 1000), 20000)
+        hole = _hole_search(cantor, widest - Fraction(1, 1000), 20000)
         assert hole is not None
         x, y = _coords(hole.centre)
         assert abs(x - Fraction(1, 2)) < Fraction(1, 20) and abs(y - Fraction(1, 2)) < Fraction(1, 20)
         assert _misses(cantor, hole)
-        assert cantor.hole(widest, 20000) is None
-        assert cantor.hole(Fraction(1, 2), 20000) is None
+        assert _hole_search(cantor, widest, 20000) is None
+        assert _hole_search(cantor, Fraction(1, 2), 20000) is None
 
     def test_a_root_over_the_budget_gives_up_at_once(self, gauss):
         # N(beta) = 2 and a digit of norm 10^12: the disk around S has radius
         # about 2.4*10^6, so the root cell alone meets about 10^13 translates
         spec = qc.ifs_new(gauss.element(1, 1), [gauss.element(0), gauss.element(10**6)])
         start = time.perf_counter()
-        assert spec.hole(Fraction(1, 1000), 5000) is None
+        assert _hole_search(spec, Fraction(1, 1000), 5000) is None
         assert time.perf_counter() - start < 1
-        assert spec._holes == {Fraction(1, 1000): (None, 5000)}
 
-    def test_the_cache_answers_by_the_budget_rule(self, gauss):
+    def test_the_cache_answers_by_the_budget_rule(self, gauss, monkeypatch):
         spec = qc.ifs_new(gauss.element(-2, 1), [gauss.element(k) for k in range(4)])
         target = Fraction(1, 578)
-        hole = spec.hole(target, 10**5)
+        hole = _hole_search(spec, target, 10**5)
         assert hole.nodes == 717 and hole.centre == FieldElement(gauss.element(9, 5), 16)
         # the search's path does not depend on its budget
-        fresh = qc.ifs_new(spec.beta, spec.digits)
-        assert fresh.hole(target, hole.nodes - 1) is None
-        assert fresh.hole(target, hole.nodes) == hole
-        assert spec.hole(target, hole.nodes - 1) is None
-        # a search that runs dry proves that no hole of its radius exists
-        assert spec.hole(Fraction(1, 34), 10**5) is None
-        assert spec._holes[Fraction(1, 34)] == (None, None)
-        assert set(spec._holes) == {target, Fraction(1, 34)}
+        assert _hole_search(spec, target, hole.nodes - 1) is None
+        assert _hole_search(spec, target, hole.nodes) == hole
+        assert _hole_search(spec, Fraction(1, 34), 10**5) is None
+        # so a run searches a radius again only at a larger budget than
+        # the largest it failed at: (3,) has v = (2,), mu^2 = 1/578
+        budgets = []
+        monkeypatch.setattr(
+            intersection, "_hole_search",
+            lambda spec, rho_sq, budget: budgets.append(budget) or _hole_search(spec, rho_sq, budget),
+        )
+        budget = 716
+        holes = intersection._Holes(spec, qc.factor_element(gauss.element(-4, 1)), lambda n: budget)
+        assert holes.largest_kept([(3,)], [(2,)]) == 3
+        assert holes.largest_kept([(3,)], [(2,)]) == 3
+        budget = 700
+        assert holes.largest_kept([(3,)], [(2,)]) == 3
+        assert budgets == [716] and holes.hole is None
+        budget = 717
+        assert holes.largest_kept([(3,)], [(2,)]) == -1
+        assert budgets == [716, 717] and holes.hole == hole
 
 
 def _case_two_specs(rng, count):
@@ -314,8 +325,9 @@ class TestHoleTest:
         assert dropped >= 30
 
     def test_tiny_budget_gives_the_order_survivors(self, monkeypatch):
-        search = IFSSpec.hole
-        monkeypatch.setattr(IFSSpec, "hole", lambda spec, rho_sq, budget: search(spec, rho_sq, 1))
+        monkeypatch.setattr(
+            intersection, "_hole_search", lambda spec, rho_sq, budget: _hole_search(spec, rho_sq, 1)
+        )
         rng = random.Random(73)
         for spec, alpha in _case_two_specs(rng, 40):
             report = qc.preconditions(alpha, spec)
@@ -336,22 +348,76 @@ class TestHoleTest:
         assert rep.hole.rho_sq == Fraction(1, 578)
         assert _misses(gaussian_four, rep.hole)
 
-    def test_a_found_hole_drops_only_what_it_covers(self, gauss):
+    def test_a_found_hole_drops_only_what_it_covers(self, gauss, monkeypatch):
         # (3,) has v = (2,), mu^2 = 1/578, and is dropped; (2,) has v = (1,),
         # mu^2 = 1/34, above that hole, so it is searched again, and kept
+        searched = []
+        monkeypatch.setattr(
+            intersection, "_hole_search",
+            lambda spec, rho_sq, budget: searched.append(rho_sq) or _hole_search(spec, rho_sq, budget),
+        )
         spec = qc.ifs_new(gauss.element(-2, 1), [gauss.element(k) for k in range(4)])
         holes = intersection._Holes(spec, qc.factor_element(gauss.element(-4, 1)), lambda n: 10**5)
         assert holes.largest_kept([(3,)], [(2,)]) == -1
         assert holes.hole.rho_sq == Fraction(1, 578) and holes.dropped == 1
         assert holes.largest_kept([(1,), (2,)], [(0,), (1,)]) == 2
         assert holes.hole.rho_sq == Fraction(1, 578) and holes.dropped == 1
-        assert set(spec._holes) == {Fraction(1, 578), Fraction(1, 34)}
+        assert searched == [Fraction(1, 578), Fraction(1, 34)]
 
-    def test_case_one_searches_no_hole(self, gauss):
+    def test_case_one_searches_no_hole(self, gauss, monkeypatch):
+        searched = []
+        monkeypatch.setattr(intersection, "_hole_search", lambda *args: searched.append(args))
         spec = qc.ifs_new(gauss.element(3), [gauss.element(0), gauss.element(2)])
         rep = qc.full_intersection(gauss.element(10), spec, mode="certified")
         assert rep.hole is None and rep.dropped == 0
-        assert spec._holes == {}
+        assert searched == []
+
+    def test_a_run_never_repeats_a_failed_search(self, monkeypatch):
+        # the hole test asks 40 times, for two radii, each failing or found
+        # at the same budget: the run's memo leaves one search per radius
+        field = make_field(-7)
+        digits = [field.element(-1, 1), field.element(1, -1), field.element(2, 1)]
+        spec = qc.ifs_new(field.element(-1, -1), digits)
+        alpha = field.element(-4, -3)
+        searched = []
+        monkeypatch.setattr(
+            intersection, "_hole_search",
+            lambda *args: searched.append(args[1:]) or _hole_search(*args),
+        )
+        rep = qc.full_intersection(alpha, spec, mode="certified", cap=4096)
+        assert rep.survivors == ((39, 2), (42, 1), (44, 0))
+        assert rep.hole.rho_sq == Fraction(4, 3703) and rep.dropped == 135
+        assert searched == [(Fraction(4, 161), 4096), (Fraction(4, 3703), 4096)]
+        # a run whose memo forgets searches at every ask, to the same report
+        init = intersection._Holes.__init__
+
+        def forgetful(holes, *args):
+            init(holes, *args)
+            holes._failed = _Forgetful()
+
+        monkeypatch.setattr(intersection._Holes, "__init__", forgetful)
+        searched.clear()
+        assert qc.full_intersection(alpha, spec, mode="certified", cap=4096) == rep
+        assert len(searched) == 40
+
+    def test_no_run_state_stays_on_the_spec(self, gauss):
+        spec = qc.ifs_new(gauss.element(-2, 1), [gauss.element(k) for k in range(4)])
+        alpha = gauss.element(-4, 1)
+        bounded, certified = {"mode": "bounded", "n_max": 3}, {"mode": "certified"}
+        for kw in (bounded, bounded, certified, certified):
+            rep = qc.full_intersection(alpha, spec, **kw)
+            fresh = qc.full_intersection(alpha, qc.ifs_new(spec.beta, spec.digits), **kw)
+            assert rep.hole is not None and rep == fresh
+        assert set(vars(spec)) == {
+            "field", "beta", "digits", "_spaces", "radius_sq", "disk", "shifted_digits"
+        }
+
+
+class _Forgetful(dict):
+    """A dict that stores nothing."""
+
+    def __setitem__(self, key, value):
+        pass
 
 
 @pytest.mark.parametrize("case", ["case_iii", None, "case_I"])

@@ -16,7 +16,6 @@ from quadcantor import CapExceededError, FieldElement, PreconditionError, make_f
 from quadcantor import intersection
 from quadcantor.fractal import covering_exponent
 from quadcantor.ideals import prime_power_product
-from quadcantor.membership import shifted_digits
 from quadcantor.quadring import mul_matrix
 from quadcantor.intersection import (
     _ball_candidates,
@@ -487,7 +486,7 @@ def _plain_candidates(spec, plan):
     b00, b01, b10, b11 = mul_matrix(spec.beta)
     centre, _ = spec.disk
     words = {(centre.num.x, centre.num.y)}
-    digits = shifted_digits(spec)
+    digits = spec.shifted_digits
     for _ in range(plan.k):
         words = {
             (b00 * x + b01 * y + ax, b10 * x + b11 * y + ay)
