@@ -13,9 +13,11 @@ precondition, float overflow or a file that cannot be read or written,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import decimal
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -350,7 +352,7 @@ def _cmd_dim(args) -> None:
     )
 
 
-def _render_svg(path: str, pts) -> None:
+def _render_svg(fh, pts) -> None:
     size = 800
     margin = 20
     lo_x, hi_x = min(z.real for z in pts), max(z.real for z in pts)
@@ -367,8 +369,7 @@ def _render_svg(path: str, pts) -> None:
         py = size - margin - (z.imag - lo_y) * scale
         lines.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="1" fill="black"/>')
     lines.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines))
+    fh.write("\n".join(lines))
 
 
 def _cmd_render(args) -> None:
@@ -377,11 +378,19 @@ def _cmd_render(args) -> None:
     _require(args, "depth", "out")
     depth = int(args.depth)
     pts = sample_points(spec, depth, cap=_cap_of(args, 1 << 20))
-    with open(args.out, "w") as fh:
+    # both outputs are opened before either is written, and an --svg that
+    # cannot be opened takes the --out file with it
+    with contextlib.ExitStack() as files:
+        out = files.enter_context(open(args.out, "w"))
+        try:
+            svg = None if args.svg is None else files.enter_context(open(args.svg, "w"))
+        except OSError:
+            os.remove(args.out)
+            raise
         for z in pts:
-            fh.write(f"{z.real:.12f},{z.imag:.12f}\n")
-    if args.svg is not None:
-        _render_svg(args.svg, pts)
+            out.write(f"{z.real:.12f},{z.imag:.12f}\n")
+        if svg is not None:
+            _render_svg(svg, pts)
     _emit(
         {
             "command": "render",

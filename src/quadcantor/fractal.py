@@ -127,15 +127,21 @@ def least_radius_sq(m: int, b: int, dens) -> Fraction:
     floor(sqrt(z)) = isqrt(floor(z)).  S is rational, so an integer, only
     when X and Y are squares, as sqrt(X) - sqrt(Y) = (X - Y)/S; otherwise
     S/(b - 1) is no integer and its ceiling is floor(S) // (b - 1) + 1.
+    Candidates stay integer pairs (num, den), compared by cross-multiplying;
+    only the least becomes a ``Fraction``.
     """
-    radii = []
+    best_num, best_den = None, 1
     for den in dens:
         y = m * den * den
         x = b * y
         s = math.isqrt(x + y + math.isqrt(4 * x * y))
         exact = math.isqrt(x) ** 2 == x and math.isqrt(y) ** 2 == y
-        radii.append(Fraction(-(-s // (b - 1)) if exact else s // (b - 1) + 1, den))
-    return min(radii) ** 2
+        num = -(-s // (b - 1)) if exact else s // (b - 1) + 1
+        if best_num is None or num * best_den < best_num * den:
+            best_num, best_den = num, den
+    if best_num is None:
+        raise ValueError("dens must not be empty")
+    return Fraction(best_num, best_den) ** 2
 
 
 def _ceil_sqrt(n: int, d: int) -> int:
@@ -306,15 +312,25 @@ def covering_exponent(b: int, r2: Fraction, delta_sq: Fraction) -> int:
 
     For b = N(beta), that depth shrinks a disk of squared radius r2 to
     squared radius at most delta^2.  Cross-multiplied into integers:
-    b^k * dn * rd >= rn * dd.
+    b^k * dn * rd >= rn * dd.  Found by binary lifting: the squares
+    b^(2^i) are built until lhs * b^(2^n) reaches rhs, so 2^(n-1) < k <= 2^n;
+    then the largest j < 2^n with lhs * b^j < rhs is read off bit by bit
+    from the largest square down, the test being monotone in j, and k = j + 1.
     """
     lhs = delta_sq.numerator * r2.denominator
     rhs = r2.numerator * delta_sq.denominator
-    k = 0
-    while lhs < rhs:
-        lhs *= b
-        k += 1
-    return k
+    if lhs >= rhs:
+        return 0
+    squares = [b]
+    while lhs * squares[-1] < rhs:
+        squares.append(squares[-1] * squares[-1])
+    j = 0
+    for i in range(len(squares) - 2, -1, -1):
+        trial = lhs * squares[i]
+        if trial < rhs:
+            lhs = trial
+            j += 1 << i
+    return j + 1
 
 
 def covering_bound(spec: IFSSpec, delta: Fraction | int) -> int:

@@ -230,6 +230,11 @@ def factor_rational_prime(field: FieldSpec, p: int) -> PrimeSplitting:
     """Splitting of the rational prime p in the ring, verified by rebuild."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    return _split_prime(field, p)
+
+
+def _split_prime(field: FieldSpec, p: int) -> PrimeSplitting:
+    """``factor_rational_prime`` for a p already known to be prime."""
     k = kronecker_at_prime(field.disc, p)
     p_principal = principal_ideal(QuadInt(field, p, 0))
     if k == -1:
@@ -256,14 +261,30 @@ def factor_rational_prime(field: FieldSpec, p: int) -> PrimeSplitting:
 
 
 def valuation(z: QuadInt, prime: PrimeIdeal) -> int:
-    """Largest k with z in prime^k, by ascending HNF-power membership."""
+    """Largest k with z in prime^k, by galloping HNF-power membership.
+
+    z in P^a puts z in every P^b with b <= a.  The squares P^(2^i) are
+    built while they contain z, so 2^(n-1) <= k < 2^n for n of them; then k
+    is read off bit by bit from the largest square down, each bit kept when
+    the product with that square still contains z.  That is O(log k) HNF
+    products in place of k.
+    """
     if z.is_zero():
         raise ValueError("valuation of zero is infinite")
-    k = 0
+    squares = []
     power = prime.hnf
     while power.contains(z):
-        k += 1
-        power = ideal_mul(power, prime.hnf)
+        squares.append(power)
+        power = ideal_mul(power, power)
+    if not squares:
+        return 0
+    k = 1 << (len(squares) - 1)
+    power = squares[-1]
+    for i in range(len(squares) - 2, -1, -1):
+        trial = ideal_mul(power, squares[i])
+        if trial.contains(z):
+            power = trial
+            k += 1 << i
     return k
 
 
@@ -276,8 +297,9 @@ def factor_element(alpha: QuadInt) -> ElementFactorization:
         raise ValueError("cannot factor a unit")
     field = alpha.field
     factors: list[tuple[PrimeIdeal, int]] = []
+    # factor_int proves each p prime; _split_prime does not prove it again
     for p in sorted(factor_int(n)):
-        for prime in factor_rational_prime(field, p).primes:
+        for prime in _split_prime(field, p).primes:
             v = valuation(alpha, prime)
             if v:
                 factors.append((prime, v))

@@ -268,11 +268,14 @@ def _u_limit(spec: IFSSpec, lb: LowerBoundSpec, case: str) -> tuple[int, list[in
     a = len(spec.digits)
     b = spec.beta.norm()
     limit, highs = 0, []
-    while not highs or highs[-1] < lb.c2.denominator * a ** len(highs):
-        k = len(highs)
-        y = b**k * r2.denominator // (9 * r2.numerator)
+    # at k = len(highs): scaled = N(beta)^k * rd and top = A^k/c2
+    scaled, top = r2.denominator, lb.c2.denominator
+    while not highs or highs[-1] < top:
+        y = scaled // (9 * r2.numerator)
         highs.append(y if case == "case_ii" else math.isqrt(y))
-        limit = max(limit, min(highs[k], lb.c2.denominator * a**k))
+        limit = max(limit, min(highs[-1], top))
+        scaled *= b
+        top *= a
     return limit, highs
 
 

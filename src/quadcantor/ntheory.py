@@ -49,6 +49,8 @@ def factor_int(n: int) -> dict[int, int]:
 
     Primes below ``_TRIAL_LIMIT`` are divided out first; every cofactor left
     is then either found prime by ``is_prime`` or split by Pollard-Brent rho.
+    Every key of the result is a proven prime, so a cofactor that is already
+    a key is counted again without a second proof.
     Raises ``CapExceededError`` when rho spends ``_RHO_STEP_BUDGET`` steps on
     a cofactor without splitting it.
     """
@@ -69,7 +71,7 @@ def factor_int(n: int) -> dict[int, int]:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if is_prime(m):
+        if m in out or is_prime(m):
             out[m] = out.get(m, 0) + 1
         else:
             g = _brent_factor(m)

@@ -307,6 +307,17 @@ class TestDimRenderCns:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and paths[target] in err
 
+    def test_render_with_a_missing_svg_directory_leaves_no_csv(self, capsys, tmp_path):
+        csv = tmp_path / "ok.csv"
+        svg = str(tmp_path / "missing" / "x.svg")
+        code, out, err = run_cli(
+            capsys, "render", "-d", "-1", "--beta", "3", "--digits", "0,2", "--depth", "3",
+            "--out", str(csv), "--svg", svg,
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and svg in err
+        assert not csv.exists()
+
     def test_render_deterministic(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_json(capsys, "render", "-d", "-1", "--beta", "3", "--digits", "0,2",

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import quadcantor as qc
 from quadcantor import CapExceededError, PreconditionError, fractal, make_field
@@ -224,6 +226,86 @@ class TestCoveringExponent:
                 delta_sq = Fraction(rng.randint(1, 10**6), den)
                 got = fractal.covering_exponent(spec.beta.norm(), spec.radius_sq, delta_sq)
                 assert got == _covering_exponent_by_fractions(spec, delta_sq)
+
+
+def _covering_exponent_one_factor(b, r2, delta_sq):
+    """Reference: multiply in one factor of b at a time."""
+    lhs = delta_sq.numerator * r2.denominator
+    rhs = r2.numerator * delta_sq.denominator
+    k = 0
+    while lhs < rhs:
+        lhs *= b
+        k += 1
+    return k
+
+
+class TestCoveringExponentLifting:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        b=st.one_of(st.just(2), st.integers(2, 10**12)),
+        rn=st.integers(1, 2**4100),
+        rd=st.integers(1, 2**64),
+        dn=st.integers(1, 2**64),
+        dd=st.integers(1, 2**64),
+    )
+    @example(b=2, rn=1, rd=1, dn=1, dd=1)  # lhs >= rhs: k = 0
+    @example(b=7, rn=3, rd=1, dn=5, dd=1)
+    @example(b=5, rn=5, rd=1, dn=1, dd=1)  # lhs * b == rhs: k = 1
+    @example(b=2, rn=2**4001 + 1, rd=1, dn=1, dd=1)  # ratio past 2^4000
+    def test_matches_one_factor_loop(self, b, rn, rd, dn, dd):
+        r2, delta_sq = Fraction(rn, rd), Fraction(dn, dd)
+        want = _covering_exponent_one_factor(b, r2, delta_sq)
+        assert fractal.covering_exponent(b, r2, delta_sq) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        b=st.one_of(st.just(2), st.integers(2, 10**6)),
+        lhs=st.integers(1, 10**30),
+        k=st.integers(0, 4200),
+        offset=st.sampled_from((-1, 0, 1)),
+    )
+    def test_boundaries(self, b, lhs, k, offset):
+        # rhs = lhs * b^k + offset sits at or next to the step at depth k
+        rhs = lhs * b**k + offset
+        r2, delta_sq = Fraction(rhs), Fraction(lhs)
+        got = fractal.covering_exponent(b, r2, delta_sq)
+        assert got == _covering_exponent_one_factor(b, r2, delta_sq)
+        if offset >= 0:
+            assert got == k + offset
+
+
+def _least_radius_sq_by_fractions(m, b, dens):
+    """Reference: one Fraction per denominator, then their minimum."""
+    radii = []
+    for den in dens:
+        y = m * den * den
+        x = b * y
+        s = math.isqrt(x + y + math.isqrt(4 * x * y))
+        exact = math.isqrt(x) ** 2 == x and math.isqrt(y) ** 2 == y
+        radii.append(Fraction(-(-s // (b - 1)) if exact else s // (b - 1) + 1, den))
+    return min(radii) ** 2
+
+
+class TestLeastRadiusIntegerOnly:
+    def test_matches_fraction_minimum(self):
+        rng = random.Random(65)
+        kinds = set()
+        for _ in range(600):
+            m = rng.choice((rng.randint(1, 10**12), rng.randint(1, 10**6) ** 2))
+            b = rng.choice(
+                (rng.randint(2, 10**12), rng.randint(2, 10**6) ** 2, m * rng.randint(1, 9) ** 2)
+            )
+            kinds.add((math.isqrt(m) ** 2 == m, math.isqrt(b) ** 2 == b,
+                       math.isqrt(m * b) ** 2 == m * b))
+            for dens in (range(1, 65), (64,)):
+                want = _least_radius_sq_by_fractions(m, b, dens)
+                assert fractal.least_radius_sq(m, b, dens) == want
+        # square and non-square m, b and m*b all occur
+        assert len(kinds) >= 4
+
+    def test_empty_denominators_rejected(self):
+        with pytest.raises(ValueError):
+            fractal.least_radius_sq(2, 5, ())
 
 
 class TestPeriodBound:

@@ -1,10 +1,11 @@
+import collections
 import math
 import random
 
 import pytest
 
 import quadcantor as qc
-from quadcantor import IdealHNF, ideals, make_field
+from quadcantor import IdealHNF, ideals, make_field, ntheory
 
 
 def _minpoly_value(field, r, p):
@@ -170,6 +171,26 @@ class TestFactorElement:
         with pytest.raises(ValueError):
             qc.factor_element(gauss.zero)
 
+    def test_one_primality_proof_per_prime(self, gauss, monkeypatch):
+        # norm 2^2 * 3^2 * 1009 * 1013 * 1019^2: the small primes come from
+        # trial division, unproven; each larger one is proven exactly once
+        proofs = collections.Counter()
+        real = ntheory.is_prime
+
+        def counted(n):
+            found = real(n)
+            proofs[n] += found
+            return found
+
+        monkeypatch.setattr(ntheory, "is_prime", counted)
+        monkeypatch.setattr(ideals, "is_prime", counted)
+        alpha = gauss.element(28, 15) * gauss.element(22, 23) * gauss.element(1019 * 6)
+        fact = qc.factor_element(alpha)
+        assert sorted({p.p for p in fact.primes}) == [2, 3, 1009, 1013, 1019]
+        assert +proofs == collections.Counter({1009: 1, 1013: 1, 1019: 1})
+        with pytest.raises(ValueError):
+            qc.factor_rational_prime(gauss, 91)
+
     def test_reconstruction_random(self):
         rng = random.Random(11)
         for d in (-1, -2, -3, -5, -7):
@@ -223,6 +244,50 @@ class TestValuation:
                 assert qc.valuation(z * w, prime) == qc.valuation(z, prime) + qc.valuation(
                     w, prime
                 )
+
+
+def _valuation_ascending(z, prime):
+    """Reference: climb P, P^2, P^3, ... while the power contains z."""
+    k, power = 0, prime.hnf
+    while power.contains(z):
+        k += 1
+        power = qc.ideal_mul(power, prime.hnf)
+    return k
+
+
+def _generator(prime):
+    """A generator of the principal prime ideal, by a search over small elements."""
+    field = prime.hnf.field
+    bound = math.isqrt(4 * prime.norm) + 2
+    for x in range(-bound, bound + 1):
+        for y in range(-bound, bound + 1):
+            z = field.element(x, y)
+            if z.norm() == prime.norm and prime.contains(z):
+                return z
+    raise AssertionError(f"no generator found for {prime}")
+
+
+class TestValuationGallop:
+    @pytest.mark.parametrize("d", [-1, -2, -3, -7])
+    def test_matches_ascending_powers(self, d):
+        # class number one: each prime is pi*O_K, and pi^v * c with c outside
+        # P has valuation exactly v; v runs over 0, 1 and 2^j - 1, 2^j, 2^j + 1
+        field = make_field(d)
+        rng = random.Random(29 - d)
+        kinds = {}
+        for p in _primes_upto(50):
+            splitting = qc.factor_rational_prime(field, p)
+            kinds.setdefault(splitting.kind, splitting.primes[0])
+        assert set(kinds) == {"split", "inert", "ramified"}
+        targets = sorted({0, 1} | {(1 << j) + e for j in range(1, 7) for e in (-1, 0, 1)})
+        for prime in kinds.values():
+            pi = _generator(prime)
+            for v in targets:
+                c = field.zero
+                while c.is_zero() or prime.contains(c):
+                    c = field.element(rng.randint(-9, 9), rng.randint(-9, 9))
+                z = pi**v * c
+                assert qc.valuation(z, prime) == _valuation_ascending(z, prime) == v
 
 
 class TestCoprime:

@@ -786,6 +786,33 @@ class TestSurvivors:
             cases.append(case)
         assert cases.count("case_i") >= 3 and cases.count("case_ii") >= 3
 
+    def test_u_limit_matches_recomputed_powers(self):
+        # the loop that rebuilt N(beta)^k and A^k from scratch at each step
+        def u_limit_by_powers(spec, lb, case):
+            r2 = spec.radius_sq
+            a = len(spec.digits)
+            b = spec.beta.norm()
+            limit, highs = 0, []
+            while not highs or highs[-1] < lb.c2.denominator * a ** len(highs):
+                k = len(highs)
+                y = b**k * r2.denominator // (9 * r2.numerator)
+                highs.append(y if case == "case_ii" else math.isqrt(y))
+                limit = max(limit, min(highs[k], lb.c2.denominator * a**k))
+            return limit, highs
+
+        rng = random.Random(67)
+        fields = (-1, -2, -3, -7, -11)
+        cases = []
+        for spec, _, report, lb, _, _ in itertools.chain(
+            _seeded_cases(rng, fields, 3, 3000),
+            _seeded_cases(rng, fields, 2, 3000, split=True),
+        ):
+            case = report.applicable_case
+            got = intersection._u_limit(spec, lb, case)
+            assert got == u_limit_by_powers(spec, lb, case)
+            cases.append(case)
+        assert cases.count("case_i") >= 3 and cases.count("case_ii") >= 3
+
     def test_u_limit_bounds_what_c2_keeps(self):
         # every u above the limit is excluded by the c2 bound alone
         rng = random.Random(5)
