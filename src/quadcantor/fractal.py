@@ -8,8 +8,9 @@ by a rational over-approximation R', read from integer square roots
 Floating point is confined to the similarity dimension
 sigma = 2*log(#A)/log(N(beta)), which is only reported, and the sampling
 and box-counting diagnostics.  The spec owns R'^2 (``radius_sq``), the disk
-that prunes membership's orbit graphs (``disk``) and the integral digits its
-walks and word trees step by (``shifted_digits``), each computed once.
+that prunes membership's orbit graphs (``disk``), the integral digits its
+walks and word trees step by (``shifted_digits``) and the raster cover of S
+that later prunes them instead (``cover``), each computed once.
 ``_hole_search`` certifies holes in S + O_K for the hole test of a
 case-(ii) run, which keeps its outcomes for that run alone.
 """
@@ -42,7 +43,9 @@ class IFSSpec:
     """A base beta with norm >= 2 and a digit set of at least two elements.
 
     Everything derived from the spec alone is cached on it: R'^2, the orbit
-    disk, its integral digits and the labels ``membership`` searches find
+    disk, its integral digits, the matrix of beta and the digits as integer
+    pairs, the raster cover of S (``cover``, its cells built once the
+    searches have paid for them) and the labels ``membership`` searches find
     (``_spaces``, from u to the labelled states over u).  The labels cover
     only the states some search finished, not whole orbit graphs.  So the
     caches live exactly as long as the spec does.  No run keeps state here.
@@ -93,6 +96,95 @@ class IFSSpec:
         c, d = centre.num, centre.den
         shift = (self.beta - 1) * c
         return tuple((a.x * d - shift.x, a.y * d - shift.y) for a in self.digits)
+
+    @cached_property
+    def beta_matrix(self) -> tuple[int, int, int, int]:
+        """``mul_matrix(beta)``, the integer matrix of z -> beta*z."""
+        return mul_matrix(self.beta)
+
+    @cached_property
+    def digit_pairs(self) -> frozenset[tuple[int, int]]:
+        """The digits as coordinate pairs (x, y)."""
+        return frozenset((a.x, a.y) for a in self.digits)
+
+    @cached_property
+    def cover(self) -> Cover:
+        """The raster cover of S for membership's searches, cells not yet built."""
+        return Cover(self)
+
+
+class Cover:
+    """A raster cover K of S, for ``membership`` to prune its searches by.
+
+    K is read in T = D*(S - c), for the centre c = C/D of ``IFSSpec.disk``:
+    a cell (i, j) holds the points x + y*w with floor(x/h) = i and
+    floor(y/h) = j, h = gd/gn, about 1/32 of the disk's diameter 2*D*r'.
+    T is the attractor of the maps t -> (t + a')/beta over the digits a' of
+    ``shifted_digits``, and lies in the disk D(0, D*r'), which they map into
+    itself.  So T lies in the union of the #A^t pieces D(q_W, rho_t) over
+    the words W of length t, q_W = sum_{k<=t} a'_k beta^-k and
+    rho_t^2 = D^2*r'^2/N(beta)^t, with t (``depth``) the least depth at
+    which rho_t <= h/2.  A point of a piece lies in its bounding box, whose
+    half-sides in x and y are rho_t*sqrt(4*nyy/disc) and rho_t*sqrt(4/disc)
+    (the norm form reads 4*Q(x, y) = (2x + s*y)^2 + disc*y^2 and, as a form
+    in y, 4*nyy*Q >= disc*x^2).  ``build`` keeps every cell such a box
+    meets, its half-sides rounded up by exact ceiling square roots: the
+    floors of the box's ends bound the cell of each of its points.  So
+    every point of T lies in a kept cell, and K is bounded.
+
+    ``cells`` stays None until ``membership`` builds them, once its
+    searches on the spec have labelled ``pieces`` = #A^t states
+    (``labelled``), as many as the cover has pieces.  The count only times
+    the build: an update lost between threads delays it, and threads that
+    build at once publish equal cells.
+    """
+
+    __slots__ = ("gn", "gd", "depth", "pieces", "labelled", "cells")
+
+    def __init__(self, spec: IFSSpec):
+        centre, r2 = spec.disk
+        d2rn, rd = centre.den**2 * r2.numerator, r2.denominator
+        # h = D*ceil(32*r')/512, within D/512 of D*r'/16
+        gn, gd = 512, centre.den * _ceil_sqrt(1024 * r2.numerator, rd)
+        g = math.gcd(gn, gd)
+        self.gn, self.gd = gn // g, gd // g
+        # rho_t <= h/2, that is 4*D^2*rn*gn^2 <= gd^2*rd*b^t
+        b, t, bt = spec.beta.norm(), 0, 1
+        while 4 * d2rn * self.gn**2 > self.gd**2 * rd * bt:
+            t, bt = t + 1, bt * b
+        self.depth = t
+        self.pieces = len(spec.digits) ** t
+        self.labelled = 0
+        self.cells: frozenset[tuple[int, int]] | None = None
+
+    def build(self, spec: IFSSpec) -> frozenset[tuple[int, int]]:
+        """The cells that the bounding boxes of the depth-t pieces meet.
+
+        A piece's centre is P/N(beta)^t for an integer pair P, built as in
+        ``_hole_search``: the children of P at depth j are
+        N(beta)*P + a'*conj(beta)^j.  Words with equal centres, which
+        overlapping digit sets make, are kept once.
+        """
+        centre, r2 = spec.disk
+        s, nyy = norm_form(spec.field)
+        disc = 4 * nyy - s * s
+        b = spec.beta.norm()
+        pieces = {(0, 0)}
+        for j in range(1, self.depth + 1):
+            m00, m01, m10, m11 = mul_matrix(spec.beta.conj() ** j)
+            step = [(m00 * x + m01 * y, m10 * x + m11 * y) for x, y in spec.shifted_digits]
+            pieces = {(b * x + ax, b * y + ay) for x, y in pieces for ax, ay in step}
+        # the half-sides over N(beta)^t, from 4*(rho_t*N(beta)^t)^2 = rho/rd
+        rho = 4 * centre.den**2 * r2.numerator * b**self.depth
+        hx = _ceil_sqrt(nyy * rho, disc * r2.denominator)
+        hy = _ceil_sqrt(rho, disc * r2.denominator)
+        gn, unit = self.gn, self.gd * b**self.depth
+        cells = set()
+        for x, y in pieces:
+            for j in range((y - hy) * gn // unit, (y + hy) * gn // unit + 1):
+                for i in range((x - hx) * gn // unit, (x + hx) * gn // unit + 1):
+                    cells.add((i, j))
+        return frozenset(cells)
 
 
 def ifs_new(beta: QuadInt, digits) -> IFSSpec:

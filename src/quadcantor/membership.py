@@ -2,19 +2,32 @@
 
 A query point v/u (u a positive rational integer after conjugate
 normalization) is the root of the edge relation z -> beta*z - a, pruned to
-a closed disk D(c, r') that contains the attractor.  The states are points
-over the denominator u, at least 1/u apart, so the graph is finite, and v/u
+a bounded region that contains the attractor.  The states are points over
+the denominator u, at least 1/u apart, so the graph is finite, and v/u
 lies in the attractor exactly when a cycle is reachable from the root.
 
-The disk, ``IFSSpec.disk``, is recentred on the attractor: c = m/(beta - 1)
-with m the digit centroid, since S - c is the attractor of the digits
-a - m.  Any bounded region K that contains S gives the same answers.  If
-v/u is in S, a coding of it keeps every tail in S, so inside K, and that is
-an infinite path.  An infinite path inside K makes v/u = sum_{j<=k} a_j
+Any bounded region K that contains S gives the same answers.  If v/u is
+in S, a coding of it keeps every tail in S, so inside K, and that is an
+infinite path.  An infinite path inside K makes v/u = sum_{j<=k} a_j
 beta^-j + beta^-k z_k with z_k bounded, which converges to a point of S.
 So a state is alive exactly when it lies in S, whatever K is.  Membership
-does not depend on the disk, nor do codings, whose walk takes the lowest
-digit with a successor in S; only ``state_count`` does.
+does not depend on K, nor do codings, whose walk takes the lowest digit
+with a successor in S, nor the labels the searches store.
+
+Two regions serve.  The first is the disk ``IFSSpec.disk``, recentred on
+the attractor: c = m/(beta - 1) with m the digit centroid, since S - c is
+the attractor of the digits a - m.  When S has dimension below 2 it has
+area 0, and most states in the disk are dead.  The second is the spec's
+raster cover ``IFSSpec.cover``: the cells of a grid, 32 across the disk,
+that the bounding boxes of the pieces of S one cell across meet.  Those
+pieces cover S, so the cells do (``fractal.Cover`` has the proof), and the
+test of a state is two floor divisions and one set lookup.  Building the
+cells costs about #A^t for #A^t pieces, so they are built only once the
+spec's searches have labelled #A^t states: the cost of waiting has then
+reached the cost of building.  A short run, such as a level sweep, never
+pays for them.  Each search reads its region once, at its start, and
+labels found under the disk stay exact under the cover.  ``state_count``
+counts the states in the disk, whichever region the searches read.
 
 Each spec keeps one labelled graph per denominator u, so repeated queries
 over one spec and u search each state at most once, and dropping the spec
@@ -56,21 +69,23 @@ class _Space:
     s = D*v - C*u, so s/(D*u) = v/u - c.  The edge v -> beta*v - a*u becomes
     s -> beta*s - D*(a - m)*u, whose digits D*(a - m) = D*a - (beta - 1)*C
     (``IFSSpec.shifted_digits``, scaled here by u) are integral, and the
-    disk test is N(s) * rd <= rn * D^2 * u^2 for r'^2 = rn/rd.
+    disk test is N(s) * rd <= rn * D^2 * u^2 for r'^2 = rn/rd.  The state
+    is the point s/u of T = D*(S - c) scaled by u, so its cell of the
+    spec's cover is ((x*gn)//(u*gd), (y*gn)//(u*gd)) (``fractal.Cover``).
 
     ``alive`` maps each state a search has finished to its label: the index
     of its lowest digit whose successor is alive, or -1 when no infinite
     path leaves it (``_label``).  Only final labels are written, so queries
-    in several threads may share it.  Every key lies in the disk, but a
-    search stops at its first proof and leaves the other successors of the
-    states it finished alive unlabelled: the keys are not closed under
-    successors.
+    in several threads may share it.  Every key lies in a region a search
+    read, the disk or the cover, but a search stops at its first proof and
+    leaves the other successors of the states it finished alive
+    unlabelled: the keys are not closed under successors.
     """
 
     def __init__(self, spec: IFSSpec, u: int):
         centre, r2 = spec.disk
         c, d = centre.num, centre.den
-        self.beta_matrix = mul_matrix(spec.beta)
+        self.u = u
         self.scaled_digits = tuple((x * u, y * u) for x, y in spec.shifted_digits)
         self.d, self.cux, self.cuy = d, c.x * u, c.y * u
         self.nxy, self.nyy = norm_form(spec.field)
@@ -82,38 +97,52 @@ class _Space:
         return (x * x + self.nxy * x * y + self.nyy * y * y) * self.bound_den <= self.bound_num
 
 
-def _label(space: _Space, root: tuple[int, int]) -> int:
-    """The label of a state in the disk, found by one search in digit order.
+def _label(spec: IFSSpec, space: _Space, root: tuple[int, int]) -> int:
+    """The label of a state, found by one search in digit order.
 
-    A depth-first search keeps its path, the states it has started and not
-    finished, in a set of its own.  A state tries its successors
-    w_i = beta*s - a_i for i = 0, 1, ... in turn: it skips w_i when w_i
-    lies outside the disk or is labelled -1, and searches w_i first when
-    w_i is unlabelled and off the path.  It finishes with the label i as
-    soon as w_i is labelled alive (>= 0) or lies on the path, and with -1
-    once it has skipped every successor.  When one state finishes alive,
-    so does each state below it on the path, with the digit it was trying:
-    the search stops at its first proof.
+    The search reads its region once, at its start: the spec's cover K once
+    it is built, the disk before.  A root outside K is labelled -1 without
+    a search, and is not stored.  A depth-first search keeps its path, the
+    states it has started and not finished, in a set of its own.  A state
+    tries its successors w_i = beta*s - a_i for i = 0, 1, ... in turn: it
+    skips w_i when w_i lies outside the region or is labelled -1, and
+    searches w_i first when w_i is unlabelled and off the path.  It
+    finishes with the label i as soon as w_i is labelled alive (>= 0) or
+    lies on the path, and with -1 once it has skipped every successor.
+    When one state finishes alive, so does each state below it on the
+    path, with the digit it was trying: the search stops at its first
+    proof.
 
     Proof, by induction on the finish order, that a state finishes with
-    i >= 0 exactly when an infinite path in the disk leaves it, and then i
-    is its lowest digit whose successor is alive.  Let every state that
-    finished before s have an exact label, in this search or another.  If
-    w_i is labelled alive, an infinite path leaves w_i and so s.  If w_i
-    lies on the path, the search reached s from w_i by edges in the disk,
-    and w_i -> ... -> s -> w_i is a cycle.  Each w_j with j < i was skipped:
-    it lies outside the disk, so not in S, or it finished with -1 before s,
-    which is exact.  If s finishes with -1, each of its successors lies
-    outside the disk or finished with -1 before s, so no infinite path
-    leaves s.  A self-loop is a successor on the path, as for 0 when 0 is
-    a digit.  Labels enter ``alive`` only when final, so another search
-    reads only exact ones.
+    i >= 0 exactly when it lies in S, and then i is its lowest digit whose
+    successor lies in S.  Let every state that finished before s have an
+    exact label, in this search or another, under either region.  If w_i
+    is labelled alive, it lies in S, and so does s = (w_i + a_i)/beta.  If
+    w_i lies on the path, the search reached s from w_i by edges in the
+    region, and w_i -> ... -> s -> w_i is a cycle in a bounded region, so s
+    lies in S (see the module docstring).  Each w_j with j < i was skipped:
+    it lies outside the region, so not in S, or it finished with -1 before
+    s, which is exact.  If s finishes with -1, each of its successors lies
+    outside the region or finished with -1 before s, so none lies in S,
+    and neither does s, whose coding would give it one.  A self-loop is a
+    successor on the path, as for 0 when 0 is a digit.  Labels enter
+    ``alive`` only when final, so another search reads only exact ones.
+
+    While the cover is not built, the search adds the states it labelled
+    to ``Cover.labelled``, and the search that brings that count to
+    ``Cover.pieces`` builds the cells and publishes them by one assignment.
     """
     alive = space.alive
     known = alive.get(root)
     if known is not None:
         return known
-    m00, m01, m10, m11 = space.beta_matrix
+    cover = spec.cover
+    cells = cover.cells
+    gn, ud = cover.gn, space.u * cover.gd
+    if cells is not None and ((root[0] * gn) // ud, (root[1] * gn) // ud) not in cells:
+        return -1
+    before = len(alive)
+    m00, m01, m10, m11 = spec.beta_matrix
     nxy, nyy = space.nxy, space.nyy
     bound_num, bound_den = space.bound_num, space.bound_den
     digits = space.scaled_digits
@@ -129,7 +158,11 @@ def _label(space: _Space, root: tuple[int, int]) -> int:
             ax, ay = digits[i]
             wx = bx - ax
             wy = by - ay
-            if (wx * wx + nxy * wx * wy + nyy * wy * wy) * bound_den <= bound_num:  # inside()
+            if (
+                ((wx * gn) // ud, (wy * gn) // ud) in cells
+                if cells is not None
+                else (wx * wx + nxy * wx * wy + nyy * wy * wy) * bound_den <= bound_num
+            ):
                 w = (wx, wy)
                 if w in path:
                     break
@@ -147,15 +180,21 @@ def _label(space: _Space, root: tuple[int, int]) -> int:
             path.remove(key)
             stack.pop()
             if not stack:
-                return -1
+                label = -1
+                break
             stack[-1][3] += 1
             continue
         if stack[-1] is frame:
             # w_i proves the top state alive, and with it the whole path
             frame[3] = i
-            for key, _, _, i in reversed(stack):
-                alive[key] = i
-            return i
+            for key, _, _, label in reversed(stack):
+                alive[key] = label
+            break
+    if cells is None:
+        cover.labelled += len(alive) - before
+        if cover.labelled >= cover.pieces and cover.cells is None:
+            cover.cells = cover.build(spec)
+    return label
 
 
 def _root(v: QuadInt, u: int, spec: IFSSpec) -> tuple[_Space, tuple[int, int] | None]:
@@ -179,9 +218,9 @@ def _root(v: QuadInt, u: int, spec: IFSSpec) -> tuple[_Space, tuple[int, int] | 
 
 
 def is_member(v: QuadInt, u: int, spec: IFSSpec) -> bool:
-    """Whether v/u lies in S(beta, A); exact, independent of the pruning disk."""
+    """Whether v/u lies in S(beta, A); exact, independent of the pruning region."""
     space, root = _root(v, u, spec)
-    return root is not None and _label(space, root) >= 0
+    return root is not None and _label(spec, space, root) >= 0
 
 
 def state_count(v: QuadInt, u: int, spec: IFSSpec) -> int:
@@ -193,7 +232,7 @@ def state_count(v: QuadInt, u: int, spec: IFSSpec) -> int:
     space, root = _root(v, u, spec)
     if root is None:
         return 0
-    m00, m01, m10, m11 = space.beta_matrix
+    m00, m01, m10, m11 = spec.beta_matrix
     seen = {root}
     stack = [root]
     while stack:
@@ -215,16 +254,18 @@ def coding_of(v: QuadInt, u: int, spec: IFSSpec) -> Coding | None:
     reaches a cycle, the label of its state, then cuts at the first
     repeated state, which makes the returned coding deterministic.  A state
     the walk finds unlabelled (another thread's search may not have
-    finished it yet) is searched.
+    finished it yet) is searched.  Every state on the walk lies in S, so a
+    state labelled -1 there means a wrong label, and raises
+    ``ArithmeticError`` rather than walk on.
     """
     space, root = _root(v, u, spec)
     if root is None:
         return None
-    i = _label(space, root)
+    i = _label(spec, space, root)
     if i < 0:
         return None
     alive = space.alive
-    m00, m01, m10, m11 = space.beta_matrix
+    m00, m01, m10, m11 = spec.beta_matrix
     digits = space.scaled_digits
     pos = {root: 0}
     digit_indices: list[int] = []
@@ -241,7 +282,9 @@ def coding_of(v: QuadInt, u: int, spec: IFSSpec) -> Coding | None:
         pos[cur] = len(digit_indices)
         i = alive.get(cur)
         if i is None:
-            i = _label(space, cur)
+            i = _label(spec, space, cur)
+        if i < 0:
+            raise ArithmeticError(f"state {cur} over {u} on the coding walk is labelled dead")
 
 
 def _coding_ratio(coding: Coding, beta: QuadInt) -> tuple[QuadInt, QuadInt]:
@@ -250,9 +293,10 @@ def _coding_ratio(coding: Coding, beta: QuadInt) -> tuple[QuadInt, QuadInt]:
     With wpre, wper the Horner values of the preperiod and the period and
     k, m their lengths, the value is wpre/beta^k + wper/(beta^k (beta^m - 1)).
     One Horner pass per part carries (w, beta^k) as coordinate pairs through
-    the matrix of beta; only the final products are ring elements.  A plain
-    ``int`` digit counts as a rational integer, and a digit of another
-    field raises ``FieldError``.
+    the matrix of beta, and the products with beta^m - 1 go through its
+    matrix; only num and den become ring elements.  A plain ``int`` digit
+    counts as a rational integer, and a digit of another field raises
+    ``FieldError``.
     """
     m00, m01, m10, m11 = mul_matrix(beta)
     field = beta.field
@@ -265,16 +309,19 @@ def _coding_ratio(coding: Coding, beta: QuadInt) -> tuple[QuadInt, QuadInt]:
                 a = field.zero + a
             wx, wy = m00 * wx + m01 * wy + a.x, m10 * wx + m11 * wy + a.y
             bx, by = m00 * bx + m01 * by, m10 * bx + m11 * by
-        return QuadInt(field, wx, wy), QuadInt(field, bx, by)
+        return wx, wy, bx, by
 
-    wpre, bk = horner(coding.preperiod)
-    wper, bm = horner(coding.period)
-    return wpre * (bm - 1) + wper, bk * (bm - 1)
+    px, py, kx, ky = horner(coding.preperiod)
+    qx, qy, mx, my = horner(coding.period)
+    e00, e01, e10, e11 = mul_matrix(QuadInt(field, mx - 1, my))
+    num = QuadInt(field, e00 * px + e01 * py + qx, e10 * px + e11 * py + qy)
+    return num, QuadInt(field, e00 * kx + e01 * ky, e10 * kx + e11 * ky)
 
 
 def coding_value(coding: Coding, beta: QuadInt) -> FieldElement:
-    """Exact value of the coding in the field of beta."""
-    return FieldElement.from_ratio(*_coding_ratio(coding, beta))
+    """Exact value of the coding in the field of beta: num*conj(den)/N(den)."""
+    num, den = _coding_ratio(coding, beta)
+    return FieldElement(num * den.conj(), den.norm())
 
 
 def verify_coding(coding: Coding, v: QuadInt, u: int, spec: IFSSpec) -> bool:
@@ -296,16 +343,20 @@ def verify_coding(coding: Coding, v: QuadInt, u: int, spec: IFSSpec) -> bool:
         raise ValueError("coding must have a nonempty period")
     if u == 0:
         raise ZeroDivisionError("zero denominator")
-    digits = spec.digits
+    field, pairs = spec.field, spec.digit_pairs
     for a in (*coding.preperiod, *coding.period):
         # a plain int equal to a digit compares equal to it but is no digit
-        if not isinstance(a, QuadInt) or a not in digits:
+        if (
+            not isinstance(a, QuadInt)
+            or (a.field is not field and a.field != field)
+            or (a.x, a.y) not in pairs
+        ):
             raise ValueError(f"digit {a} is not in the digit set")
     if not isinstance(v, QuadInt):
         raise TypeError(f"numerator v must be a QuadInt, not {type(v).__name__}")
     if v.field is not spec.field and v.field != spec.field:
         raise FieldError("operands belong to different fields")
-    m00, m01, m10, m11 = mul_matrix(spec.beta)
+    m00, m01, m10, m11 = spec.beta_matrix
     x, y = v.x, v.y
     for a in coding.preperiod:
         x, y = m00 * x + m01 * y - a.x * u, m10 * x + m11 * y - a.y * u

@@ -409,8 +409,11 @@ class TestHoleTest:
             fresh = qc.full_intersection(alpha, qc.ifs_new(spec.beta, spec.digits), **kw)
             assert rep.hole is not None and rep == fresh
         assert set(vars(spec)) == {
-            "field", "beta", "digits", "_spaces", "radius_sq", "disk", "shifted_digits"
+            "field", "beta", "digits", "_spaces", "radius_sq", "disk", "shifted_digits",
+            "beta_matrix", "cover",
         }
+        # the runs label too few states to pay for the cover's cells
+        assert spec.cover.cells is None
 
 
 class _Forgetful(dict):

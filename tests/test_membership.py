@@ -11,6 +11,7 @@ import quadcantor as qc
 from quadcantor import Coding, FieldElement, make_field
 from quadcantor.cli import main
 from quadcantor.membership import _coding_ratio
+from quadcantor.quadring import QuadInt, mul_matrix
 
 
 @pytest.fixture(scope="module")
@@ -240,6 +241,20 @@ class TestCoding:
             value = qc.coding_value(Coding(pre, (0, 2)), cantor.beta)
             assert value == FieldElement(gauss.element(v), 12)
 
+    def test_walk_raises_on_a_state_labelled_dead(self, gauss, cantor):
+        # a -1 label on a member's walk can only be a wrong label; the walk
+        # would index the digits with it and never meet a repeated state
+        spec = qc.ifs_new(cantor.beta, cantor.digits)
+        v, u = gauss.element(1), 12
+        assert qc.coding_of(v, u, spec) is not None
+        space = spec._spaces[u]
+        x, y = space.d * v.x - space.cux, space.d * v.y - space.cuy
+        m00, m01, m10, m11 = spec.beta_matrix
+        ax, ay = space.scaled_digits[space.alive[x, y]]
+        space.alive[m00 * x + m01 * y - ax, m10 * x + m11 * y - ay] = -1
+        with pytest.raises(ArithmeticError, match="labelled dead"):
+            qc.coding_of(v, u, spec)
+
     def test_period_within_bound(self, gauss, cantor, gaussian_four):
         rng = random.Random(77)
         for spec in (cantor, gaussian_four):
@@ -350,28 +365,42 @@ class TestKernelQueryOrder:
         assert forks > 0
 
     def test_labels_are_the_lowest_alive_digits(self):
-        # after every query each key lies in the disk, its label agrees with
-        # the oracle's cycle-reaching set, and an alive key's label is the
-        # lowest digit whose successor reaches a cycle
+        # after every query each key lies in a region the spec's searches
+        # read, the disk or, once published halfway, the cover; its label
+        # agrees with the oracle's cycle-reaching set, and an alive key's
+        # label is the lowest digit whose successor reaches a cycle
         queries = self.queries()
         random.Random(7).shuffle(queries)
         for spec, v, u in queries:
             spec._spaces.clear()
         reaches = {}  # (spec, u) -> {numerator: reaches a cycle}
-        for spec, v, u in queries:
+        specs = {spec for spec, _, _ in queries}
+
+        def stored():
+            return sum(len(space.alive) for spec in specs for space in spec._spaces.values())
+
+        for n, (spec, v, u) in enumerate(queries):
+            if n == len(queries) // 2:
+                for cover_spec in specs:
+                    cover_spec.cover.cells = cover_spec.cover.build(cover_spec)
+                before_cover = stored()
             qc.coding_of(v, u, spec)
             space = spec._spaces[u]
             known = reaches.setdefault((spec, u), {})
             for s, label in space.alive.items():
-                assert space.inside(*s)
+                assert space.inside(*s) or in_cover(spec, space, s)
                 key = _numerator(space, s)
                 if key not in known:
-                    seen, can = exhaustive_graph(spec.field.element(*key), u, spec, spec.disk)
+                    # the disk of twice the radius holds every cell of the cover
+                    centre, r2 = spec.disk
+                    region = spec.disk if space.inside(*s) else (centre, 4 * r2)
+                    seen, can = exhaustive_graph(spec.field.element(*key), u, spec, region)
                     known.update({w: w in can for w in seen})
                 assert (label >= 0) == known[key]
                 if label >= 0:
                     alive = [known.get(w, False) for w in _oracle_successors(spec, u, key)]
                     assert label == alive.index(True)
+        assert stored() > before_cover
 
     def test_dead_branch_beside_a_member_is_searched_later(self):
         # a member's search stops at its lowest alive digit, so a dead
@@ -402,6 +431,13 @@ class TestKernelQueryOrder:
                 assert qc.state_count(w, u, fresh) == len(branch)
                 checked += 1
         assert checked > 0
+
+
+def in_cover(spec, space, s):
+    """Whether the state s of a space lies in a cell of the spec's published cover."""
+    cover = spec.cover
+    q = space.u * cover.gd
+    return cover.cells is not None and ((s[0] * cover.gn) // q, (s[1] * cover.gn) // q) in cover.cells
 
 
 def _oracle_successors(spec, u, key):
@@ -496,6 +532,99 @@ class TestRecentredDisk:
                     assert (p - centre).norm() <= r2
 
 
+# the member-batch benchmark's specs: (d, beta, digits), elements as (x, y)
+BATCH_SPECS = (
+    (-1, (3, 0), ((0, 0), (2, 0))),
+    (-1, (-2, 1), ((0, 0), (1, 0), (2, 0), (3, 0))),
+    (-3, (2, 0), ((0, 0), (1, 0))),
+)
+
+
+def cover_specs():
+    """Seeded specs over five fields, each with a non-real digit and a cover
+    of at most 1024 pieces, so that a few hundred queries pay for it; then
+    the member-batch specs."""
+    rng = random.Random(3030)
+    specs = []
+    for d in (-1, -2, -3, -7, -11):
+        field = make_field(d)
+        found = 0
+        while found < 2:
+            beta = field.element(rng.randint(-3, 3), rng.randint(-2, 2))
+            digits = {
+                field.element(rng.randint(-2, 2), rng.randint(-1, 1))
+                for _ in range(rng.randint(2, 4))
+            }
+            if beta.norm() < 3 or len(digits) < 2 or all(a.y == 0 for a in digits):
+                continue
+            spec = qc.ifs_new(beta, sorted(digits, key=lambda a: (a.x, a.y)))
+            if spec.cover.pieces <= 1024:
+                specs.append(spec)
+                found += 1
+    for d, beta, digits in BATCH_SPECS:
+        field = make_field(d)
+        specs.append(qc.ifs_new(field.element(*beta), [field.element(*a) for a in digits]))
+    return specs
+
+
+def cover_cell(spec, p):
+    """The cover cell of the point p: that of D*(p - c) on the grid of side gd/gn."""
+    centre, _ = spec.disk
+    t = (p - centre) * centre.den
+    cover = spec.cover
+    q = t.den * cover.gd
+    return (t.num.x * cover.gn) // q, (t.num.y * cover.gn) // q
+
+
+class TestCover:
+    def test_short_periodic_points_lie_in_kept_cells(self):
+        # every point of S with a purely periodic coding of period <= 4
+        checked = 0
+        for spec in cover_specs():
+            cells = spec.cover.build(spec)
+            for m in range(1, 5):
+                for word in itertools.product(spec.digits, repeat=m):
+                    p = qc.coding_value(Coding((), word), spec.beta)
+                    assert cover_cell(spec, p) in cells
+                    checked += 1
+        assert checked > 1000
+
+    def test_answers_match_the_oracle_before_and_after_the_cover(self):
+        # built members and near misses on fresh specs, in one process; the
+        # cover is published by the build rule partway through each spec
+        rng = random.Random(6060)
+        queries = 0
+        for spec in cover_specs():
+            phases = {True: 0, False: 0}  # queries with and without the cover
+            for _ in range(64):
+                coding = Coding(
+                    tuple(rng.choice(spec.digits) for _ in range(rng.randint(0, 2))),
+                    tuple(rng.choice(spec.digits) for _ in range(rng.randint(1, 3))),
+                )
+                z = qc.coding_value(coding, spec.beta)
+                for v in (z.num, z.num + 1, z.num + spec.field.omega):
+                    phases[spec.cover.cells is not None] += 1
+                    _, can = exhaustive_graph(v, z.den, spec, spec.disk)
+                    assert qc.is_member(v, z.den, spec) == ((v.x, v.y) in can)
+                    assert qc.coding_of(v, z.den, spec) == exhaustive_coding(v, z.den, spec, can)
+            assert phases[True] > 0 and phases[False] > 0
+            assert spec.cover.labelled >= spec.cover.pieces
+            queries += sum(phases.values())
+        assert queries >= 2000
+
+    def test_cover_is_built_once_the_searches_have_paid(self, gauss):
+        spec = qc.ifs_new(gauss.element(-2, 1), [gauss.element(k) for k in range(4)])
+        cover = spec.cover
+        assert (cover.depth, cover.pieces) == (5, 4**5)
+        u = 5**4 - 1
+        for x, y in itertools.product(range(-u, 2 * u, 7), range(-u, u, 5)):
+            qc.is_member(gauss.element(x, y), u, spec)
+            assert (cover.cells is not None) == (cover.labelled >= cover.pieces)
+            if cover.cells is not None:
+                break
+        assert cover.cells == cover.build(spec)
+
+
 class TestVerifyCoding:
     def test_good_coding(self, gauss, cantor):
         coding = qc.coding_of(gauss.element(1), 4, cantor)
@@ -526,6 +655,23 @@ class TestVerifyCoding:
         for coding in (Coding((), (0, 2)), Coding((0,), (gauss.element(0), gauss.element(2)))):
             with pytest.raises(ValueError):
                 qc.verify_coding(coding, gauss.element(1), 12, cantor)
+
+    def test_digit_of_another_field_rejected(self, gauss, cantor):
+        # the same coordinates as the digits 0 and 2, in Z[sqrt(-2)]
+        other = make_field(-2)
+        for coding in (
+            Coding((), (other.element(0), other.element(2))),
+            Coding((other.element(0),), (gauss.element(0), gauss.element(2))),
+        ):
+            with pytest.raises(ValueError):
+                qc.verify_coding(coding, gauss.element(1), 12, cantor)
+
+    def test_digit_of_an_equal_field_accepted(self, gauss, cantor):
+        # a field built again is equal to the spec's, though not the same object
+        again = make_field(-1)
+        assert again is not gauss
+        coding = Coding((again.element(0),), (again.element(0), again.element(2)))
+        assert qc.verify_coding(coding, gauss.element(1), 12, cantor)
 
     def test_all_member_codings_verify(self, gauss, cantor, gaussian_four):
         rng = random.Random(5)
@@ -610,6 +756,58 @@ class TestVerifyCodingDifferential:
         assert _coding_ratio(coding, spec.beta) == ring_horner_ratio(coding, spec.beta)
 
 
+def quadint_coding_value(coding, beta):
+    """``coding_value`` by its former QuadInt arithmetic, kept as the oracle:
+    Horner passes on pairs, then ring products through ``_coerce`` and
+    ``FieldElement.from_ratio``."""
+    m00, m01, m10, m11 = mul_matrix(beta)
+    field = beta.field
+
+    def horner(digits):
+        wx = wy = 0
+        bx, by = 1, 0
+        for a in digits:
+            if type(a) is not QuadInt or a.field is not field:
+                a = field.zero + a
+            wx, wy = m00 * wx + m01 * wy + a.x, m10 * wx + m11 * wy + a.y
+            bx, by = m00 * bx + m01 * by, m10 * bx + m11 * by
+        return QuadInt(field, wx, wy), QuadInt(field, bx, by)
+
+    wpre, bk = horner(coding.preperiod)
+    wper, bm = horner(coding.period)
+    return FieldElement.from_ratio(wpre * (bm - 1) + wper, bk * (bm - 1))
+
+
+@st.composite
+def mixed_coding(draw):
+    """A random spec and a coding whose digits are its own, plain ints, or
+    (sometimes) one element of another field."""
+    spec, _ = draw(spec_and_coding())
+    digit = st.one_of(st.sampled_from(spec.digits), SMALL)
+    word = list(draw(st.lists(digit, max_size=8)))
+    if draw(st.booleans()):
+        other = make_field(-5)  # not among DIFF_FIELDS
+        word.insert(draw(st.integers(0, len(word))), other.element(*draw(st.tuples(SMALL, SMALL))))
+    cut = draw(st.integers(0, len(word)))
+    return spec, Coding(tuple(word[:cut]), (*word[cut:], draw(digit)))
+
+
+class TestCodingValueDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(case=mixed_coding())
+    def test_matches_quadint_arithmetic(self, case):
+        spec, coding = case
+        try:
+            expected = quadint_coding_value(coding, spec.beta)
+        except qc.FieldError:
+            with pytest.raises(qc.FieldError):
+                qc.coding_value(coding, spec.beta)
+            return
+        got = qc.coding_value(coding, spec.beta)
+        assert got == expected
+        assert (got.num.x, got.num.y, got.den) == (expected.num.x, expected.num.y, expected.den)
+
+
 class TestConcurrentQueries:
     def test_threaded_membership_matches_sequential(self, cantor):
         from concurrent.futures import ThreadPoolExecutor
@@ -640,6 +838,38 @@ class TestConcurrentQueries:
         def run(mapper):
             fresh = {spec: qc.ifs_new(spec.beta, spec.digits) for _, spec, _, _ in calls}
             return list(mapper(lambda c: c[0](c[2], c[3], fresh[c[1]]), calls))
+
+        sequential = run(map)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                threaded = run(lambda fn, items: pool.map(fn, items, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == sequential
+
+    def test_threaded_queries_with_the_cover_published_mid_batch(self):
+        # each fresh spec's cover pays for itself after 24 labelled states,
+        # so some thread's search builds and publishes it while the other
+        # threads search under the disk
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        calls = [
+            (fn, spec, v, u)
+            for fn in (qc.coding_of, qc.state_count, qc.is_member)
+            for spec, v, u in TestKernelQueryOrder.queries()
+        ]
+        random.Random(53).shuffle(calls)
+
+        def run(mapper):
+            fresh = {spec: qc.ifs_new(spec.beta, spec.digits) for _, spec, _, _ in calls}
+            for spec in fresh.values():
+                spec.cover.pieces = 24
+            answers = list(mapper(lambda c: c[0](c[2], c[3], fresh[c[1]]), calls))
+            assert all(spec.cover.cells is not None for spec in fresh.values())
+            return answers
 
         sequential = run(map)
         interval = sys.getswitchinterval()
