@@ -12,7 +12,10 @@ that prunes membership's orbit graphs (``disk``), the integral digits its
 walks and word trees step by (``shifted_digits``) and the raster cover of S
 that later prunes them instead (``cover``), each computed once.
 ``_hole_search`` certifies holes in S + O_K for the hole test of a
-case-(ii) run, which keeps its outcomes for that run alone.
+case-(ii) run, which keeps its outcomes for that run alone.  The cover, the
+hole search and the sweeps of ``intersection`` grow the same pieces of S by
+``_piece_steps``, take their depths from ``covering_exponent`` and read
+lattice points in disks with ``_ball_candidates``.
 """
 
 from __future__ import annotations
@@ -20,13 +23,15 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from typing import NamedTuple
 
 from .errors import CapExceededError, PreconditionError
-from .quadring import FieldElement, FieldSpec, QuadInt, mul_matrix, norm_form
+from .quadring import FieldElement, FieldSpec, QuadInt, mul_matrix
 
 
 class Hole(NamedTuple):
@@ -119,15 +124,14 @@ class Cover:
     K is read in T = D*(S - c), for the centre c = C/D of ``IFSSpec.disk``:
     a cell (i, j) holds the points x + y*w with floor(x/h) = i and
     floor(y/h) = j, h = gd/gn, about 1/32 of the disk's diameter 2*D*r'.
-    T is the attractor of the maps t -> (t + a')/beta over the digits a' of
-    ``shifted_digits``, and lies in the disk D(0, D*r'), which they map into
-    itself.  So T lies in the union of the #A^t pieces D(q_W, rho_t) over
-    the words W of length t, q_W = sum_{k<=t} a'_k beta^-k and
-    rho_t^2 = D^2*r'^2/N(beta)^t, with t (``depth``) the least depth at
-    which rho_t <= h/2.  A point of a piece lies in its bounding box, whose
-    half-sides in x and y are rho_t*sqrt(4*nyy/disc) and rho_t*sqrt(4/disc)
-    (the norm form reads 4*Q(x, y) = (2x + s*y)^2 + disc*y^2 and, as a form
-    in y, 4*nyy*Q >= disc*x^2).  ``build`` keeps every cell such a box
+    T lies in the union of the #A^t depth-t pieces of ``_piece_steps``,
+    scaled by D: disks of squared radius rho_t^2 = D^2*r'^2/N(beta)^t, with
+    t (``depth``) the least depth at which rho_t <= h/2.  A point of a piece
+    lies in its bounding box, whose half-sides in x and y are
+    rho_t*sqrt(4*nyy/disc) and rho_t*sqrt(4/disc), for the norm
+    Q(x, y) = x^2 + s*x*y + nyy*y^2 and disc = 4*nyy - s^2 (as
+    4*Q = (2x + s*y)^2 + disc*y^2 and, as a form in y,
+    4*nyy*Q >= disc*x^2).  ``build`` keeps every cell such a box
     meets, its half-sides rounded up by exact ceiling square roots: the
     floors of the box's ends bound the cell of each of its points.  So
     every point of T lies in a kept cell, and K is bounded.
@@ -143,36 +147,30 @@ class Cover:
 
     def __init__(self, spec: IFSSpec):
         centre, r2 = spec.disk
-        d2rn, rd = centre.den**2 * r2.numerator, r2.denominator
         # h = D*ceil(32*r')/512, within D/512 of D*r'/16
-        gn, gd = 512, centre.den * _ceil_sqrt(1024 * r2.numerator, rd)
+        gn, gd = 512, centre.den * _ceil_sqrt(1024 * r2.numerator, r2.denominator)
         g = math.gcd(gn, gd)
         self.gn, self.gd = gn // g, gd // g
-        # rho_t <= h/2, that is 4*D^2*rn*gn^2 <= gd^2*rd*b^t
-        b, t, bt = spec.beta.norm(), 0, 1
-        while 4 * d2rn * self.gn**2 > self.gd**2 * rd * bt:
-            t, bt = t + 1, bt * b
-        self.depth = t
-        self.pieces = len(spec.digits) ** t
+        # rho_t <= h/2 for rho_t^2 = D^2*r'^2/N(beta)^t
+        self.depth = covering_exponent(
+            spec.beta.norm(), centre.den**2 * r2, Fraction(self.gd**2, 4 * self.gn**2)
+        )
+        self.pieces = len(spec.digits) ** self.depth
         self.labelled = 0
         self.cells: frozenset[tuple[int, int]] | None = None
 
     def build(self, spec: IFSSpec) -> frozenset[tuple[int, int]]:
         """The cells that the bounding boxes of the depth-t pieces meet.
 
-        A piece's centre is P/N(beta)^t for an integer pair P, built as in
-        ``_hole_search``: the children of P at depth j are
-        N(beta)*P + a'*conj(beta)^j.  Words with equal centres, which
+        A piece's centre is P/N(beta)^t for an integer pair P, grown from
+        (0, 0) by ``_piece_steps``.  Words with equal centres, which
         overlapping digit sets make, are kept once.
         """
         centre, r2 = spec.disk
-        s, nyy = norm_form(spec.field)
-        disc = 4 * nyy - s * s
+        nyy, disc = -spec.field.t, -spec.field.disc
         b = spec.beta.norm()
         pieces = {(0, 0)}
-        for j in range(1, self.depth + 1):
-            m00, m01, m10, m11 = mul_matrix(spec.beta.conj() ** j)
-            step = [(m00 * x + m01 * y, m10 * x + m11 * y) for x, y in spec.shifted_digits]
+        for _, step in zip(range(self.depth), _piece_steps(spec, spec.field.one)):
             pieces = {(b * x + ax, b * y + ay) for x, y in pieces for ax, ay in step}
         # the half-sides over N(beta)^t, from 4*(rho_t*N(beta)^t)^2 = rho/rd
         rho = 4 * centre.den**2 * r2.numerator * b**self.depth
@@ -242,6 +240,80 @@ def _ceil_sqrt(n: int, d: int) -> int:
     return k if k * k * d >= n else k + 1
 
 
+def _piece_steps(spec: IFSSpec, m: QuadInt) -> Iterator[list[tuple[int, int]]]:
+    """The steps m*a'*conj(beta)^j of the depth-j pieces, as integer pairs,
+    for j = 1, 2, ..., a' running over ``IFSSpec.shifted_digits``.
+
+    The pieces.  S lies in the disk D(c, r') of ``IFSSpec.disk``, c = C/D,
+    which every map f_a(z) = (z + a)/beta sends into itself.  So S lies in
+    the union of the #A^j depth-j pieces f_W(D(c, r')) = D(f_W(c), r_j),
+    r_j = r'/|beta|^j, over the words W = a_1 ... a_j, where
+    f_W = f_{a_1} o ... o f_{a_j}: the piece of W holds f_W(S), and the #A
+    pieces of depth j + 1 below it lie inside it.  In the coordinate
+    s = D*z - C the map f_a reads s -> (s + a')/beta, so f_W(c) = (C + s_W)/D
+    with s_W = sum_{i<=j} a'_i beta^-i, and beta^-i = conj(beta)^i/N(beta)^i.
+    So from P_0 = m*X the steps P_j = N(beta)*P_{j-1} + m*a'_j*conj(beta)^j
+    give the integer pair P_j = m*N(beta)^j*(X + s_W), grown one digit
+    deeper at a time; for X = C + D*g it is m*D*N(beta)^j times the centre
+    f_W(c) + g of the piece translated by g in O_K.  ``Cover.build`` starts
+    from X = 0, ``_hole_search`` from X = C + D*g, both with m = 1, and
+    ``intersection._candidate_numerators`` from X = C with m = delta.
+    """
+    m00, m01, m10, m11 = mul_matrix(m)
+    step = [(m00 * x + m01 * y, m10 * x + m11 * y) for x, y in spec.shifted_digits]
+    c00, c01, c10, c11 = mul_matrix(spec.beta.conj())
+    while True:
+        step = [(c00 * x + c01 * y, c10 * x + c11 * y) for x, y in step]
+        yield step
+
+
+def _ball_candidates(
+    field: FieldSpec,
+    centres: Iterable[tuple[int, int]],
+    D: int,
+    rn: int,
+    rd: int,
+    hnf: tuple[int, int, int],
+) -> Iterator[tuple[int, int]]:
+    """Every (x, y) with |x + y*w - (X + Y*w)/D|^2 <= rn/rd, ball by ball for
+    the (X, Y) in ``centres``, in the ideal whose Hermite form is
+    hnf = (a, b, c); a point of several balls comes once for each.
+
+    Every ball sits over one common denominator D and shares one radius, so
+    the constants below are computed once and each ball is scanned row by
+    row with its exact chord from ``isqrt``.  With w^2 = s*w + t, the scale
+    m = 1 + s (so w = (s + sqrt(d))/m) and a' = y*D - Y, the disk test reads
+
+      rd*(m*D*x - m*X + s*a')^2 + rd*|d|*a'^2 <= budget = m^2*rn*D^2,
+
+    so the rows are |a'| <= isqrt(budget // (rd*|d|)) and each row keeps
+    m*D*x in [m*X - s*a' - r, m*X - s*a' + r] with
+    r = isqrt((budget - rd*|d|*a'^2) // rd).  The ideal's rows are y = c*t,
+    and row t holds the x = b*t (mod a): exactly its points in the closed
+    balls.
+    """
+    a, b, c = hnf
+    s = field.s
+    m = 1 + s
+    budget = m * m * rn * D * D
+    rdd = rd * -field.d
+    amax = math.isqrt(budget // rdd)
+    md = m * D
+    cd = c * D
+    isqrt = math.isqrt
+    for X, Y in centres:
+        mx = m * X
+        for t in range(-((amax - Y) // cd), (Y + amax) // cd + 1):
+            y = c * t
+            dy = y * D - Y
+            r = isqrt((budget - rdd * dy * dy) // rd)
+            mid = mx - s * dy
+            lo = -((r - mid) // md)
+            lo += (b * t - lo) % a
+            for x in range(lo, (mid + r) // md + 1, a):
+                yield x, y
+
+
 def _hole_search(spec: IFSSpec, rho_sq: Fraction, budget: int) -> Hole | None:
     """A hole of squared radius rho_sq in S + O_K, by one best-first descent
     over the quadtree cells of the unit cell {x + y*w : 0 <= x, y < 1} of O_K,
@@ -251,21 +323,19 @@ def _hole_search(spec: IFSSpec, rho_sq: Fraction, budget: int) -> Hole | None:
     not depend on ``budget``, so it finds its hole exactly when the hole's
     ``nodes`` are at most ``budget``.
 
-    The pieces.  S lies in the disk D(c, r') of ``IFSSpec.disk``, which every
-    map z -> (z + a)/beta sends into itself.  So S + O_K lies in the union of
-    the depth-j pieces D(f_W(c) + g, r_j), r_j = r'/|beta|^j, over the
-    depth-j words W and g in O_K; each piece holds the point f_W(S) + g of
-    S + O_K, and the #A pieces of depth j + 1 below it lie inside it.  With
-    c = C/D and E_j = D*N(beta)^j, a centre is P/E_j for an integer pair P,
-    and its children are N(beta)*P + a'*conj(beta)^(j+1), a' running over the
-    integral digits D*a - (beta - 1)*C of ``IFSSpec.shifted_digits``.
+    The pieces.  S + O_K lies in the union of the depth-j pieces of
+    ``_piece_steps`` translated by O_K, D(f_W(c) + g, r_j); each holds the
+    point f_W(S) + g of S + O_K, and the #A pieces of depth j + 1 below it
+    lie inside it.  Their centres are P/E_j, E_j = D*N(beta)^j, for the
+    integer pairs P grown from C + D*g by the steps of ``_piece_steps``.
 
     The descent.  A node is a cell of side 2^-l with centre m, and the pieces
-    of depth j(l) that may come within rho of it, j(l) the least depth
-    (never below its parent's) with r_j at most twice the cell's
-    circumradius R_l.  Its four subcells test each child piece exactly in
-    integers.  In units of the common denominator of m and the pieces, let
-    ``a``, ``rho`` and ``r`` be the ceilings of R_l, rho and r_j:
+    of depth j(l) that may come within rho of it.  The root's depth is
+    j(0) = 0; below it j(l) is the least depth with r_j at most twice the
+    cell's circumradius R_l (``covering_exponent``), which never falls as l
+    grows.  Its four subcells test each child piece exactly in integers.  In
+    units of the common denominator of m and the pieces, let ``a``, ``rho``
+    and ``r`` be the ceilings of R_l, rho and r_j:
       - a piece with |m - p| > a + rho + r (``keep``) is dropped: every point
         of the cell, and so every later centre below it, is more than
         rho + r_j from it and from every piece below it;
@@ -277,74 +347,62 @@ def _hole_search(spec: IFSSpec, rho_sq: Fraction, budget: int) -> Hole | None:
         each of those is more than rho + r from m, and together they cover
         S + O_K, so the closed disk D(m, rho) misses it.
     The root's pieces are the translates g with |c + g - m| <= a + rho + r,
-    read row by row with exact chords, as in ``intersection._ball_candidates``.
-    Cells are taken by the upper bound |m - p| - r_j + R_l of the clearance
-    in them, the largest first; every comparison is on integers, and ties go
-    to the older cell, so the path depends on the spec and rho^2 alone.
+    read by ``_ball_candidates``.  Cells are taken by the upper bound
+    |m - p| - r_j + R_l of the clearance in them, the largest first; every
+    comparison is on integers, and ties go to the older cell, so the path
+    depends on the spec and rho^2 alone.
     """
     field = spec.field
-    s, nyy = norm_form(field)
-    disc = 4 * nyy - s * s  # 4*Q(x, y) = (2x + s*y)^2 + disc*y^2
+    s, nyy = field.s, -field.t
     kappa = 1 + s + nyy  # Q(1, 1): R_l^2 = kappa / 4^(l+1)
     centre, r2 = spec.disk
     C, D = centre.num, centre.den
-    beta = spec.beta
-    b = beta.norm()
+    b = spec.beta.norm()
     rn, rd = r2.numerator, r2.denominator
     pn, pd = rho_sq.numerator, rho_sq.denominator
-    digits = spec.shifted_digits
+    n_digits = len(spec.digits)
+    grow = _piece_steps(spec, field.one)
     steps: list[list[tuple[int, int]]] = [[]]  # steps[j]: the a'*conj(beta)^j
-    depths = [0]
-    bounds: dict[int, tuple[int, int, int, int, int]] = {}
-
-    def depth(level):
-        # r_j^2 <= 4*R_l^2, that is rn * 4^l <= kappa * rd * b^j
-        while len(depths) <= level:
-            j = depths[-1]
-            while rn * 4 ** len(depths) > kappa * rd * b**j:
-                j += 1
-            depths.append(j)
-        return depths[level]
+    bounds: dict[int, tuple[int, int, int, int, int, int]] = {}
 
     def step(j):
         while len(steps) <= j:
-            m00, m01, m10, m11 = mul_matrix(beta.conj() ** len(steps))
-            steps.append([(m00 * x + m01 * y, m10 * x + m11 * y) for x, y in digits])
+            steps.append(next(grow))
         return steps[j]
 
     def bound(level):
-        """(keep, clear, full, key_shift, scale) for the cells of one level,
-        the squared bounds and the shift in units of scale = E_j * 2^(l+1)."""
+        """(j, keep, clear, full, key_shift, scale) for the cells of one
+        level: the depth of their pieces, the squared bounds and the shift
+        in units of scale = E_j * 2^(l+1)."""
         if level not in bounds:
-            j = depth(level)
+            # r_j^2 <= 4*R_l^2 = kappa/4^l
+            j = covering_exponent(b, r2, Fraction(kappa, 4**level)) if level else 0
             scale = D * b**j << (level + 1)
             a = _ceil_sqrt(kappa * scale * scale, 4 ** (level + 1))
             rho = _ceil_sqrt(pn * scale * scale, pd)
             r = _ceil_sqrt(rn * scale * scale, rd * b**j)
             low = math.isqrt(pn * scale * scale // pd) - a - r
             full = low * low if low >= 0 else -1
-            bounds[level] = ((a + rho + r) ** 2, (rho + r) ** 2, full, r - a, scale)
+            bounds[level] = (j, (a + rho + r) ** 2, (rho + r) ** 2, full, r - a, scale)
         return bounds[level]
 
-    keep, clear, full, _, _ = bound(0)
-    # the root: centre (1 + w)/2 and pieces (C + g*D)/D, so the scaled
-    # offsets are the (x, y) = 2*(C + g*D) - (D, D) with Q(x, y) <= keep
-    cx, cy, d2 = 2 * C.x - D, 2 * C.y - D, 2 * D
-    ymax = math.isqrt(4 * keep // disc)
-    root = []
+    _, keep, clear, full, _, _ = bound(0)
+    # the root: centre (1 + w)/2 and pieces (C + g*D)/D within sqrt(keep)
+    # of it in units of 2*D, so the g within sqrt(keep)/(2*D) of
+    # ((1 + w)*D - 2*C)/(2*D)
+    ball = _ball_candidates(field, [(D - 2 * C.x, D - 2 * C.y)], 2 * D, keep, 4 * D * D, (1, 0, 1))
+    near = list(islice(ball, max(budget + 1, 0)))
+    if len(near) > budget:
+        return None
+    root = [(C.x + gx * D, C.y + gy * D) for gx, gy in near]
     nearest = None
-    for y in range(-ymax + (cy + ymax) % d2, ymax + 1, d2):
-        r = math.isqrt(4 * keep - disc * y * y)
-        lo = -((r + s * y) // 2)
-        for x in range(lo + (cx - lo) % d2, (r - s * y) // 2 + 1, d2):
-            q = x * x + s * x * y + nyy * y * y
-            if q <= full:
-                return None
-            root.append(((x + D) // 2, (y + D) // 2))
-            if len(root) > budget:
-                return None
-            if nearest is None or q < nearest:
-                nearest = q
+    for px, py in root:
+        x, y = 2 * px - D, 2 * py - D
+        q = x * x + s * x * y + nyy * y * y
+        if q <= full:
+            return None
+        if nearest is None or q < nearest:
+            nearest = q
     nodes = len(root)
     if nearest is None or nearest > clear:
         return Hole(FieldElement(QuadInt(field, 1, 1), 2), rho_sq, nodes)
@@ -352,13 +410,14 @@ def _hole_search(spec: IFSSpec, rho_sq: Fraction, budget: int) -> Hole | None:
     tick = 0
     while heap:
         _, _, level, i, k, pieces = heapq.heappop(heap)
+        j0 = bound(level)[0]
+        j1, keep, clear, full, key_shift, scale = bound(level + 1)
         # an expansion is charged its 4 * (child pieces) tests up front
-        nodes += 4 * len(pieces) * len(digits) ** (depth(level + 1) - depth(level))
+        nodes += 4 * len(pieces) * n_digits ** (j1 - j0)
         if nodes > budget:
             return None
-        for j in range(depth(level) + 1, depth(level + 1) + 1):
+        for j in range(j0 + 1, j1 + 1):
             pieces = [(b * x + ax, b * y + ay) for x, y in pieces for ax, ay in step(j)]
-        keep, clear, full, key_shift, scale = bound(level + 1)
         e = scale >> (level + 2)
         f = 1 << (level + 2)
         scaled = [(x * f, y * f, (x, y)) for x, y in pieces]

@@ -28,9 +28,10 @@ images D((W + c)/beta^k, r'/|beta|^k) of the disk D(c, r') of
 N(beta)^k >= u * r'^2.  Its cost, the lattice rows plus points those balls
 can touch, is an exact integer bound, and the cap check and a capped
 certified run's fallback are both decided on it; lattice, cover and cost
-are the tuple's one plan (``_plan``).  The ball centres are built already
-scaled by the lattice's delta, and one scan over every ball collects the
-lattice points in them (``_candidate_numerators``).  Those are decided
+are the tuple's one plan (``_plan``).  The ball centres are the pieces of
+``fractal._piece_steps``, built already scaled by the lattice's delta, and
+one ``fractal._ball_candidates`` scan over every ball collects the lattice
+points in them (``_candidate_numerators``).  Those are decided
 together by one counting peel over them (``_attractor_numerators``), at
 most #A set lookups each, so the cost bounds the whole sweep; only the
 points the peel keeps are confirmed by ``is_member`` and coded by
@@ -42,7 +43,7 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -61,7 +62,9 @@ from .fractal import (
     covering_exponent,
     period_bound,
     similarity_dimension,
+    _ball_candidates,
     _hole_search,
+    _piece_steps,
 )
 from .ideals import (
     ElementFactorization,
@@ -75,7 +78,7 @@ from .ideals import (
 )
 from .membership import Coding, coding_of, is_member
 from .orders import LowerBoundSpec, _power_mod, c2_constant, order_lower_bound
-from .quadring import FieldElement, QuadInt, mul_matrix, norm_form
+from .quadring import FieldElement, QuadInt, mul_matrix
 
 UFD_FIELDS = frozenset({-1, -2, -3, -7, -11, -19, -43, -67, -163})
 # lattice rows plus points one level sweep may touch, the cost of ``_plan``
@@ -552,7 +555,7 @@ def _reduced(ideal: IdealHNF) -> tuple[tuple[int, int], tuple[int, int]]:
 
     It reduces the basis {a, b + c*w} of the Hermite form.
     """
-    nxy, nyy = norm_form(ideal.field)
+    nxy, nyy = ideal.field.s, -ideal.field.t
 
     def q(x, y):
         return x * x + nxy * x * y + nyy * y * y
@@ -590,66 +593,11 @@ def _covering_radius_sq(ideal: IdealHNF) -> Fraction:
     squared and area |det|*sqrt(|disc|)/4, det = u_x*v_y - u_y*v_x, the
     formula R = abc/(4*area) gives R^2 = Q(u)*Q(v)*Q(v - u) / (det^2*|disc|).
     """
-    nxy, nyy = norm_form(ideal.field)
-
-    def q(x, y):
-        return x * x + nxy * x * y + nyy * y * y
-
-    (ux, uy), (vx, vy) = _reduced(ideal)
-    if q(ux + vx, uy + vy) < q(ux, uy) + q(vx, vy):
-        vx, vy = -vx, -vy
-    det = ux * vy - uy * vx
-    disc = 4 * nyy - nxy * nxy
-    return Fraction(q(ux, uy) * q(vx, vy) * q(vx - ux, vy - uy), det * det * disc)
-
-
-def _ball_candidates(
-    field,
-    centres: Iterable[tuple[int, int]],
-    D: int,
-    rn: int,
-    rd: int,
-    out: set,
-    hnf: tuple[int, int, int],
-) -> None:
-    """Add to ``out`` every (x, y) with |x + y*w - (X + Y*w)/D|^2 <= rn/rd,
-    for some (X, Y) in ``centres``, in the ideal whose Hermite form is
-    hnf = (a, b, c).
-
-    Every ball sits over one common denominator D and shares one radius, so
-    the constants below are computed once and each ball is scanned row by
-    row with its exact chord from ``isqrt``.  With w^2 = s*w + t, the scale
-    m = 1 + s (so w = (s + sqrt(d))/m) and a' = y*D - Y, the disk test reads
-
-      rd*(m*D*x - m*X + s*a')^2 + rd*|d|*a'^2 <= budget = m^2*rn*D^2,
-
-    so the rows are |a'| <= isqrt(budget // (rd*|d|)) and each row keeps
-    m*D*x in [m*X - s*a' - r, m*X - s*a' + r] with
-    r = isqrt((budget - rd*|d|*a'^2) // rd).  The ideal's rows are y = c*t,
-    and row t holds the x = b*t (mod a): exactly its points in the closed
-    balls.
-    """
-    a, b, c = hnf
-    s = field.s
-    m = 1 + s
-    budget = m * m * rn * D * D
-    rdd = rd * -field.d
-    amax = math.isqrt(budget // rdd)
-    md = m * D
-    cd = c * D
-    isqrt = math.isqrt
-    add = out.add
-    for X, Y in centres:
-        mx = m * X
-        for t in range(-((amax - Y) // cd), (Y + amax) // cd + 1):
-            y = c * t
-            dy = y * D - Y
-            r = isqrt((budget - rdd * dy * dy) // rd)
-            mid = mx - s * dy
-            lo = -((r - mid) // md)
-            lo += (b * t - lo) % a
-            for x in range(lo, (mid + r) // md + 1, a):
-                add((x, y))
+    u, v = (QuadInt(ideal.field, x, y) for x, y in _reduced(ideal))
+    if (u + v).norm() < u.norm() + v.norm():
+        v = -v
+    det = u.x * v.y - u.y * v.x
+    return Fraction(u.norm() * v.norm() * (v - u).norm(), det * det * -ideal.field.disc)
 
 
 class _Plan(NamedTuple):
@@ -713,42 +661,26 @@ def _plan(spec: IFSSpec, fact: ElementFactorization, exponents: tuple[int, ...])
 def _candidate_numerators(spec: IFSSpec, plan: _Plan) -> set[tuple[int, int]]:
     """All g in ``sub`` in the balls of the plan's cover, scaled by delta.
 
-    Every point of the attractor lies in one of them.  The ball around the
-    depth-k word W is centred at c*(D*W + C) over den, for the constant
-    c = delta*conj(beta^k), and D*W + C is built from C by the steps
-    V -> beta*V + a' with the digits a' of ``IFSSpec.shifted_digits``.
-    Multiplication commutes, so c*(beta*V + a') = beta*(c*V) + c*a': the
-    words are built already scaled, from c*C with the digits c*a', as
-    integer (x, y) pairs, and the distinct ones are kept level by level.
-    The last level is not collected: the depth-(k-1) words times the digits
+    Every point of the attractor lies in one of them.  Their centres over
+    den are the depth-k pieces of ``fractal._piece_steps`` grown from
+    delta*C with m = delta, and the distinct ones are kept level by level.
+    The last level is not collected: the depth-(k-1) pieces and their steps
     go straight to one ``_ball_candidates`` scan over every ball, where a
     repeated centre only adds its points again.  At k = 0 the one ball is
-    centred at c*C = delta*C.
+    centred at delta*C.
     """
-    beta = spec.beta
-    centre, _ = spec.disk
-    b00, b01, b10, b11 = mul_matrix(beta)
-    c00, c01, c10, c11 = mul_matrix(plan.delta * (beta**plan.k).conj())
-    x, y = centre.num.x, centre.num.y
-    words = {(c00 * x + c01 * y, c10 * x + c11 * y)}
-    digits = [(c00 * x + c01 * y, c10 * x + c11 * y) for x, y in spec.shifted_digits]
-    for _ in range(plan.k - 1):
-        words = {
-            (b00 * x + b01 * y + ax, b10 * x + b11 * y + ay)
-            for x, y in words
-            for ax, ay in digits
-        }
-    centres = words if not plan.k else (
-        (b00 * x + b01 * y + ax, b10 * x + b11 * y + ay)
-        for x, y in words
-        for ax, ay in digits
-    )
-    sub = plan.sub
-    out: set[tuple[int, int]] = set()
-    _ball_candidates(
-        spec.field, centres, plan.den, plan.rn, plan.rd, out, (sub.a, sub.b, sub.c)
-    )
-    return out
+    b = spec.beta.norm()
+    start = plan.delta * spec.disk[0].num
+    words = {(start.x, start.y)}
+    steps = _piece_steps(spec, plan.delta)
+    for _, step in zip(range(plan.k - 1), steps):
+        words = {(b * x + ax, b * y + ay) for x, y in words for ax, ay in step}
+    centres = words
+    if plan.k:
+        last = next(steps)
+        centres = ((b * x + ax, b * y + ay) for x, y in words for ax, ay in last)
+    hnf = (plan.sub.a, plan.sub.b, plan.sub.c)
+    return set(_ball_candidates(spec.field, centres, plan.den, plan.rn, plan.rd, hnf))
 
 
 def _attractor_numerators(spec: IFSSpec, plan: _Plan) -> list[tuple[int, int]]:
@@ -1001,26 +933,21 @@ def _fallback_part(
     L for every L up to that of s.
 
     A plan costs at least 2*(#A)^k, so a part whose cover depth k is above
-    kcap, the largest k with 2*(#A)^k <= cap, is over the cap unbuilt.  The
-    depth is the least k with N(beta)^k >= u*r'^2, for u = N(I) and
-    r'^2 = rn/rd, so it is above kcap exactly when
-    u*rn > N(beta)^kcap * rd.  u only grows with L, so the levels not that
-    deep are those up to one bisected level; below it the levels are
-    stepped down by ``cost``, which need not fall with L.
+    kcap, the largest k with 2*(#A)^k <= cap (-1 when there is none), is
+    over the cap unbuilt.  The depth is ``covering_exponent`` at 1/u, for
+    u = N(I), which only grows with L; so the levels not that deep are
+    those up to one bisected level, and below it the levels are stepped
+    down by ``cost``, which need not fall with L.
     """
-    n_digits = len(spec.digits)
     r2 = spec.disk[1]
-    room = -1  # N(beta)^kcap * rd; below every u*rn when no depth fits
-    k = 0
-    while 2 * n_digits**k <= cap:
-        room = spec.beta.norm() ** k * r2.denominator
-        k += 1
+    # the least k with 2*(#A)^k > cap, less one
+    kcap = covering_exponent(len(spec.digits), Fraction(cap + 1), Fraction(2)) - 1
     lo, hi = 0, _den_power(s, fact)
     while lo < hi:
         mid = (lo + hi + 1) // 2
         part = _clip(s, mid, fact)
         u = math.prod(prime.norm**n for prime, n in zip(fact.primes, part))
-        if u * r2.numerator > room:
+        if covering_exponent(spec.beta.norm(), r2, Fraction(1, u)) > kcap:
             hi = mid - 1
         else:
             lo = mid

@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 from .errors import FieldError
 from .fractal import IFSSpec
-from .quadring import FieldElement, QuadInt, mul_matrix, norm_form
+from .quadring import FieldElement, QuadInt, mul_matrix
 
 
 class Coding(NamedTuple):
@@ -88,7 +88,7 @@ class _Space:
         self.u = u
         self.scaled_digits = tuple((x * u, y * u) for x, y in spec.shifted_digits)
         self.d, self.cux, self.cuy = d, c.x * u, c.y * u
-        self.nxy, self.nyy = norm_form(spec.field)
+        self.nxy, self.nyy = spec.field.s, -spec.field.t
         self.bound_num = r2.numerator * d * d * u * u
         self.bound_den = r2.denominator
         self.alive: dict[tuple[int, int], int] = {}

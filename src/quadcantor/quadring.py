@@ -199,11 +199,6 @@ def mul_matrix(q: QuadInt) -> tuple[int, int, int, int]:
     return q.x, f.t * q.y, q.y, q.x + f.s * q.y
 
 
-def norm_form(field: FieldSpec) -> tuple[int, int]:
-    """Coefficients (nxy, nyy) with N(x + y*w) = x^2 + nxy*x*y + nyy*y^2."""
-    return field.s, -field.t
-
-
 class FieldElement:
     """A field element num/den in lowest terms, den a positive rational integer."""
 

@@ -13,7 +13,7 @@ from order_oracle import brute_ord_mod
 import quadcantor as qc
 from quadcantor import FieldElement, make_field
 from quadcantor import intersection
-from quadcantor.fractal import _hole_search
+from quadcantor.fractal import Hole, _hole_search, covering_exponent
 from quadcantor.ideals import (
     factor_rational_prime,
     ideal_from_generators,
@@ -228,6 +228,28 @@ def _planar_specs():
     return specs
 
 
+# Seeded searches pinned to their outcomes: (index into
+# _case_two_specs(Random(2024), 40), rho^2, budget, (x, y, den, nodes) of the
+# hole's centre (x + y*w)/den, or None).  Specs 11, 20 and 37 have r'^2 above
+# 4*R_0^2, so covering_exponent is above 0 at level 0, while the root's
+# translates are still read at depth 0.
+HOLE_TABLE = (
+    (0, Fraction(1, 800), 5000, (13, 5, 16, 467)),
+    (1, Fraction(3, 100), 5000, (1, 9, 16, 360)),
+    (2, Fraction(1, 100), 200, (1, 1, 4, 25)),
+    (3, Fraction(1, 200), 200, None),
+    (4, Fraction(1, 100), 5000, (3, 5, 8, 294)),
+    (5, Fraction(1, 100), 1000, (1, 25, 32, 724)),
+    (5, Fraction(1, 100), 723, None),
+    (7, Fraction(3, 400), 200, (7, 7, 8, 163)),
+    (11, Fraction(1, 100), 20000, (29, 59, 64, 1122)),
+    (11, Fraction(1, 400), 965, None),
+    (20, Fraction(1, 400), 5000, (1, 13, 32, 3351)),
+    (20, Fraction(1, 50), 20000, None),
+    (37, Fraction(1, 100), 2000, None),
+)
+
+
 class TestHoleSearch:
     def test_holes_miss_an_exact_depth_scan(self):
         found = 0
@@ -240,6 +262,22 @@ class TestHoleSearch:
                     assert _misses(spec, hole)
                     found += 1
         assert found >= 15
+
+    def test_seeded_searches_keep_their_outcomes(self):
+        specs = [spec for spec, _ in _case_two_specs(random.Random(2024), 40)]
+        trapped = set()
+        for i, rho_sq, budget, want in HOLE_TABLE:
+            spec = specs[i]
+            got = _hole_search(spec, rho_sq, budget)
+            if want is None:
+                assert got is None
+            else:
+                x, y, den, nodes = want
+                assert got == Hole(FieldElement(spec.field.element(x, y), den), rho_sq, nodes)
+            kappa = 1 + spec.field.s - spec.field.t  # 4*R_0^2
+            if covering_exponent(spec.beta.norm(), spec.disk[1], Fraction(kappa)):
+                trapped.add(i)
+        assert trapped == {11, 20, 37}
 
     def test_no_hole_beyond_the_widest_gap_of_the_cantor_set(self, gauss, cantor):
         # S + O_K is the middle-thirds Cantor set plus Z[i]: the point

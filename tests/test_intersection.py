@@ -14,11 +14,10 @@ from order_oracle import brute_ord_mod
 import quadcantor as qc
 from quadcantor import CapExceededError, FieldElement, PreconditionError, make_field
 from quadcantor import intersection
-from quadcantor.fractal import covering_exponent
+from quadcantor.fractal import _ball_candidates, covering_exponent
 from quadcantor.ideals import prime_power_product
 from quadcantor.quadring import mul_matrix
 from quadcantor.intersection import (
-    _ball_candidates,
     _plan,
     _shortest,
     survivors,
@@ -440,9 +439,8 @@ def _whole_disk_points(spec, alpha, level, exps):
     plan = _plan(spec, fact, exps)
     r2 = spec.radius_sq
     sub = plan.sub
-    disk: set = set()
     rn = plan.delta.norm() * r2.numerator
-    _ball_candidates(spec.field, [(0, 0)], 1, rn, r2.denominator, disk, (sub.a, sub.b, sub.c))
+    disk = set(_ball_candidates(spec.field, [(0, 0)], 1, rn, r2.denominator, (sub.a, sub.b, sub.c)))
     conj_delta = plan.delta.conj()
     out = set()
     for x, y in disk:
@@ -497,10 +495,10 @@ def _plain_candidates(spec, plan):
     sub = plan.sub
     out: set = set()
     for x, y in words:
-        _ball_candidates(
+        out.update(_ball_candidates(
             spec.field, [(c00 * x + c01 * y, c10 * x + c11 * y)],
-            plan.den, plan.rn, plan.rd, out, (sub.a, sub.b, sub.c),
-        )
+            plan.den, plan.rn, plan.rd, (sub.a, sub.b, sub.c),
+        ))
     return out
 
 
@@ -508,14 +506,13 @@ class TestScanPlan:
     def test_cost_bounds_the_scan(self, monkeypatch):
         touched = []
 
-        def counting(field, centres, D, rn, rd, out, hnf):
+        def counting(field, centres, D, rn, rd, hnf):
             # one single-centre scan per ball of the batch
             for centre in centres:
-                ball: set = set()
-                _ball_candidates(field, [centre], D, rn, rd, ball, hnf)
+                ball = set(_ball_candidates(field, [centre], D, rn, rd, hnf))
                 # rows that yielded points plus the points themselves
                 touched.append(len({y for _, y in ball}) + len(ball))
-                out |= ball
+                yield from ball
 
         monkeypatch.setattr(intersection, "_ball_candidates", counting)
         for spec, alpha, _, exps in _scan_cases():
@@ -578,8 +575,7 @@ class TestBallCandidates:
                 Y = rng.randint(-40, 40)
                 rn = rng.randint(0, 60)
                 rd = rng.randint(1, 9)
-                got: set = set()
-                _ball_candidates(field, [(X, Y)], D, rn, rd, got, (1, 0, 1))
+                got = set(_ball_candidates(field, [(X, Y)], D, rn, rd, (1, 0, 1)))
                 want = _brute_ball(field, X, Y, D, rn, rd)
                 assert got == want
                 kept += len(want)
@@ -600,8 +596,7 @@ class TestBallCandidates:
                 centres = [(rng.randint(-20, 20), rng.randint(-20, 20)) for _ in range(6)]
                 centres.append(centres[0])
                 for hnf, lat in (((1, 0, 1), None), ((ideal.a, ideal.b, ideal.c), ideal)):
-                    got: set = set()
-                    _ball_candidates(field, iter(centres), D, rn, rd, got, hnf)
+                    got = set(_ball_candidates(field, iter(centres), D, rn, rd, hnf))
                     balls = [_brute_ball(field, X, Y, D, rn, rd, lat) for X, Y in centres]
                     assert got == set().union(*balls)
                     shared += sum(map(len, balls)) > len(got)
@@ -624,8 +619,7 @@ class TestSublattice:
                 D = rng.randint(1, 6)
                 X, Y = rng.randint(-30, 30), rng.randint(-30, 30)
                 rn, rd = rng.randint(0, 90), rng.randint(1, 4)
-                got: set = set()
-                _ball_candidates(field, [(X, Y)], D, rn, rd, got, (ideal.a, ideal.b, ideal.c))
+                got = set(_ball_candidates(field, [(X, Y)], D, rn, rd, (ideal.a, ideal.b, ideal.c)))
                 want = _brute_ball(field, X, Y, D, rn, rd, ideal)
                 assert got == want
                 kept += len(want)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from quadcantor import Coding, FieldElement, make_field
 from quadcantor.cli import main
 from quadcantor.membership import _coding_ratio
 from quadcantor.quadring import QuadInt, mul_matrix
+from test_holes import _case_two_specs
 
 
 @pytest.fixture(scope="module")
@@ -576,6 +578,41 @@ def cover_cell(spec, p):
     return (t.num.x * cover.gn) // q, (t.num.y * cover.gn) // q
 
 
+def plain_cover(spec):
+    """(``Cover.depth``, ``Cover.build``) the plain way: the least depth t
+    with 4*D^2*r'^2*gn^2 <= gd^2*N(beta)^t, stepped up one at a time, and
+    the pieces grown through mul_matrix(conj(beta)^j) at each depth j."""
+    centre, r2 = spec.disk
+    rn, rd = r2.numerator, r2.denominator
+    gn, gd = spec.cover.gn, spec.cover.gd
+    b = spec.beta.norm()
+    t = 0
+    while 4 * centre.den**2 * rn * gn**2 > gd**2 * rd * b**t:
+        t += 1
+    pieces = {(0, 0)}
+    for j in range(1, t + 1):
+        m00, m01, m10, m11 = mul_matrix(spec.beta.conj() ** j)
+        step = [(m00 * x + m01 * y, m10 * x + m11 * y) for x, y in spec.shifted_digits]
+        pieces = {(b * x + ax, b * y + ay) for x, y in pieces for ax, ay in step}
+
+    def ceil_sqrt(n, d):
+        k = math.isqrt(n // d)
+        return k if k * k * d >= n else k + 1
+
+    nyy = -spec.field.t
+    disc = 4 * nyy - spec.field.s ** 2
+    rho = 4 * centre.den**2 * rn * b**t
+    hx, hy = ceil_sqrt(nyy * rho, disc * rd), ceil_sqrt(rho, disc * rd)
+    unit = gd * b**t
+    cells = {
+        (i, j)
+        for x, y in pieces
+        for j in range((y - hy) * gn // unit, (y + hy) * gn // unit + 1)
+        for i in range((x - hx) * gn // unit, (x + hx) * gn // unit + 1)
+    }
+    return t, frozenset(cells)
+
+
 class TestCover:
     def test_short_periodic_points_lie_in_kept_cells(self):
         # every point of S with a purely periodic coding of period <= 4
@@ -588,6 +625,18 @@ class TestCover:
                     assert cover_cell(spec, p) in cells
                     checked += 1
         assert checked > 1000
+
+    def test_build_matches_the_plain_build(self):
+        # the cover specs, then seeded case-(ii) specs with covers of at
+        # most 4096 pieces
+        specs = cover_specs()
+        rng = random.Random(4040)
+        specs += [s for s, _ in _case_two_specs(rng, 60) if s.cover.pieces <= 4096]
+        depths = set()
+        for spec in specs:
+            assert (spec.cover.depth, spec.cover.build(spec)) == plain_cover(spec)
+            depths.add(spec.cover.depth)
+        assert len(specs) >= 60 and len(depths) >= 3
 
     def test_answers_match_the_oracle_before_and_after_the_cover(self):
         # built members and near misses on fresh specs, in one process; the
