@@ -27,7 +27,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
+from itertools import count, islice
 from typing import NamedTuple
 
 from .errors import CapExceededError, PreconditionError
@@ -333,24 +333,27 @@ def _hole_search(spec: IFSSpec, rho_sq: Fraction, budget: int) -> Hole | None:
     of depth j(l) that may come within rho of it.  The root's depth is
     j(0) = 0; below it j(l) is the least depth with r_j at most twice the
     cell's circumradius R_l (``covering_exponent``), which never falls as l
-    grows.  Its four subcells test each child piece exactly in integers.  In
-    units of the common denominator of m and the pieces, let ``a``, ``rho``
-    and ``r`` be the ceilings of R_l, rho and r_j:
+    grows.  ``test`` takes the cells of one level and their parent's pieces,
+    grown to that level's depth, and tests each piece exactly in integers.
+    In units of the common denominator of m and the pieces, let ``a``,
+    ``rho`` and ``r`` be the ceilings of R_l, rho and r_j:
       - a piece with |m - p| > a + rho + r (``keep``) is dropped: every point
         of the cell, and so every later centre below it, is more than
         rho + r_j from it and from every piece below it;
       - a piece with |m - p| + a + r at most the floor of rho (``full``)
         holds a point of S + O_K within rho of every point of the cell,
         which is dropped: it holds no centre;
-      - a subcell whose pieces all have |m - p| > rho + r (``clear``) is a
+      - a cell whose pieces all have |m - p| > rho + r (``clear``) is a
         hole at m.  Every piece of the tree below (W, g) is in its own piece,
         each of those is more than rho + r from m, and together they cover
         S + O_K, so the closed disk D(m, rho) misses it.
-    The root's pieces are the translates g with |c + g - m| <= a + rho + r,
-    read by ``_ball_candidates``.  Cells are taken by the upper bound
-    |m - p| - r_j + R_l of the clearance in them, the largest first; every
-    comparison is on integers, and ties go to the older cell, so the path
-    depends on the spec and rho^2 alone.
+    The root is the one cell of level 0, and its pieces are the translates g
+    with |c + g - m| <= a + rho + r, read by ``_ball_candidates``.  A filled
+    root leaves no live cell; none arises for the radii ``_Holes`` asks, at
+    most R_0, as ``full`` needs rho >= R_0 + r.  Cells are taken by the upper
+    bound |m - p| - r_j + R_l of the clearance in them, the largest first;
+    every comparison is on integers, and ties go to the older cell, so the
+    path depends on the spec and rho^2 alone.
     """
     field = spec.field
     s, nyy = field.s, -field.t
@@ -364,6 +367,8 @@ def _hole_search(spec: IFSSpec, rho_sq: Fraction, budget: int) -> Hole | None:
     grow = _piece_steps(spec, field.one)
     steps: list[list[tuple[int, int]]] = [[]]  # steps[j]: the a'*conj(beta)^j
     bounds: dict[int, tuple[int, int, int, int, int, int]] = {}
+    heap: list = []
+    ticks = count()
 
     def step(j):
         while len(steps) <= j:
@@ -386,63 +391,56 @@ def _hole_search(spec: IFSSpec, rho_sq: Fraction, budget: int) -> Hole | None:
             bounds[level] = (j, (a + rho + r) ** 2, (rho + r) ** 2, full, r - a, scale)
         return bounds[level]
 
-    _, keep, clear, full, _, _ = bound(0)
+    def test(level, cells, pieces):
+        """The hole at the centre of the first clear cell (i, k) of
+        ``cells``, or None once every cell that no piece fills is pushed
+        with the pieces that may reach it."""
+        _, keep, clear, full, key_shift, scale = bound(level)
+        e = scale >> (level + 1)
+        f = 1 << (level + 1)
+        scaled = [(x * f, y * f, (x, y)) for x, y in pieces]
+        for i, k in cells:
+            mx, my = (2 * i + 1) * e, (2 * k + 1) * e
+            live = []
+            nearest = None
+            for px, py, piece in scaled:
+                dx, dy = px - mx, py - my
+                q = dx * (dx + s * dy) + nyy * dy * dy
+                if q <= keep:
+                    if q <= full:
+                        break
+                    live.append(piece)
+                    if nearest is None or q < nearest:
+                        nearest = q
+            else:
+                if nearest is None or nearest > clear:
+                    return Hole(FieldElement(QuadInt(field, 2 * i + 1, 2 * k + 1), f), rho_sq, nodes)
+                key = -((math.isqrt(nearest) - key_shift) << 40) // scale
+                heapq.heappush(heap, (key, next(ticks), level, i, k, live))
+        return None
+
     # the root: centre (1 + w)/2 and pieces (C + g*D)/D within sqrt(keep)
     # of it in units of 2*D, so the g within sqrt(keep)/(2*D) of
     # ((1 + w)*D - 2*C)/(2*D)
+    keep = bound(0)[1]
     ball = _ball_candidates(field, [(D - 2 * C.x, D - 2 * C.y)], 2 * D, keep, 4 * D * D, (1, 0, 1))
     near = list(islice(ball, max(budget + 1, 0)))
-    if len(near) > budget:
+    nodes = len(near)
+    if nodes > budget:
         return None
-    root = [(C.x + gx * D, C.y + gy * D) for gx, gy in near]
-    nearest = None
-    for px, py in root:
-        x, y = 2 * px - D, 2 * py - D
-        q = x * x + s * x * y + nyy * y * y
-        if q <= full:
-            return None
-        if nearest is None or q < nearest:
-            nearest = q
-    nodes = len(root)
-    if nearest is None or nearest > clear:
-        return Hole(FieldElement(QuadInt(field, 1, 1), 2), rho_sq, nodes)
-    heap = [(0, 0, 0, 0, 0, root)]
-    tick = 0
-    while heap:
+    hole = test(0, [(0, 0)], [(C.x + gx * D, C.y + gy * D) for gx, gy in near])
+    while hole is None and heap:
         _, _, level, i, k, pieces = heapq.heappop(heap)
-        j0 = bound(level)[0]
-        j1, keep, clear, full, key_shift, scale = bound(level + 1)
+        j0, j1 = bound(level)[0], bound(level + 1)[0]
         # an expansion is charged its 4 * (child pieces) tests up front
         nodes += 4 * len(pieces) * n_digits ** (j1 - j0)
         if nodes > budget:
             return None
         for j in range(j0 + 1, j1 + 1):
             pieces = [(b * x + ax, b * y + ay) for x, y in pieces for ax, ay in step(j)]
-        e = scale >> (level + 2)
-        f = 1 << (level + 2)
-        scaled = [(x * f, y * f, (x, y)) for x, y in pieces]
-        for i2 in (2 * i, 2 * i + 1):
-            for k2 in (2 * k, 2 * k + 1):
-                mx, my = (2 * i2 + 1) * e, (2 * k2 + 1) * e
-                live = []
-                nearest = None
-                for px, py, piece in scaled:
-                    dx, dy = px - mx, py - my
-                    q = dx * (dx + s * dy) + nyy * dy * dy
-                    if q <= keep:
-                        if q <= full:
-                            break
-                        live.append(piece)
-                        if nearest is None or q < nearest:
-                            nearest = q
-                else:
-                    if nearest is None or nearest > clear:
-                        m = FieldElement(QuadInt(field, 2 * i2 + 1, 2 * k2 + 1), f)
-                        return Hole(m, rho_sq, nodes)
-                    tick += 1
-                    key = -((math.isqrt(nearest) - key_shift) << 40) // scale
-                    heapq.heappush(heap, (key, tick, level + 1, i2, k2, live))
-    return None
+        cells = [(i2, k2) for i2 in (2 * i, 2 * i + 1) for k2 in (2 * k, 2 * k + 1)]
+        hole = test(level + 1, cells, pieces)
+    return hole
 
 
 def similarity_dimension(spec: IFSSpec) -> float:

@@ -78,7 +78,7 @@ from .ideals import (
 )
 from .membership import Coding, coding_of, is_member
 from .orders import LowerBoundSpec, _power_mod, c2_constant, order_lower_bound
-from .quadring import FieldElement, QuadInt, mul_matrix
+from .quadring import FieldElement, QuadInt
 
 UFD_FIELDS = frozenset({-1, -2, -3, -7, -11, -19, -43, -67, -163})
 # lattice rows plus points one level sweep may touch, the cost of ``_plan``
@@ -98,11 +98,17 @@ class PreconditionReport(NamedTuple):
     applicable_case: str | None  # "case_i" | "case_ii" | None
 
 
-def preconditions(alpha: QuadInt, spec: IFSSpec) -> PreconditionReport:
+def _check_alpha(alpha: QuadInt, spec: IFSSpec) -> None:
+    """Raise ``PreconditionError`` unless alpha lies in the spec's field
+    with |alpha| > 1."""
     if alpha.field != spec.field:
         raise PreconditionError("alpha must lie in the spec's field")
     if alpha.norm() < 2:
         raise PreconditionError("|alpha| > 1 is required")
+
+
+def preconditions(alpha: QuadInt, spec: IFSSpec) -> PreconditionReport:
+    _check_alpha(alpha, spec)
     beta = spec.beta
     coprime = are_coprime(alpha, beta)
     eligible = spec.field.d in UFD_FIELDS and are_coprime(alpha, alpha.conj())
@@ -709,7 +715,7 @@ def _attractor_numerators(spec: IFSSpec, plan: _Plan) -> list[tuple[int, int]]:
     Y ⊆ S.
     """
     cands = _candidate_numerators(spec, plan)
-    b00, b01, b10, b11 = mul_matrix(spec.beta)
+    b00, b01, b10, b11 = spec.beta_matrix
     steps = [(t.x, t.y) for t in (a * plan.delta for a in spec.digits)]
     preds: dict[tuple[int, int], list[tuple[int, int]]] = {g: [] for g in cands}
     count: dict[tuple[int, int], int] = {}
@@ -735,6 +741,18 @@ def _attractor_numerators(spec: IFSSpec, plan: _Plan) -> list[tuple[int, int]]:
     return [g for g, n in count.items() if n]
 
 
+def _cap_error(what: str, cost: int, cap: int, least: bool = False) -> CapExceededError:
+    """The refusal of a sweep that may touch ``cost`` lattice rows and
+    points, over ``cap``; ``least`` marks a cost that is only a lower bound
+    (``_over_by_depth``)."""
+    shown = f"at least {cost}" if least else cost
+    return CapExceededError(
+        f"{what} may touch {shown} lattice rows and points, over cap {cap}",
+        estimate=cost,
+        cap=cap,
+    )
+
+
 def _point_order(p: IntersectionPoint):
     return (p.value.norm(), p.value.num.x, p.value.num.y)
 
@@ -752,15 +770,13 @@ def enumerate_level(
     tuple is at most n: the sweep then scans the lattice prod P_j^{-n_j}
     in place of alpha^-level.  Raises ``CapExceededError`` when the sweep's
     cost bound from ``_plan`` (lattice rows and points it may touch)
-    exceeds ``cap``, and ``ArithmeticError`` if ``is_member`` rejects a
-    point the peel kept.
+    exceeds ``cap``, before the lattice is built when the cover depth alone
+    puts it over (``_over_by_depth``), and ``ArithmeticError`` if
+    ``is_member`` rejects a point the peel kept.
     """
     if level < 0:
         raise ValueError("level must be nonnegative")
-    if alpha.field != spec.field:
-        raise PreconditionError("alpha must lie in the spec's field")
-    if alpha.norm() < 2:
-        raise PreconditionError("|alpha| > 1 is required")
+    _check_alpha(alpha, spec)
     fact = factor_element(alpha)
     whole = tuple(level * b for b in fact.exponents)
     if exponents is None:
@@ -769,15 +785,13 @@ def enumerate_level(
         0 <= n <= t for n, t in zip(exponents, whole)
     ):
         raise ValueError(f"exponents must lie between 0 and {whole}")
+    what = f"level-{level} sweep" if exponents == whole else f"tuple-{exponents} sweep"
+    least = _over_by_depth(spec, fact, exponents, cap)
+    if least:
+        raise _cap_error(what, least, cap, least=True)
     plan = _plan(spec, fact, exponents)
     if plan.cost > cap:
-        what = f"level-{level}" if exponents == whole else f"tuple-{exponents}"
-        raise CapExceededError(
-            f"{what} sweep may touch {plan.cost} lattice rows and points, "
-            f"over cap {cap}",
-            estimate=plan.cost,
-            cap=cap,
-        )
+        raise _cap_error(what, plan.cost, cap)
     u = plan.u
     conj_delta = plan.delta.conj()
     sub_norm = plan.sub.norm
@@ -836,7 +850,8 @@ def full_intersection(
     for the largest level L whose cost from ``_plan`` fits, or L = 0
     (``_fallback_part``).  Only the ``_maximal`` parts are swept, and all
     are checked before the first sweep: one over the cap raises
-    ``CapExceededError`` naming its survivor.
+    ``CapExceededError`` naming its survivor, before its lattice is built
+    when its cover depth alone puts it over (``_over_by_depth``).
     The certificate n0 is reported either way, and decides nothing.
 
     ``exhausted`` holds when the survivor search was complete, so that its
@@ -870,9 +885,12 @@ def full_intersection(
     def cost(n):
         return _plan(spec, fact, n).cost
 
+    def budget(n):  # min(cost(n), cap), with no plan for a tuple too deep
+        return cap if _over_by_depth(spec, fact, n, cap) else min(cost(n), cap)
+
     holes = None
     if report.applicable_case == "case_ii":
-        holes = _Holes(spec, fact, lambda n: min(cost(n), cap))
+        holes = _Holes(spec, fact, budget)
     found, complete = survivors(report, spec, lb, n_max if mode == "bounded" else None, holes)
     if mode == "certified":
         parts = [_fallback_part(spec, fact, s, cap, cost) for s in found]
@@ -885,13 +903,10 @@ def full_intersection(
         if part != s:
             sweeps.append(Sweep(s, cost(s), False))
         if part in todo:
-            if cost(part) > cap:
+            least = _over_by_depth(spec, fact, part, cap)
+            if least or cost(part) > cap:
                 what = f"survivor {s}" if part == s else f"part {part} of survivor {s}"
-                raise CapExceededError(
-                    f"sweep of {what} may touch {cost(part)} lattice rows and points, "
-                    f"over cap {cap}",
-                    estimate=cost(part), cap=cap,
-                )
+                raise _cap_error(f"sweep of {what}", least or cost(part), cap, least=bool(least))
             todo.remove(part)
             sweeps.append(Sweep(part, cost(part), True))
     fell = any(p != s for s, p in zip(found, parts))
@@ -920,6 +935,35 @@ def full_intersection(
     )
 
 
+def _over_by_depth(
+    spec: IFSSpec, fact: ElementFactorization, n: tuple[int, ...], cap: int
+) -> int | None:
+    """2*(#A)^(kcap+1) when the cover depth k of n's plan alone puts it over
+    ``cap``, else None; no plan is built.
+
+    A plan costs at least 2*(#A)^k, so a depth above kcap, the largest k
+    with 2*(#A)^k <= cap (-1 when there is none), is over the cap, and
+    2*(#A)^(kcap+1) is a lower bound on its cost that prints.  k is
+    ``covering_exponent`` at 1/u, for u = N(I) = prod N(P_j)^{n_j} and
+    r'^2 = rn/rd, so it is above kcap exactly when u*rn exceeds
+    N(beta)^kcap * rd.  As u >= 2^t for t = sum n_j*(bitlen(N(P_j)) - 1),
+    a t at least the bit length of that bound decides it without building
+    u; otherwise u < 4^t is small enough to build.
+    """
+    n_digits = len(spec.digits)
+    # the least k with 2*(#A)^k > cap, less one
+    kcap = covering_exponent(n_digits, Fraction(cap + 1), Fraction(2)) - 1
+    if kcap >= 0:
+        r2 = spec.disk[1]
+        limit = spec.beta.norm() ** kcap * r2.denominator
+        t = sum(nj * (prime.norm.bit_length() - 1) for prime, nj in zip(fact.primes, n))
+        if t < limit.bit_length():
+            u = math.prod(prime.norm**nj for prime, nj in zip(fact.primes, n))
+            if u * r2.numerator <= limit:
+                return None
+    return 2 * n_digits ** (kcap + 1)
+
+
 def _fallback_part(
     spec: IFSSpec,
     fact: ElementFactorization,
@@ -932,22 +976,15 @@ def _fallback_part(
     at most ``cap``, else that of L = 0.  The part of level L has den power
     L for every L up to that of s.
 
-    A plan costs at least 2*(#A)^k, so a part whose cover depth k is above
-    kcap, the largest k with 2*(#A)^k <= cap (-1 when there is none), is
-    over the cap unbuilt.  The depth is ``covering_exponent`` at 1/u, for
-    u = N(I), which only grows with L; so the levels not that deep are
-    those up to one bisected level, and below it the levels are stepped
-    down by ``cost``, which need not fall with L.
+    A part whose cover depth alone puts it over the cap (``_over_by_depth``)
+    is over unbuilt.  The depth only grows with L, so the levels whose depth
+    fits are those up to one bisected level, and below it the levels are
+    stepped down by ``cost``, which need not fall with L.
     """
-    r2 = spec.disk[1]
-    # the least k with 2*(#A)^k > cap, less one
-    kcap = covering_exponent(len(spec.digits), Fraction(cap + 1), Fraction(2)) - 1
     lo, hi = 0, _den_power(s, fact)
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        part = _clip(s, mid, fact)
-        u = math.prod(prime.norm**n for prime, n in zip(fact.primes, part))
-        if covering_exponent(spec.beta.norm(), r2, Fraction(1, u)) > kcap:
+        if _over_by_depth(spec, fact, _clip(s, mid, fact), cap):
             hi = mid - 1
         else:
             lo = mid

@@ -197,6 +197,15 @@ def _label(spec: IFSSpec, space: _Space, root: tuple[int, int]) -> int:
     return label
 
 
+def _check_numerator(v: QuadInt, spec: IFSSpec) -> None:
+    """Raise ``TypeError`` unless v is a ``QuadInt``, and ``FieldError``
+    unless it lies in the spec's field."""
+    if not isinstance(v, QuadInt):
+        raise TypeError(f"numerator v must be a QuadInt, not {type(v).__name__}")
+    if v.field is not spec.field and v.field != spec.field:
+        raise FieldError("operands belong to different fields")
+
+
 def _root(v: QuadInt, u: int, spec: IFSSpec) -> tuple[_Space, tuple[int, int] | None]:
     """The query's space and root state, the root None when v/u lies outside the disk.
 
@@ -206,10 +215,7 @@ def _root(v: QuadInt, u: int, spec: IFSSpec) -> tuple[_Space, tuple[int, int] | 
         raise TypeError("denominator u must be an int")
     if u < 1:
         raise ValueError("denominator u must be a positive integer")
-    if not isinstance(v, QuadInt):
-        raise TypeError(f"numerator v must be a QuadInt, not {type(v).__name__}")
-    if v.field is not spec.field and v.field != spec.field:
-        raise FieldError("operands belong to different fields")
+    _check_numerator(v, spec)
     space = spec._spaces.get(u)
     if space is None:
         space = spec._spaces.setdefault(u, _Space(spec, u))
@@ -352,10 +358,7 @@ def verify_coding(coding: Coding, v: QuadInt, u: int, spec: IFSSpec) -> bool:
             or (a.x, a.y) not in pairs
         ):
             raise ValueError(f"digit {a} is not in the digit set")
-    if not isinstance(v, QuadInt):
-        raise TypeError(f"numerator v must be a QuadInt, not {type(v).__name__}")
-    if v.field is not spec.field and v.field != spec.field:
-        raise FieldError("operands belong to different fields")
+    _check_numerator(v, spec)
     m00, m01, m10, m11 = spec.beta_matrix
     x, y = v.x, v.y
     for a in coding.preperiod:

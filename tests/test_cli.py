@@ -396,6 +396,18 @@ class TestExitCodes:
             assert code == 3 and out == ""
             assert message in err
 
+    @pytest.mark.parametrize("n_max", [10**5, 10**6, 10**12])
+    def test_box_too_deep_refused_before_its_lattice_is_built(self, capsys, n_max):
+        # no case applies, so bounded mode sweeps the whole box (2*n_max,)
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "intersect", "-d", "-1", "--alpha", "2", "--beta", "3",
+            "--digits", "0,1,2", "--mode", "bounded", "--nmax", str(n_max),
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 3 and out == ""
+        assert f"sweep of survivor ({2 * n_max},) may touch at least 354294 " in err
+
     def test_negative_cap_refused(self, capsys):
         for argv in (
             ("intersect", "-d", "-1", "--alpha", "2", "--mode", "certified"),

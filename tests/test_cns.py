@@ -95,3 +95,7 @@ class TestDyadicDescription:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             qc.dyadic_alpha_description(3, 4, cap=10**4)
+
+    def test_negative_level_rejected(self):
+        with pytest.raises(ValueError):
+            qc.dyadic_alpha_description(2, -1)

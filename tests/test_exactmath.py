@@ -52,6 +52,15 @@ class TestLog2Interval:
         assert float(lo) <= truth <= float(hi)
         assert hi - lo <= Fraction(1, 2**60)
 
+    def test_bracket_straddling_two(self):
+        # r^2 lies within 2^-199 below 2, so the first squaring's bracket
+        # straddles 2 and the residual log2 is only known to lie in [0, 2)
+        r = Fraction(math.isqrt(2 << 400), 1 << 200)
+        lo, hi = log2_interval(r, 64)
+        assert (lo, hi) == (0, 1)
+        assert 2**lo <= r <= 2**hi
+        assert 2 - Fraction(1, 1 << 199) < r * r < 2
+
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             log2_interval(Fraction(0), 32)

@@ -28,6 +28,10 @@ class TestIfsNew:
         with pytest.raises(PreconditionError):
             qc.ifs_new(gauss.element(3), [gauss.element(0), gauss.element(0)])
 
+    def test_digit_of_another_field_rejected(self, gauss, eisenstein):
+        with pytest.raises(PreconditionError):
+            qc.ifs_new(gauss.element(3), [gauss.element(0), eisenstein.element(1)])
+
     def test_equal_specs_hash_alike(self, gauss, cantor):
         twin = qc.ifs_new(gauss.element(3), [gauss.element(0), gauss.element(2)])
         other = qc.ifs_new(gauss.element(3), [gauss.element(0), gauss.element(1)])
@@ -155,6 +159,10 @@ class TestCoveringBound:
     def test_large_delta_single_ball(self, cantor):
         assert qc.covering_bound(cantor, Fraction(2)) == 1
         assert qc.covering_bound(cantor, Fraction(1)) == 1
+
+    def test_nonpositive_delta_rejected(self, cantor):
+        with pytest.raises(ValueError):
+            qc.covering_bound(cantor, 0)
 
     def test_cantor_ninth(self, cantor):
         # k = 2 is the least k with 9^k * (1/81) >= 1
@@ -336,6 +344,10 @@ class TestSamplePoints:
     def test_cap(self, cantor):
         with pytest.raises(CapExceededError):
             qc.sample_points(cantor, 30, cap=1000)
+
+    def test_depth_zero_rejected(self, cantor):
+        with pytest.raises(ValueError):
+            qc.sample_points(cantor, 0)
 
 
 class TestBoxDim:

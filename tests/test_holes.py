@@ -291,6 +291,19 @@ class TestHoleSearch:
         assert _hole_search(cantor, widest, 20000) is None
         assert _hole_search(cantor, Fraction(1, 2), 20000) is None
 
+    def test_a_clear_root_is_the_level_zero_hole(self, gauss):
+        # S is a Cantor set in [0, 1/2], so (1 + i)/2 lies 1/2 from S + Z[i];
+        # the root's ball scan meets four translates and none comes near
+        spec = qc.ifs_new(gauss.element(3), [gauss.element(0), gauss.element(1)])
+        hole = _hole_search(spec, Fraction(1, 20), 1000)
+        assert hole == Hole(FieldElement(gauss.element(1, 1), 2), Fraction(1, 20), 4)
+        assert _misses(spec, hole)
+
+    def test_a_filled_root_leaves_no_live_cell(self, cantor):
+        # at rho = 10 a root translate holds a point of S within rho of
+        # every point of the unit cell, so no cell is left to search
+        assert _hole_search(cantor, Fraction(100), 20000) is None
+
     def test_a_root_over_the_budget_gives_up_at_once(self, gauss):
         # N(beta) = 2 and a digit of norm 10^12: the disk around S has radius
         # about 2.4*10^6, so the root cell alone meets about 10^13 translates

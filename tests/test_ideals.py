@@ -52,6 +52,27 @@ class TestHNF:
         with pytest.raises(ValueError):
             IdealHNF(gauss, 4, 1, 2)  # c does not divide b
 
+    @pytest.mark.parametrize("abc", [(0, 0, 1), (4, 4, 1)], ids=["a below 1", "b not below a"])
+    def test_bounds_enforced(self, gauss, abc):
+        with pytest.raises(ValueError):
+            IdealHNF(gauss, *abc)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda i, z: i.contains(z),
+            lambda i, z: qc.reduce_mod(z, i),
+            lambda i, z: qc.ideal_from_generators([i.basis()[0], z]),
+            lambda i, z: qc.ideal_mul(i, qc.principal_ideal(z)),
+            lambda i, z: qc.exact_div(i.basis()[0], z),
+        ],
+        ids=["contains", "reduce_mod", "ideal_from_generators", "ideal_mul", "exact_div"],
+    )
+    def test_operands_of_another_field_rejected(self, gauss, eisenstein, call):
+        ideal = qc.ideal_from_generators([gauss.element(2, 1)])
+        with pytest.raises(qc.FieldError):
+            call(ideal, eisenstein.element(1, 1))
+
 
 class TestIdealMul:
     def test_square_of_ramified(self, gauss):
@@ -61,6 +82,10 @@ class TestIdealMul:
     def test_unit_identity(self, gauss):
         ideal = qc.ideal_from_generators([gauss.element(3, 2)])
         assert qc.ideal_mul(ideal, qc.unit_ideal(gauss)) == ideal
+
+    def test_negative_power_rejected(self, gauss):
+        with pytest.raises(ValueError):
+            qc.ideal_pow(qc.principal_ideal(gauss.element(1, 1)), -1)
 
     def test_norm_multiplicative_random(self):
         rng = random.Random(7)

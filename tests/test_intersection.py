@@ -165,6 +165,12 @@ class TestCertifiedBound:
         assert isinstance(n0, int) and n0 >= 1
         assert qc.tuple_is_excluded(gaussian_four, lb, "case_ii", (n0,))
 
+    def test_c2_that_is_no_unit_fraction_rejected(self, gauss, gaussian_four):
+        rep = qc.preconditions(gauss.element(-4, 1), gaussian_four)
+        lb = qc.c2_constant(gaussian_four.beta, rep.alpha_factorization.primes)
+        with pytest.raises(ArithmeticError):
+            qc.certified_bound(rep, qc.covering_constants(gaussian_four), lb._replace(c2=Fraction(2, 17)))
+
     def test_full_digit_set_has_no_certificate(self, gauss):
         spec = qc.ifs_new(gauss.element(-2, 1), [gauss.element(k) for k in range(5)])
         rep = qc.preconditions(gauss.element(-4, 1), spec)
@@ -285,6 +291,19 @@ class TestEnumerateLevel:
     def test_cap_aborts(self, gauss, cantor):
         with pytest.raises(CapExceededError):
             qc.enumerate_level(12, gauss.element(10), cantor, cap=10**4)
+
+    def test_level_too_deep_is_refused_unbuilt(self, gauss):
+        # with no case to cut it, level 10^12 of alpha = 2 is a box whose
+        # lattice has norm 2^(2*10^12): its cover depth alone is over the
+        # cap, kcap = 10 as 2*3^10 <= 2^18 < 2*3^11
+        spec = qc.ifs_new(gauss.element(3), [gauss.element(k) for k in range(3)])
+        for level in (10**5, 10**12):
+            start = time.perf_counter()
+            with pytest.raises(CapExceededError) as err:
+                qc.enumerate_level(level, gauss.element(2), spec)
+            assert time.perf_counter() - start < 1
+            assert err.value.estimate == 2 * 3**11 and err.value.cap == 1 << 18
+            assert f"level-{level} sweep may touch at least {2 * 3**11} " in str(err.value)
 
     def test_cap_is_the_scan_cost(self, gauss, gaussian_four):
         alpha = gauss.element(-4, 1)
@@ -1147,6 +1166,34 @@ class TestFullIntersection:
             gauss.element(5, 1), spec, mode="bounded", n_max=6, cap=10**7
         )
         assert set(bounded.points) <= set(rep.points)
+
+    def test_depth_rule_matches_the_cover_depth(self, gauss):
+        # the rule against the plan's own depth and its least cost, over
+        # tuples on both sides of each bound and far beyond them
+        rng = random.Random(71)
+        cases = [(spec, report.alpha_factorization)
+                 for spec, _, report, _, _, _ in _seeded_cases(rng, (-1, -2, -3, -7, -11), 4, 20000)]
+        # fits; over with u built; over decided by bit lengths or kcap < 0
+        counts = {"fits": 0, "built": 0, "unbuilt": 0}
+        for spec, fact in cases:
+            n_digits = len(spec.digits)
+            for cap in (0, 1, 2, 5, 64, 4096, 2**18, 10**30):
+                kcap = max((k for k in range(200) if 2 * n_digits**k <= cap), default=-1)
+                limit = spec.beta.norm() ** max(kcap, 0) * spec.disk[1].denominator
+                for _ in range(6):
+                    n = tuple(rng.choice((0, 1, 2, 5, 40, 900)) for _ in range(fact.ell))
+                    u = math.prod(p.norm**nj for p, nj in zip(fact.primes, n))
+                    k = covering_exponent(spec.beta.norm(), spec.disk[1], Fraction(1, u))
+                    got = intersection._over_by_depth(spec, fact, n, cap)
+                    if k <= kcap:
+                        assert got is None
+                        assert _plan(spec, fact, n).cost >= 2 * n_digits**k
+                        counts["fits"] += 1
+                    else:
+                        assert got == 2 * n_digits ** (kcap + 1) > cap
+                        t = sum(nj * (p.norm.bit_length() - 1) for p, nj in zip(fact.primes, n))
+                        counts["unbuilt" if kcap < 0 or t >= limit.bit_length() else "built"] += 1
+        assert min(counts.values()) >= 20
 
     def test_fallback_part_matches_the_stepwise_descent(self, gauss):
         # the bisected descent against stepping the level down one at a

@@ -50,6 +50,30 @@ def test_factor_rational_prime_matches_sympy(d, a):
     assert sorted((P.e, P.f) for P in splitting.primes) == expected
 
 
+def test_factor_int_rejects_zero():
+    with pytest.raises(ValueError):
+        factor_int(0)
+
+
+@pytest.mark.parametrize("n", [-7, 0, 1])
+def test_is_prime_below_two(n):
+    assert not ntheory.is_prime(n)
+
+
+@pytest.mark.parametrize(
+    "a,p,want",
+    [
+        (0, 2, 0),
+        (1, 2, 1),
+        (3, 2, 1),  # modulo 2 every residue is its own root
+        (3, 7, None),  # 3 is no square modulo 7
+        (5, 13, None),  # nor 5 modulo 13, where Tonelli-Shanks would run
+    ],
+)
+def test_sqrt_mod_at_two_and_at_non_residues(a, p, want):
+    assert ntheory.sqrt_mod(a, p) == want
+
+
 def test_rho_budget_names_the_cofactor(monkeypatch):
     monkeypatch.setattr(ntheory, "_RHO_STEP_BUDGET", 64)
     n = 1000033 * 1000037

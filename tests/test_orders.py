@@ -174,6 +174,11 @@ class TestOrdPrimePower:
         stab = qc.stabilization(gauss.element(3), p5)
         assert stab.order(stab.n0) == stab.m
 
+    def test_nonpositive_exponent_rejected(self, gauss):
+        stab = qc.stabilization(gauss.element(3), _prime(gauss, 5, root=2))
+        with pytest.raises(ValueError):
+            stab.order_factors(0)
+
     def test_closed_form_matches_brute_force(self):
         cases = 0
         for d in (-1, -2, -3, -7):
@@ -256,11 +261,22 @@ class TestLowerBound:
         with pytest.raises(PreconditionError):
             qc.c2_constant(gauss.element(3), [])
 
+    def test_repeated_prime_rejected(self, gauss):
+        p5 = _prime(gauss, 5, root=2)
+        with pytest.raises(PreconditionError):
+            qc.c2_constant(gauss.element(3), [p5, p5])
+
     def test_zero_tuple_rejected(self, gauss):
         p5 = _prime(gauss, 5, root=2)
         lb = qc.c2_constant(gauss.element(3), [p5])
         with pytest.raises(PreconditionError):
             qc.order_lower_bound(lb, (0,))
+
+    @pytest.mark.parametrize("exponents", [(1, 1), (), (-1,)])
+    def test_wrong_length_or_negative_tuple_rejected(self, gauss, exponents):
+        lb = qc.c2_constant(gauss.element(3), [_prime(gauss, 5, root=2)])
+        with pytest.raises(ValueError):
+            qc.order_lower_bound(lb, exponents)
 
     def test_single_prime_bound_value(self, gauss):
         p5 = _prime(gauss, 5, root=2)

@@ -218,12 +218,16 @@ class TestFieldElement:
         assert b - a == a
         assert a * 4 == FieldElement(gauss.one)
         assert (b / a) == FieldElement(gauss.element(2))
+        assert 1 - a == FieldElement(gauss.element(3), 4)
+        assert -a == FieldElement(gauss.element(-1), 4)
 
     def test_zero_denominator(self, gauss):
         with pytest.raises(ZeroDivisionError):
             FieldElement(gauss.one, 0)
         with pytest.raises(ZeroDivisionError):
             FieldElement.from_ratio(gauss.one, gauss.zero)
+        with pytest.raises(ZeroDivisionError):
+            FieldElement(gauss.one, 2) / FieldElement(gauss.zero)
 
     def test_hash_dedup(self, gauss):
         seen = {FieldElement(gauss.element(1), 4), FieldElement(gauss.element(4), 16)}
