@@ -34,8 +34,9 @@ over one spec and u search each state at most once, and dropping the spec
 frees them.  A query is one depth-first search in digit order that stops
 at its first proof (``_label``), and it stores for each state it finishes
 that state's coding digit: the lowest digit whose successor lies in S, or
--1 for none.  A coding follows the stored digits, one successor per step,
-and walks recompute the successors beta*s - a.  Level sweeps decide their
+-1 for none.  For each state it proves alive it also stores that
+successor, so a coding follows the recorded successors, one lookup per
+step, and computes no product of beta.  Level sweeps decide their
 candidates by a counting peel of their own (``intersection``) and query
 only the points they keep, so the spec holds just those points' searches.
 
@@ -80,6 +81,11 @@ class _Space:
     read, the disk or the cover, but a search stops at its first proof and
     leaves the other successors of the states it finished alive
     unlabelled: the keys are not closed under successors.
+
+    ``succ`` maps each state labelled i >= 0 to its successor
+    beta*s - a_i, the state its coding goes to next; a state labelled -1
+    has none.  A search writes ``succ[s]`` before ``alive[s]``, so a reader
+    in another thread that finds a label >= 0 also finds the successor.
     """
 
     def __init__(self, spec: IFSSpec, u: int):
@@ -92,6 +98,7 @@ class _Space:
         self.bound_num = r2.numerator * d * d * u * u
         self.bound_den = r2.denominator
         self.alive: dict[tuple[int, int], int] = {}
+        self.succ: dict[tuple[int, int], tuple[int, int]] = {}
 
     def inside(self, x: int, y: int) -> bool:
         return (x * x + self.nxy * x * y + self.nyy * y * y) * self.bound_den <= self.bound_num
@@ -131,6 +138,10 @@ def _label(spec: IFSSpec, space: _Space, root: tuple[int, int]) -> int:
     While the cover is not built, the search adds the states it labelled
     to ``Cover.labelled``, and the search that brings that count to
     ``Cover.pieces`` builds the cells and publishes them by one assignment.
+
+    A state finished alive records its successor w_i in ``space.succ``,
+    before its label: for the top state of the path the w_i that proved
+    it, for each state below it the state above it on the path.
     """
     alive = space.alive
     known = alive.get(root)
@@ -187,8 +198,11 @@ def _label(spec: IFSSpec, space: _Space, root: tuple[int, int]) -> int:
         if stack[-1] is frame:
             # w_i proves the top state alive, and with it the whole path
             frame[3] = i
+            succ = space.succ
             for key, _, _, label in reversed(stack):
+                succ[key] = w
                 alive[key] = label
+                w = key
             break
     if cells is None:
         cover.labelled += len(alive) - before
@@ -211,11 +225,14 @@ def _root(v: QuadInt, u: int, spec: IFSSpec) -> tuple[_Space, tuple[int, int] | 
 
     The inputs are checked before any space is looked up or built.
     """
-    if not isinstance(u, int) or isinstance(u, bool):
-        raise TypeError("denominator u must be an int")
-    if u < 1:
+    if type(u) is not int or type(v) is not QuadInt or v.field is not spec.field:
+        if not isinstance(u, int) or isinstance(u, bool):
+            raise TypeError("denominator u must be an int")
+        if u < 1:
+            raise ValueError("denominator u must be a positive integer")
+        _check_numerator(v, spec)
+    elif u < 1:
         raise ValueError("denominator u must be a positive integer")
-    _check_numerator(v, spec)
     space = spec._spaces.get(u)
     if space is None:
         space = spec._spaces.setdefault(u, _Space(spec, u))
@@ -257,12 +274,13 @@ def coding_of(v: QuadInt, u: int, spec: IFSSpec) -> Coding | None:
     """An eventually periodic coding of v/u, or None for non-members.
 
     The walk always takes the lowest digit index whose successor still
-    reaches a cycle, the label of its state, then cuts at the first
-    repeated state, which makes the returned coding deterministic.  A state
-    the walk finds unlabelled (another thread's search may not have
-    finished it yet) is searched.  Every state on the walk lies in S, so a
-    state labelled -1 there means a wrong label, and raises
-    ``ArithmeticError`` rather than walk on.
+    reaches a cycle, the label of its state, and goes to the successor the
+    search recorded for it, then cuts at the first repeated state, which
+    makes the returned coding deterministic.  A state the walk finds
+    unlabelled (another thread's search may not have finished it yet) is
+    searched.  Every state on the walk lies in S, so a state labelled -1
+    there means a wrong label, and raises ``ArithmeticError`` rather than
+    walk on.
     """
     space, root = _root(v, u, spec)
     if root is None:
@@ -270,22 +288,17 @@ def coding_of(v: QuadInt, u: int, spec: IFSSpec) -> Coding | None:
     i = _label(spec, space, root)
     if i < 0:
         return None
-    alive = space.alive
-    m00, m01, m10, m11 = spec.beta_matrix
-    digits = space.scaled_digits
+    alive, succ, digits = space.alive, space.succ, spec.digits
     pos = {root: 0}
-    digit_indices: list[int] = []
+    values: list[QuadInt] = []
     cur = root
     while True:
-        x, y = cur
-        ax, ay = digits[i]
-        cur = (m00 * x + m01 * y - ax, m10 * x + m11 * y - ay)
-        digit_indices.append(i)
+        values.append(digits[i])
+        cur = succ[cur]
         if cur in pos:
             cut = pos[cur]
-            values = [spec.digits[i] for i in digit_indices]
             return Coding(tuple(values[:cut]), tuple(values[cut:]))
-        pos[cur] = len(digit_indices)
+        pos[cur] = len(values)
         i = alive.get(cur)
         if i is None:
             i = _label(spec, space, cur)
@@ -343,22 +356,25 @@ def verify_coding(coding: Coding, v: QuadInt, u: int, spec: IFSSpec) -> bool:
     N(beta) >= 2 makes beta^k nonzero and beta^m != 1, so the walk returns
     to s_k exactly when v/u is the coding's value.  The argument holds for
     any u != 0, negative u and v/u not in lowest terms included, and needs
-    no power of beta.
+    no power of beta.  A u that is no ``int``, or is a ``bool``, raises
+    ``TypeError``: a float u would make the walk decide in floating point.
     """
     if not coding.period:
         raise ValueError("coding must have a nonempty period")
+    if type(u) is not int and (not isinstance(u, int) or isinstance(u, bool)):
+        raise TypeError("denominator u must be an int")
     if u == 0:
         raise ZeroDivisionError("zero denominator")
     field, pairs = spec.field, spec.digit_pairs
     for a in (*coding.preperiod, *coding.period):
         # a plain int equal to a digit compares equal to it but is no digit
         if (
-            not isinstance(a, QuadInt)
-            or (a.field is not field and a.field != field)
-            or (a.x, a.y) not in pairs
-        ):
+            (type(a) is not QuadInt or a.field is not field)
+            and (not isinstance(a, QuadInt) or a.field != field)
+        ) or (a.x, a.y) not in pairs:
             raise ValueError(f"digit {a} is not in the digit set")
-    _check_numerator(v, spec)
+    if type(v) is not QuadInt or v.field is not field:
+        _check_numerator(v, spec)
     m00, m01, m10, m11 = spec.beta_matrix
     x, y = v.x, v.y
     for a in coding.preperiod:

@@ -674,6 +674,40 @@ class TestCover:
         assert cover.cells == cover.build(spec)
 
 
+def check_successors(spec):
+    """Each state labelled i >= 0 maps to beta*s - a_i in ``succ``, and
+    no state labelled -1 has an entry."""
+    m00, m01, m10, m11 = spec.beta_matrix
+    for space in spec._spaces.values():
+        alive = {key: i for key, i in space.alive.items() if i >= 0}
+        assert space.succ.keys() == alive.keys()
+        for (x, y), i in alive.items():
+            ax, ay = space.scaled_digits[i]
+            assert space.succ[x, y] == (m00 * x + m01 * y - ax, m10 * x + m11 * y - ay)
+
+
+class TestRecordedSuccessors:
+    def test_successors_are_the_coding_steps_before_and_after_the_cover(self):
+        # built members and near misses on fresh specs; the successors are
+        # checked after every query, so both with and without the cover
+        rng = random.Random(7070)
+        for spec in cover_specs():
+            phases = {True: 0, False: 0}  # queries with and without the cover
+            for _ in range(48):
+                coding = Coding(
+                    tuple(rng.choice(spec.digits) for _ in range(rng.randint(0, 2))),
+                    tuple(rng.choice(spec.digits) for _ in range(rng.randint(1, 3))),
+                )
+                z = qc.coding_value(coding, spec.beta)
+                for v in (z.num, z.num + 1, z.num + spec.field.omega):
+                    phases[spec.cover.cells is not None] += 1
+                    _, can = exhaustive_graph(v, z.den, spec, spec.disk)
+                    assert qc.coding_of(v, z.den, spec) == exhaustive_coding(v, z.den, spec, can)
+                    check_successors(spec)
+            assert phases[True] > 0 and phases[False] > 0
+            assert any(len(space.succ) > 1 for space in spec._spaces.values())
+
+
 class TestVerifyCoding:
     def test_good_coding(self, gauss, cantor):
         coding = qc.coding_of(gauss.element(1), 4, cantor)
@@ -720,7 +754,24 @@ class TestVerifyCoding:
         again = make_field(-1)
         assert again is not gauss
         coding = Coding((again.element(0),), (again.element(0), again.element(2)))
-        assert qc.verify_coding(coding, gauss.element(1), 12, cantor)
+        for v in (gauss.element(1), again.element(1)):
+            assert qc.verify_coding(coding, v, 12, cantor)
+
+    def test_float_or_bool_denominator_rejected(self, gauss, cantor):
+        # 1.2e18 is no int: in floating point the walk would take
+        # (10^17 + 1)/(12*10^17) for 1/12, while the int decides exactly
+        coding = qc.coding_of(gauss.element(1), 12, cantor)
+        v = gauss.element(10**17 + 1)
+        assert not qc.verify_coding(coding, v, 12 * 10**17, cantor)
+        with pytest.raises(TypeError, match="must be an int"):
+            qc.verify_coding(coding, v, 1.2e18, cantor)
+        # True is no denominator, though it equals 1
+        one = qc.coding_of(gauss.element(1), 1, cantor)
+        assert qc.verify_coding(one, gauss.element(1), 1, cantor)
+        with pytest.raises(TypeError, match="must be an int"):
+            qc.verify_coding(one, gauss.element(1), True, cantor)
+        # a negative int stays a valid denominator
+        assert qc.verify_coding(coding, gauss.element(-1), -12, cantor)
 
     def test_all_member_codings_verify(self, gauss, cantor, gaussian_four):
         rng = random.Random(5)
@@ -976,7 +1027,7 @@ class TestQueryInputs:
                 query(v, 4, spec)
         assert not spec._spaces
 
-    @pytest.mark.parametrize("query", QUERIES)
+    @pytest.mark.parametrize("query", (*QUERIES, verify_coding_query))
     @pytest.mark.parametrize("u", (2.5, 4.0, True, Fraction(4)))
     def test_denominator_that_is_no_int_raises(self, query, u, gauss, cantor):
         spec = qc.ifs_new(cantor.beta, cantor.digits)
@@ -991,6 +1042,26 @@ class TestQueryInputs:
             with pytest.raises(ValueError):
                 query(gauss.element(1), u, spec)
         assert not spec._spaces
+
+    @pytest.mark.parametrize("query", (*QUERIES, verify_coding_query))
+    def test_numerator_of_an_equal_field_is_accepted(self, query, gauss, cantor):
+        # a field built again is equal to the spec's, though not the same
+        # object; its numerators give the same answers
+        again = make_field(-1)
+        assert again is not gauss
+        for v, u in ((1, 4), (1, 12), (3, 4), (1, 13), (9, 2)):
+            got = query(again.element(v), u, qc.ifs_new(cantor.beta, cantor.digits))
+            assert got == query(gauss.element(v), u, qc.ifs_new(cantor.beta, cantor.digits))
+
+    def test_digit_that_is_no_digit_of_the_field_raises(self, gauss, cantor):
+        # an int digit, or a digit of another field, raises ValueError
+        # before the numerator is looked at
+        other = make_field(-2)
+        for digit in (0, other.element(0)):
+            coding = Coding((digit,), (gauss.element(0), gauss.element(2)))
+            for v in (gauss.element(1), make_field(-3).element(1), 1):
+                with pytest.raises(ValueError, match="not in the digit set"):
+                    qc.verify_coding(coding, v, 12, cantor)
 
 
 class TestOracleEquivalence:
