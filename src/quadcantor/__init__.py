@@ -26,7 +26,6 @@ from .ideals import (
     IdealHNF,
     PrimeIdeal,
     PrimeSplitting,
-    are_coprime,
     factor_element,
     factor_rational_prime,
     ideal_from_generators,

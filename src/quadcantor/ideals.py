@@ -312,13 +312,6 @@ def factor_element(alpha: QuadInt) -> ElementFactorization:
     return result
 
 
-def are_coprime(alpha: QuadInt, beta: QuadInt) -> bool:
-    """Whether (alpha) + (beta) is the unit ideal."""
-    if alpha.is_zero() or beta.is_zero():
-        raise ValueError("coprimality is undefined for zero")
-    return ideal_from_generators([alpha, beta]).is_unit()
-
-
 def reduce_mod(z: QuadInt, ideal: IdealHNF) -> QuadInt:
     """Canonical residue of z modulo the ideal: 0 <= y' < c, 0 <= x' < a."""
     if z.field != ideal.field:

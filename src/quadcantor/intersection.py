@@ -69,7 +69,6 @@ from .fractal import (
 from .ideals import (
     ElementFactorization,
     IdealHNF,
-    are_coprime,
     factor_element,
     ideal_mul,
     prime_power_product,
@@ -108,11 +107,19 @@ def _check_alpha(alpha: QuadInt, spec: IFSSpec) -> None:
 
 
 def preconditions(alpha: QuadInt, spec: IFSSpec) -> PreconditionReport:
+    """Every hypothesis of the finiteness theorems, read off alpha's primes.
+
+    (alpha) + (beta) = O_K iff no P | alpha contains beta: a proper sum lies in
+    a prime.  (alpha) + (conj alpha) = O_K iff each P | alpha is split and over
+    its own p: the sum is proper iff some P | alpha has conj(P) | alpha, and a
+    ramified or inert P is its own conjugate, a split P's the other over p.
+    """
     _check_alpha(alpha, spec)
     beta = spec.beta
-    coprime = are_coprime(alpha, beta)
-    eligible = spec.field.d in UFD_FIELDS and are_coprime(alpha, alpha.conj())
     fact = factor_element(alpha)
+    coprime = not any(prime.contains(beta) for prime in fact.primes)
+    split = {prime.p for prime in fact.primes if prime.e == prime.f == 1}
+    eligible = spec.field.d in UFD_FIELDS and len(split) == fact.ell
     sigma = similarity_dimension(spec)
     n_digits = len(spec.digits)
     beta_norm = beta.norm()

@@ -29,8 +29,9 @@ pays for them.  Each search reads its region once, at its start, and
 labels found under the disk stay exact under the cover.  ``state_count``
 counts the states in the disk, whichever region the searches read.
 
-Each spec keeps one labelled graph per denominator u, so repeated queries
-over one spec and u search each state at most once, and dropping the spec
+Each spec keeps one labelled graph per denominator u at which some query's
+root lay in the disk, so repeated queries over one spec and u search each
+state at most once, a query far from S keeps nothing, and dropping the spec
 frees them.  A query is one depth-first search in digit order that stops
 at its first proof (``_label``), and it stores for each state it finishes
 that state's coding digit: the lowest digit whose successor lies in S, or
@@ -220,10 +221,14 @@ def _check_numerator(v: QuadInt, spec: IFSSpec) -> None:
         raise FieldError("operands belong to different fields")
 
 
-def _root(v: QuadInt, u: int, spec: IFSSpec) -> tuple[_Space, tuple[int, int] | None]:
+def _root(
+    v: QuadInt, u: int, spec: IFSSpec, keep: bool = True
+) -> tuple[_Space, tuple[int, int] | None]:
     """The query's space and root state, the root None when v/u lies outside the disk.
 
-    The inputs are checked before any space is looked up or built.
+    The inputs are checked before any space is looked up or built.  A new
+    space is stored in ``spec._spaces`` only when ``keep`` is set and the
+    root lies in the disk, so a query that searches nothing leaves nothing.
     """
     if type(u) is not int or type(v) is not QuadInt or v.field is not spec.field:
         if not isinstance(u, int) or isinstance(u, bool):
@@ -234,10 +239,15 @@ def _root(v: QuadInt, u: int, spec: IFSSpec) -> tuple[_Space, tuple[int, int] | 
     elif u < 1:
         raise ValueError("denominator u must be a positive integer")
     space = spec._spaces.get(u)
-    if space is None:
-        space = spec._spaces.setdefault(u, _Space(spec, u))
+    new = space is None
+    if new:
+        space = _Space(spec, u)
     root = (space.d * v.x - space.cux, space.d * v.y - space.cuy)
-    return space, root if space.inside(*root) else None
+    if not space.inside(*root):
+        return space, None
+    if new and keep:
+        space = spec._spaces.setdefault(u, space)
+    return space, root
 
 
 def is_member(v: QuadInt, u: int, spec: IFSSpec) -> bool:
@@ -250,9 +260,9 @@ def state_count(v: QuadInt, u: int, spec: IFSSpec) -> int:
     """Number of orbit states reachable from v/u in the disk, 0 outside it.
 
     The walk tests each successor against the disk and keeps its states to
-    itself: it neither reads nor writes labels.
+    itself: it neither reads nor writes labels, and stores no space.
     """
-    space, root = _root(v, u, spec)
+    space, root = _root(v, u, spec, keep=False)
     if root is None:
         return 0
     m00, m01, m10, m11 = spec.beta_matrix
@@ -338,7 +348,12 @@ def _coding_ratio(coding: Coding, beta: QuadInt) -> tuple[QuadInt, QuadInt]:
 
 
 def coding_value(coding: Coding, beta: QuadInt) -> FieldElement:
-    """Exact value of the coding in the field of beta: num*conj(den)/N(den)."""
+    """Exact value of the coding in the field of beta: num*conj(den)/N(den).
+
+    An empty period raises ``ValueError``: it gives no value.
+    """
+    if not coding.period:
+        raise ValueError("coding must have a nonempty period")
     num, den = _coding_ratio(coding, beta)
     return FieldElement(num * den.conj(), den.norm())
 

@@ -40,6 +40,11 @@ class FieldSpec(NamedTuple):
     t: int
 
     def element(self, x: int, y: int = 0) -> QuadInt:
+        """x + y*w; a coordinate that is no ``int``, or is a ``bool``, raises
+        ``TypeError``, as a float would make the arithmetic inexact."""
+        for c in (x, y):
+            if not isinstance(c, int) or isinstance(c, bool):
+                raise TypeError(f"coordinates must be ints, not {type(c).__name__}")
         return QuadInt(self, x, y)
 
     @property
@@ -62,7 +67,9 @@ class FieldSpec(NamedTuple):
 
 
 def make_field(d: int) -> FieldSpec:
-    """Validated field for a negative squarefree d."""
+    """Validated field for a negative squarefree int d."""
+    if not isinstance(d, int) or isinstance(d, bool):
+        raise TypeError(f"d must be an int, not {type(d).__name__}")
     if d >= 0:
         raise FieldError(f"d must be negative, got {d}")
     if not is_squarefree(d):

@@ -315,32 +315,6 @@ class TestValuationGallop:
                 assert qc.valuation(z, prime) == _valuation_ascending(z, prime) == v
 
 
-class TestCoprime:
-    def test_examples(self, gauss):
-        assert qc.are_coprime(gauss.element(2), gauss.element(3))
-        assert not qc.are_coprime(gauss.element(1, 1), gauss.element(2))
-        assert qc.are_coprime(gauss.element(-4, 1), gauss.element(-2, 1))
-
-    def test_zero_rejected(self, gauss):
-        with pytest.raises(ValueError):
-            qc.are_coprime(gauss.zero, gauss.one)
-
-    def test_matches_disjoint_supports(self):
-        rng = random.Random(5)
-        for d in (-1, -3, -5):
-            field = make_field(d)
-            done = 0
-            while done < 15:
-                a = field.element(rng.randint(-15, 15), rng.randint(-15, 15))
-                b = field.element(rng.randint(-15, 15), rng.randint(-15, 15))
-                if a.norm() < 2 or b.norm() < 2:
-                    continue
-                pa = {p.hnf for p, _ in qc.factor_element(a).factors}
-                pb = {p.hnf for p, _ in qc.factor_element(b).factors}
-                assert qc.are_coprime(a, b) == pa.isdisjoint(pb)
-                done += 1
-
-
 class TestReduceMod:
     def test_examples(self, gauss):
         p5 = next(p for p in qc.factor_rational_prime(gauss, 5).primes if p.root == 2)

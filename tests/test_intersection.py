@@ -90,6 +90,78 @@ class TestPreconditions:
         with pytest.raises(PreconditionError):
             qc.preconditions(gauss.omega, cantor)
 
+    @staticmethod
+    def hnf_sum_report(alpha, spec):
+        """The report with both coprimality flags decided by the HNF of the
+        ideal sum, (a) + (b) = O_K, as the oracle."""
+
+        def coprime_by_sum(a, b):
+            return qc.ideal_from_generators([a, b]).is_unit()
+
+        coprime = coprime_by_sum(alpha, spec.beta)
+        eligible = spec.field.d in qc.UFD_FIELDS and coprime_by_sum(alpha, alpha.conj())
+        n, beta_norm = len(spec.digits), spec.beta.norm()
+        case_i = coprime and n * n < beta_norm
+        case_ii = coprime and eligible and n < beta_norm
+        return qc.PreconditionReport(
+            alpha=alpha,
+            alpha_beta_coprime=coprime,
+            case_ii_eligible=eligible,
+            alpha_factorization=qc.factor_element(alpha),
+            sigma=qc.similarity_dimension(spec),
+            case_i_applicable=case_i,
+            case_ii_applicable=case_ii,
+            applicable_case="case_ii" if case_ii else ("case_i" if case_i else None),
+        )
+
+    def test_flags_from_the_factorization_match_the_ideal_sums(self):
+        # seeded pairs in UFD and non-UFD fields; a fifth of the alphas share
+        # beta's primes, and each field also gets a rational prime of each
+        # kind as alpha: a ramified one, an inert one, and a split one, both
+        # of whose primes divide it (5 in Z[i], 2 for d = -7)
+        rng = random.Random(34)
+        seen = set()
+        pairs = 0
+        for d in (-1, -2, -3, -5, -6, -7, -11, -15, -19, -43):
+            field = make_field(d)
+            kinds = {}
+            for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43):
+                kinds.setdefault(qc.factor_rational_prime(field, p).kind, p)
+            built_in = [(kind, field.element(p)) for kind, p in kinds.items()]
+            assert len(built_in) == 3
+            for _ in range(8):
+                beta = field.zero
+                while beta.norm() < 2:
+                    beta = field.element(rng.randint(-6, 6), rng.randint(-4, 4))
+                digits = {field.zero}
+                for _ in range(rng.randint(1, 4)):
+                    digits.add(field.element(rng.randint(-3, 3), rng.randint(-2, 2)))
+                if len(digits) < 2:
+                    digits.add(field.one)
+                spec = qc.ifs_new(beta, sorted(digits, key=lambda a: (a.x, a.y)))
+                alphas = list(built_in)
+                while len(alphas) < 26:
+                    alpha = field.element(rng.randint(-12, 12), rng.randint(-8, 8))
+                    kind = "random"
+                    if rng.random() < 0.2:
+                        alpha, kind = alpha * beta, "times beta"
+                    if alpha.norm() >= 2:
+                        alphas.append((kind, alpha))
+                for kind, alpha in alphas:
+                    rep = qc.preconditions(alpha, spec)
+                    assert rep == self.hnf_sum_report(alpha, spec), (alpha, spec)
+                    seen.add((kind, d in qc.UFD_FIELDS, rep.alpha_beta_coprime, rep.case_ii_eligible))
+                    pairs += 1
+        assert pairs >= 2000
+        # every kind of alpha met in a UFD and outside one, and the flags
+        # took each value the field allows
+        for ufd in (True, False):
+            for kind in ("ramified", "inert", "split", "random", "times beta"):
+                assert any(k == kind and u == ufd for k, u, _, _ in seen)
+        assert not any(c for k, _, c, _ in seen if k == "times beta")
+        assert {(c, e) for _, u, c, e in seen if u} == set(itertools.product((True, False), repeat=2))
+        assert {(c, e) for _, u, c, e in seen if not u} == {(True, False), (False, False)}
+
 
 class TestMinimalTuple:
     def test_three_quarters(self, gauss):

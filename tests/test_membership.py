@@ -237,6 +237,12 @@ class TestCoding:
         with pytest.raises(qc.FieldError):
             qc.coding_value(coding, gauss.element(3))
 
+    def test_value_of_an_empty_period_raises(self, cantor):
+        # as verify_coding does, instead of a ZeroDivisionError
+        for pre in ((), cantor.digits):
+            with pytest.raises(ValueError, match="nonempty period"):
+                qc.coding_value(Coding(pre, ()), cantor.beta)
+
     def test_value_of_int_digits_is_that_of_rational_integers(self, gauss, cantor):
         # 1/12 = [0](0 2) and 5/12 = [1](0 2) in base 3
         for pre, v in (((0,), 1), ((1,), 5)):
@@ -298,6 +304,18 @@ class TestSpaceCache:
         points = qc.enumerate_level(4, gauss.element(2), spec)
         assert [str(p.value) for p in points] == ["0", "1/4", "3/4", "1"]
         assert list(spec._spaces) == [2**8]
+
+    def test_only_a_query_inside_the_disk_stores_a_space(self, gauss, cantor):
+        # 100 lies far outside the disk at every denominator, and state
+        # counts read no labels: neither keeps an orbit space
+        spec = qc.ifs_new(cantor.beta, cantor.digits)
+        for u in range(1, 2001):
+            assert not qc.is_member(gauss.element(100 * u), u, spec)
+            assert qc.state_count(gauss.one, u, spec) > 0
+        assert not spec._spaces
+        assert qc.coding_of(gauss.element(100), 7, spec) is None
+        assert qc.is_member(gauss.one, 4, spec)
+        assert list(spec._spaces) == [4]
 
 
 # beta of norm 2 or 3 with digits {0, 1, w}: overlapping or complete digit
@@ -386,8 +404,12 @@ class TestKernelQueryOrder:
                 for cover_spec in specs:
                     cover_spec.cover.cells = cover_spec.cover.build(cover_spec)
                 before_cover = stored()
-            qc.coding_of(v, u, spec)
-            space = spec._spaces[u]
+            coding = qc.coding_of(v, u, spec)
+            space = spec._spaces.get(u)
+            if space is None:
+                # only a root outside the disk leaves no space behind
+                assert coding is None and qc.state_count(v, u, spec) == 0
+                continue
             known = reaches.setdefault((spec, u), {})
             for s, label in space.alive.items():
                 assert space.inside(*s) or in_cover(spec, space, s)

@@ -26,6 +26,18 @@ class TestMakeField:
         with pytest.raises(FieldError):
             make_field(bad)
 
+    @pytest.mark.parametrize("bad", [-1.0, -3.0, True, "-1"])
+    def test_d_that_is_no_int_raises(self, bad):
+        # make_field(-3.0) would equal make_field(-3) and compute in floats
+        with pytest.raises(TypeError):
+            make_field(bad)
+
+    @pytest.mark.parametrize("coords", [(1.5,), (1, 1.0), (True,), (1, False), (1, "1")])
+    def test_element_coordinate_that_is_no_int_raises(self, coords):
+        # make_field(-1).element(1.5) would have the norm 2.25
+        with pytest.raises(TypeError):
+            make_field(-1).element(*coords)
+
 
 class TestArith:
     def test_gauss_product(self, gauss):
