@@ -315,6 +315,37 @@ class TestValuationGallop:
                 assert qc.valuation(z, prime) == _valuation_ascending(z, prime) == v
 
 
+def _coprime(a, b):
+    """(a) + (b) = O_K, read off the HNF of the ideal the two generate."""
+    return qc.ideal_from_generators([a, b]).is_unit()
+
+
+class TestCoprime:
+    def test_examples(self, gauss):
+        assert _coprime(gauss.element(2), gauss.element(3))
+        assert not _coprime(gauss.element(1, 1), gauss.element(2))
+        assert _coprime(gauss.element(-4, 1), gauss.element(-2, 1))
+        # the same pairs as alpha and beta of preconditions
+        for alpha, beta, coprime in (((2, 0), (3, 0), True), ((1, 1), (2, 0), False), ((-4, 1), (-2, 1), True)):
+            spec = qc.ifs_new(gauss.element(*beta), [gauss.zero, gauss.one])
+            assert qc.preconditions(gauss.element(*alpha), spec).alpha_beta_coprime is coprime
+
+    def test_matches_disjoint_supports(self):
+        rng = random.Random(5)
+        for d in (-1, -3, -5):
+            field = make_field(d)
+            done = 0
+            while done < 15:
+                a = field.element(rng.randint(-15, 15), rng.randint(-15, 15))
+                b = field.element(rng.randint(-15, 15), rng.randint(-15, 15))
+                if a.norm() < 2 or b.norm() < 2:
+                    continue
+                pa = {p.hnf for p, _ in qc.factor_element(a).factors}
+                pb = {p.hnf for p, _ in qc.factor_element(b).factors}
+                assert _coprime(a, b) == pa.isdisjoint(pb)
+                done += 1
+
+
 class TestReduceMod:
     def test_examples(self, gauss):
         p5 = next(p for p in qc.factor_rational_prime(gauss, 5).primes if p.root == 2)
