@@ -240,7 +240,8 @@ def _cmd_intersect(args) -> None:
     points = []
     for pt in report.points:
         scaled = pt.value * alpha**pt.den_pow
-        assert scaled.is_integral()
+        if not scaled.is_integral():
+            raise ArithmeticError(f"{pt.value} times alpha^{pt.den_pow} is not integral")
         points.append(
             {
                 "num": scaled.num,

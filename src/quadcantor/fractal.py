@@ -8,9 +8,9 @@ by a rational over-approximation R', read from integer square roots
 Floating point is confined to the similarity dimension
 sigma = 2*log(#A)/log(N(beta)), which is only reported, and the sampling
 and box-counting diagnostics.  The spec owns R'^2 (``radius_sq``), the disk
-that prunes membership's orbit graphs (``disk``), the integral digits its
-walks and word trees step by (``shifted_digits``) and the raster cover of S
-that later prunes them instead (``cover``), each computed once.
+that prunes membership's orbit graphs (``disk``), the integral digits of its
+orbit walks and of the piece steps below (``shifted_digits``) and the raster
+cover of S that later prunes the graphs instead (``cover``), each computed once.
 ``_hole_search`` certifies holes in S + O_K for the hole test of a
 case-(ii) run, which keeps its outcomes for that run alone.  The cover, the
 hole search and the sweeps of ``intersection`` grow the same pieces of S by

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import FieldError
-from .ntheory import ext_gcd, factor_int, is_prime, kronecker_at_prime, sqrt_mod
+from .ntheory import ext_gcd, factor_int, is_prime, kronecker_at_prime, padic_valuation, sqrt_mod
 from .quadring import FieldSpec, QuadInt
 
 
@@ -261,35 +261,32 @@ def _split_prime(field: FieldSpec, p: int) -> PrimeSplitting:
 
 
 def valuation(z: QuadInt, prime: PrimeIdeal) -> int:
-    """Largest k with z in prime^k, by galloping HNF-power membership.
+    """Largest k with z in prime^k, from rational integers alone.
 
-    z in P^a puts z in every P^b with b <= a.  The squares P^(2^i) are
-    built while they contain z, so 2^(n-1) <= k < 2^n for n of them; then k
-    is read off bit by bit from the largest square down, each bit kept when
-    the product with that square still contains z.  That is O(log k) HNF
-    products in place of k.
+    Write z = p^c * z' with c = v_p(gcd(x, y)), so z' = x' + y'*w lies
+    outside p*O_K; then v_P(z) = e*c + v_P(z'), and v_P(z') is
+    v_p(N(z')) when P contains z' and 0 otherwise.  Proof: for inert P,
+    P = p*O_K misses z'.  For ramified P, p*O_K = P^2 gives v_P(z') <= 1,
+    and v_p(N(z')) = v_P(z') as conj(P) = P and N(P) = p.  For split P,
+    z' in P puts z' outside conj(P), since P*conj(P) = p*O_K does not hold
+    z', so v_p(N(z')) = v_P(z') + v_conj(P)(z') = v_P(z').
     """
     if z.is_zero():
         raise ValueError("valuation of zero is infinite")
-    squares = []
-    power = prime.hnf
-    while power.contains(z):
-        squares.append(power)
-        power = ideal_mul(power, power)
-    if not squares:
-        return 0
-    k = 1 << (len(squares) - 1)
-    power = squares[-1]
-    for i in range(len(squares) - 2, -1, -1):
-        trial = ideal_mul(power, squares[i])
-        if trial.contains(z):
-            power = trial
-            k += 1 << i
-    return k
+    p = prime.p
+    c = padic_valuation(math.gcd(z.x, z.y), p)
+    q = p**c
+    rest = QuadInt(z.field, z.x // q, z.y // q)
+    if not prime.contains(rest):
+        return prime.e * c
+    return prime.e * c + padic_valuation(rest.norm(), p)
 
 
 def factor_element(alpha: QuadInt) -> ElementFactorization:
-    """Prime-ideal factorization of alpha * O_K for a nonzero nonunit alpha."""
+    """Prime-ideal factorization of alpha * O_K for a nonzero nonunit alpha.
+
+    With N(alpha) = prod p^E_p, the one prime over an inert or ramified p has
+    exponent E_p / f; a split p's two have v_P(alpha) and E_p - v_P(alpha)."""
     n = alpha.norm()
     if n == 0:
         raise ValueError("cannot factor zero")
@@ -298,17 +295,18 @@ def factor_element(alpha: QuadInt) -> ElementFactorization:
     field = alpha.field
     factors: list[tuple[PrimeIdeal, int]] = []
     # factor_int proves each p prime; _split_prime does not prove it again
-    for p in sorted(factor_int(n)):
-        for prime in _split_prime(field, p).primes:
-            v = valuation(alpha, prime)
-            if v:
-                factors.append((prime, v))
+    for p, e_p in sorted(factor_int(n).items()):
+        splitting = _split_prime(field, p)
+        if splitting.kind == "split":
+            v = valuation(alpha, splitting.primes[0])
+            exps = (v, e_p - v)
+        else:
+            exps = (e_p // splitting.primes[0].f,)
+        factors += [(prime, b) for prime, b in zip(splitting.primes, exps) if b]
     result = ElementFactorization(element=alpha, factors=tuple(factors))
     # reconstruction safety net: product of prime powers must rebuild (alpha)
     if prime_power_product(field, result.primes, result.exponents) != principal_ideal(alpha):
         raise ArithmeticError(f"factorization of {alpha} failed reconstruction")
-    if math.prod(p.norm**b for p, b in factors) != n:
-        raise ArithmeticError(f"norm mismatch factoring {alpha}")
     return result
 
 

@@ -76,6 +76,7 @@ from .ideals import (
     valuation,
 )
 from .membership import Coding, coding_of, is_member
+from .ntheory import padic_valuation
 from .orders import LowerBoundSpec, _power_mod, c2_constant, order_lower_bound
 from .quadring import FieldElement, QuadInt
 
@@ -418,13 +419,8 @@ def _hole_exponents(primes, ords: tuple[int, ...]) -> tuple[int, ...]:
     ord_j / gcd(ord_j, L_j); and 0 for a prime over 2."""
     out = []
     for j, (prime, o) in enumerate(zip(primes, ords)):
-        v = 0
-        if prime.p != 2:
-            h = o // math.gcd(o, math.lcm(*ords[:j], *ords[j + 1:]))
-            while h % prime.p == 0:
-                h //= prime.p
-                v += 1
-        out.append(v)
+        h = o // math.gcd(o, math.lcm(*ords[:j], *ords[j + 1:]))
+        out.append(0 if prime.p == 2 else padic_valuation(h, prime.p))
     return tuple(out)
 
 
@@ -812,7 +808,6 @@ def enumerate_level(
         if not is_member(v, u, spec):
             raise ArithmeticError(f"the peel kept {value}, which is not in the attractor")
         coding = coding_of(v, u, spec)
-        assert coding is not None
         exps = minimal_tuple(value, fact)
         points.append(
             IntersectionPoint(

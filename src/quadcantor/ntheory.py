@@ -125,6 +125,21 @@ def _brent_factor(n: int) -> int:
             return g
 
 
+def padic_valuation(n: int, p: int) -> int:
+    """Largest k with p^k | n, for n != 0 and p >= 2.
+
+    k = 2*j + r, where j = v_{p^2}(n) is found the same way and r = 1 when p
+    still divides n / p^(2j).  The recursion gallops over p^(2^i): O(log k)
+    divisions in place of k, so n = 3 * 2^800 recurses ten deep.
+    """
+    if n == 0:
+        raise ValueError("valuation of zero is infinite")
+    if n % p:
+        return 0
+    j = padic_valuation(n, p * p)
+    return 2 * j + int(n // p ** (2 * j) % p == 0)
+
+
 def is_squarefree(n: int) -> bool:
     return all(e == 1 for e in factor_int(abs(n)).values()) if n != 0 else False
 

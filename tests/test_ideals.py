@@ -296,7 +296,9 @@ class TestValuationGallop:
     @pytest.mark.parametrize("d", [-1, -2, -3, -7])
     def test_matches_ascending_powers(self, d):
         # class number one: each prime is pi*O_K, and pi^v * c with c outside
-        # P has valuation exactly v; v runs over 0, 1 and 2^j - 1, 2^j, 2^j + 1
+        # P has valuation exactly v; v runs over 0, 1 and 2^j - 1, 2^j, 2^j + 1,
+        # so the content p^c of an inert or ramified pi^v meets the edges of
+        # the gallop in ntheory.padic_valuation
         field = make_field(d)
         rng = random.Random(29 - d)
         kinds = {}
@@ -313,6 +315,40 @@ class TestValuationGallop:
                     c = field.element(rng.randint(-9, 9), rng.randint(-9, 9))
                 z = pi**v * c
                 assert qc.valuation(z, prime) == _valuation_ascending(z, prime) == v
+
+
+VALUATION_FIELDS = (-1, -2, -3, -5, -6, -7, -11, -15, -23)
+
+
+class TestValuationFormula:
+    """``valuation`` against the ascending climb over every prime above
+    p <= 13, in fields with and without unique factorization."""
+
+    @pytest.mark.parametrize("d", VALUATION_FIELDS)
+    def test_matches_ascending_climb(self, d):
+        # each element is tested against every prime over its p: random
+        # elements, and points of P and P^2 for each P over p, so a split
+        # prime sees elements of its conjugate; each is multiplied by p^k
+        field = make_field(d)
+        rng = random.Random(7 - d)
+        for p in _primes_upto(13):
+            primes = qc.factor_rational_prime(field, p).primes
+            pool = [field.element(rng.randint(-40, 40), rng.randint(-40, 40)) for _ in range(6)]
+            for prime in primes:
+                for a, b in (prime.hnf.basis(), qc.ideal_mul(prime.hnf, prime.hnf).basis()):
+                    pool += [a * rng.randint(-6, 6) + b * rng.randint(-6, 6) for _ in range(3)]
+            for z in pool:
+                if z.is_zero():
+                    continue
+                for k in range(4):
+                    zk = z * p**k
+                    for prime in primes:
+                        assert qc.valuation(zk, prime) == _valuation_ascending(zk, prime)
+
+    def test_fields_hold_every_kind_over_two_and_three(self):
+        for p in (2, 3):
+            kinds = {qc.factor_rational_prime(make_field(d), p).kind for d in VALUATION_FIELDS}
+            assert kinds == {"split", "inert", "ramified"}
 
 
 def _coprime(a, b):

@@ -1059,10 +1059,12 @@ class TestQueryInputs:
 
     @pytest.mark.parametrize("query", QUERIES)
     def test_denominator_below_one_raises(self, query, gauss, cantor):
+        # a numerator of an equal but distinct field takes the checked path
         spec = qc.ifs_new(cantor.beta, cantor.digits)
-        for u in (0, -4):
-            with pytest.raises(ValueError):
-                query(gauss.element(1), u, spec)
+        for v in (gauss.element(1), make_field(-1).element(1)):
+            for u in (0, -3, -4):
+                with pytest.raises(ValueError, match="positive integer"):
+                    query(v, u, spec)
         assert not spec._spaces
 
     @pytest.mark.parametrize("query", (*QUERIES, verify_coding_query))

@@ -83,3 +83,19 @@ def test_rho_budget_names_the_cofactor(monkeypatch):
     assert exc.value.cap == 64 and exc.value.estimate > 64
     monkeypatch.undo()  # the same cofactor splits within the real budget
     assert factor_int(12 * n) == {2: 2, 3: 1, 1000033: 1, 1000037: 1}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
+def test_padic_valuation_at_the_gallop_edges(p):
+    # k runs over the gallop's edges 2^j - 1, 2^j, 2^j + 1; no cofactor is
+    # divisible by p
+    for k in {0, 1} | {(1 << j) + e for j in range(1, 8) for e in (-1, 0, 1)}:
+        for cofactor in (1, -1, p + 1, -(2 * p + 1)):
+            assert ntheory.padic_valuation(cofactor * p**k, p) == k
+
+
+def test_padic_valuation_of_a_large_power():
+    assert ntheory.padic_valuation(3 * 2**800, 2) == 800
+    assert ntheory.padic_valuation(3 * 2**800, 3) == 1
+    with pytest.raises(ValueError):
+        ntheory.padic_valuation(0, 5)

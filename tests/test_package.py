@@ -53,6 +53,17 @@ def test_no_module_imports_a_name_it_never_reads():
     assert found == []
 
 
+def test_no_module_asserts():
+    # python -O strips assert statements, so no check of the library is one
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(qc.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
 # the modules that decide anything, and the float diagnostics allowed in them
 DECISION_MODULES = (
     "ntheory", "ideals", "orders", "exactmath", "membership", "intersection", "fractal"

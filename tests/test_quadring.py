@@ -85,6 +85,8 @@ class TestArith:
     def test_int_coercion(self, gauss):
         assert 2 * gauss.omega + 1 == gauss.element(1, 2)
         assert gauss.element(5) - 3 == gauss.element(2)
+        assert 3 - gauss.element(5, 1) == gauss.element(-2, -1)
+        assert gauss.element(7) == 7 and gauss.element(7, 1) != 7
 
     def test_pow(self, gauss):
         assert gauss.element(1, 1) ** 4 == gauss.element(-4)
@@ -155,6 +157,7 @@ class TestEmbed:
         assert gauss.element(1, 1).to_complex() == pytest.approx(1 + 1j)
         assert eisenstein.omega.to_complex() == pytest.approx(0.5 + math.sqrt(3) / 2 * 1j)
         assert gauss.zero.to_complex() == 0j
+        assert FieldElement(gauss.element(1, 2), 4).to_complex() == pytest.approx(0.25 + 0.5j)
 
     @given(x=COORD, y=COORD, d_idx=st.integers(0, len(FIELDS) - 1))
     @settings(max_examples=200)
