@@ -6,7 +6,10 @@ reduction plain integer linear algebra.  Rational primes are split by the
 Kronecker symbol of the field discriminant; the two-element forms (p, w - r)
 are converted to HNF on construction and every splitting is re-verified by
 reconstructing p*O_K from the claimed prime powers, which in particular
-covers the delicate p = 2 cases without trusting a formula.
+covers the delicate p = 2 cases without trusting a formula.  An element's
+factorization splits only the primes of its content that way; every other
+prime is read off the element as a root of w's minimal polynomial, and the
+product of the prime powers must rebuild the element's ideal.
 """
 
 from __future__ import annotations
@@ -227,7 +230,10 @@ def _prime_from_root(field: FieldSpec, p: int, r: int, e: int) -> PrimeIdeal:
 
 
 def factor_rational_prime(field: FieldSpec, p: int) -> PrimeSplitting:
-    """Splitting of the rational prime p in the ring, verified by rebuild."""
+    """Splitting of the rational prime p in the ring, verified by rebuild.
+
+    Raises ``ValueError`` for a p that is not prime and, from ``is_prime``,
+    ``CapExceededError`` for a p that no Miller-Rabin base proves prime."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return _split_prime(field, p)
@@ -285,17 +291,37 @@ def valuation(z: QuadInt, prime: PrimeIdeal) -> int:
 def factor_element(alpha: QuadInt) -> ElementFactorization:
     """Prime-ideal factorization of alpha * O_K for a nonzero nonunit alpha.
 
-    With N(alpha) = prod p^E_p, the one prime over an inert or ramified p has
-    exponent E_p / f; a split p's two have v_P(alpha) and E_p - v_P(alpha)."""
+    Write alpha = g * alpha' with g = gcd(x, y), so alpha' = x' + y'*w is
+    primitive and N(alpha) = g^2 * N(alpha').  Let p divide N(alpha') but
+    not g.  Then p does not divide y', for else it would divide x'^2 and
+    alpha' would not be primitive.  So r = -x'/y' mod p is a root of w's
+    minimal polynomial, as r^2 - s*r - t = N(alpha')/y'^2 = 0 mod p, and
+    alpha' lies in P = (p, w - r).  Such a p splits or ramifies, ramified
+    exactly when p | disc; alpha' lies outside p*O_K, so conj(P) does not
+    divide alpha when P != conj(P), and v_P(alpha) = v_p(N(alpha')) (see
+    ``valuation``).  A p of g is split as a rational prime: with
+    E_p = v_p(N(alpha)), the one prime over an inert or ramified p has
+    exponent E_p / f, and a split p's two have v_P(alpha) and
+    E_p - v_P(alpha)."""
     n = alpha.norm()
     if n == 0:
         raise ValueError("cannot factor zero")
     if n == 1:
         raise ValueError("cannot factor a unit")
     field = alpha.field
-    factors: list[tuple[PrimeIdeal, int]] = []
+    g = math.gcd(alpha.x, alpha.y)
+    x, y = alpha.x // g, alpha.y // g
     # factor_int proves each p prime; _split_prime does not prove it again
-    for p, e_p in sorted(factor_int(n).items()):
+    content = factor_int(g)
+    norm_primes = factor_int(n // (g * g))
+    factors: list[tuple[PrimeIdeal, int]] = []
+    for p in sorted(content.keys() | norm_primes.keys()):
+        if p not in content:
+            e = 2 if field.disc % p == 0 else 1
+            prime = _prime_from_root(field, p, -x * pow(y, -1, p) % p, e)
+            factors.append((prime, norm_primes[p]))
+            continue
+        e_p = 2 * content[p] + norm_primes.get(p, 0)
         splitting = _split_prime(field, p)
         if splitting.kind == "split":
             v = valuation(alpha, splitting.primes[0])

@@ -479,6 +479,13 @@ class TestExitCodes:
         assert code == 3
         assert norm in err
 
+    def test_factoring_refuses_an_unproven_prime(self, capsys):
+        # the norm 3317044064679887385962177 is a prime past psi_13, where
+        # the Miller-Rabin bases prove no prime
+        code, out, err = run_cli(capsys, "factor", "-d", "-1", "1820973444296+33162928831*w")
+        assert code == 3 and out == ""
+        assert "3317044064679887385962177 passes every Miller-Rabin base" in err
+
     def test_invalid_field(self, capsys):
         code, _, err = run_cli(capsys, "factor", "-d", "-4", "10")
         assert code == 2

@@ -351,6 +351,56 @@ class TestValuationFormula:
             assert kinds == {"split", "inert", "ramified"}
 
 
+def _factor_reference(alpha):
+    """Per-prime path: split each rational prime of N(alpha) and take alpha's
+    valuation at every prime over it."""
+    sympy = pytest.importorskip("sympy")
+    factors = []
+    for p in sorted(sympy.factorint(alpha.norm())):
+        for prime in qc.factor_rational_prime(alpha.field, p).primes:
+            v = qc.valuation(alpha, prime)
+            if v:
+                factors.append((prime, v))
+    return tuple(factors)
+
+
+class TestFactorElementDifferential:
+    """``factor_element``, which reads the primes of alpha's primitive part
+    off alpha, against the per-prime path."""
+
+    @pytest.mark.parametrize("d", VALUATION_FIELDS)
+    def test_matches_per_prime_path(self, d):
+        # units times products of small prime-norm elements, random elements,
+        # each with a content g: the primes of g take the splitting path, the
+        # others the root -x'/y' mod p, among them ramified primes and, for
+        # d = -7, -15, -23, split primes over 2
+        field = make_field(d)
+        rng = random.Random(36 - d)
+        box = [field.element(x, y) for x in range(-7, 8) for y in range(-7, 8)]
+        units = [z for z in box if z.norm() == 1]
+        atoms = [z for z in box if z.norm() > 1 and ntheory.is_prime(z.norm())]
+        atoms += [field.element(p) for p in (2, 3, 5, 7)]
+        contents = (1, 1, 1, 2, 3, 4, 6, 8, 9, 12, -d, 2 * 3 * 1009)
+        read_off = set()
+        for i in range(160):
+            if i % 2:
+                alpha = field.element(rng.randint(-90, 90), rng.randint(-90, 90))
+            else:
+                alpha = rng.choice(units)
+                for _ in range(rng.randint(1, 3)):
+                    alpha = alpha * rng.choice(atoms) ** rng.randint(1, 3)
+            alpha = alpha * rng.choice(contents)
+            if alpha.norm() < 2:
+                continue
+            fact = qc.factor_element(alpha)
+            assert fact.factors == _factor_reference(alpha), alpha
+            g = math.gcd(alpha.x, alpha.y)
+            read_off |= {(prime.e, prime.p == 2) for prime in fact.primes if g % prime.p}
+        assert (2, False) in read_off or (2, True) in read_off  # a ramified prime
+        if d in (-7, -15, -23):
+            assert (1, True) in read_off  # a split prime over 2
+
+
 def _coprime(a, b):
     """(a) + (b) = O_K, read off the HNF of the ideal the two generate."""
     return qc.ideal_from_generators([a, b]).is_unit()

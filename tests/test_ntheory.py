@@ -1,5 +1,7 @@
 """Factoring and prime splitting against sympy as an independent oracle."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,3 +101,65 @@ def test_padic_valuation_of_a_large_power():
     assert ntheory.padic_valuation(3 * 2**800, 3) == 1
     with pytest.raises(ValueError):
         ntheory.padic_valuation(0, 5)
+
+
+def _strong_probable_prime(n, a):
+    """Whether odd n > a passes the Miller-Rabin test to base a."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("k", range(1, 14))
+def test_is_prime_at_each_ladder_bound(k):
+    # psi_k is composite and fools the first k bases, so those bases prove
+    # primality only below it; below psi_13, is_prime runs as many bases as
+    # n's place on the ladder needs, and from psi_13 on it refutes with a
+    # fourteenth base (psi_13 itself) or refuses a prime
+    sympy = pytest.importorskip("sympy")
+    psi = ntheory._PSI[k - 1]
+    top = ntheory._PSI[-1]
+    assert not sympy.isprime(psi)
+    assert all(_strong_probable_prime(psi, a) for a in ntheory._MR_BASES[:k])
+    rng = random.Random(k)
+    near = {psi + e for e in range(-40, 41)}
+    near |= {psi + rng.randrange(-(10**6), 10**6) for _ in range(300)}
+    for n in sorted(near):
+        if n >= top and sympy.isprime(n):
+            with pytest.raises(CapExceededError):
+                ntheory.is_prime(n)
+        else:
+            assert ntheory.is_prime(n) == sympy.isprime(n), n
+
+
+def test_factor_int_matches_sympy_on_seeded_inputs():
+    # products of trial primes at high powers, primes on both sides of the
+    # trial limit, rho-sized primes, the ladder's psi_12, and every n near
+    # _TRIAL_LIMIT^2, below which trial division to sqrt(n) takes the gcd's
+    # place
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(36)
+    small = list(sympy.primerange(2, 1100))
+    edge = ntheory._TRIAL_LIMIT**2
+    inputs = [9 * 2**1600, 3**4000, ntheory._PSI[11]]
+    inputs += [*range(1, 3000), *range(edge - 500, edge + 500)]
+    inputs += [991 * 997, 997**2, 997 * 1009, 1009**2, 999983 * 1000003]
+    inputs += [p ** (100 + p % 97) * 1009 for p in sympy.primerange(2, 1000)]
+    for _ in range(150):
+        n = 1
+        for _ in range(rng.randint(0, 4)):
+            n *= rng.choice(small) ** rng.choice((1, 1, 2, 3, 40))
+        for _ in range(rng.randint(0, 2)):
+            n *= sympy.nextprime(rng.randrange(10**3, 10**7)) ** rng.randint(1, 2)
+        inputs.append(n)
+    for n in inputs:
+        assert factor_int(n) == sympy.factorint(n), n
+
