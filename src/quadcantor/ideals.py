@@ -4,12 +4,13 @@ An integral ideal is the lattice spanned over Z by {a, b + c*w} with
 c | a, c | b and 0 <= b < a, which makes membership, products and quotient
 reduction plain integer linear algebra.  Rational primes are split by the
 Kronecker symbol of the field discriminant; the two-element forms (p, w - r)
-are converted to HNF on construction and every splitting is re-verified by
-reconstructing p*O_K from the claimed prime powers, which in particular
-covers the delicate p = 2 cases without trusting a formula.  An element's
-factorization splits only the primes of its content that way; every other
-prime is read off the element as a root of w's minimal polynomial, and the
-product of the prime powers must rebuild the element's ideal.
+are written in Hermite form from a checked root, and every splitting is
+re-verified by reconstructing p*O_K from the claimed prime powers, which in
+particular covers the delicate p = 2 cases without trusting a formula.  An
+element's factorization splits only the primes of its content that way;
+every other prime is read off the element as a root of w's minimal
+polynomial, and the product of the prime powers must rebuild the element's
+ideal.
 """
 
 from __future__ import annotations
@@ -223,10 +224,16 @@ def _minpoly_roots_mod_p(field: FieldSpec, p: int) -> list[int]:
 
 
 def _prime_from_root(field: FieldSpec, p: int, r: int, e: int) -> PrimeIdeal:
-    hnf = ideal_from_generators([QuadInt(field, p, 0), QuadInt(field, -r, 1)])
-    if hnf.norm != p:
+    """The prime (p, w - r) for a root r of x^2 - s*x - t modulo p.
+
+    Its Hermite form is (p, -r mod p, 1): w*p = p*(w - r) + r*p and
+    w*(w - r) = (s - r)*(w - r) - (r^2 - s*r - t), so the lattice
+    {p, w - r} is closed under w exactly when p divides r^2 - s*r - t, and
+    it then has norm p.
+    """
+    if (r * r - field.s * r - field.t) % p:
         raise ArithmeticError(f"two-element form (p={p}, w-{r}) is not prime")
-    return PrimeIdeal(hnf=hnf, p=p, e=e, f=1, root=r)
+    return PrimeIdeal(hnf=IdealHNF(field, p, -r % p, 1), p=p, e=e, f=1, root=r)
 
 
 def factor_rational_prime(field: FieldSpec, p: int) -> PrimeSplitting:

@@ -450,16 +450,25 @@ class _Holes:
     within its covering radius mu of y.  So if mu <= rho, D(y, rho) meets
     S + O_K, which it misses: no point has minimal tuple n.
 
-    mu^2 is that of the integral lattice I' = prod P_j^{v_j}
-    (``_covering_radius_sq``) divided by N(I')^2, as I'^-1 = conj(I')/N(I')
-    and conjugation is an isometry.  A tuple with every v_j = 0 has the
-    lattice O_K, which meets every disk of its covering radius, and is
-    never searched.  Each search for rho = mu is ``_hole_search``, given at
-    most ``budget(n)`` piece tests, the cost of the sweep it could save.
-    ``hole`` is the largest hole found, which certifies every drop, and
-    ``dropped`` counts the tuples dropped.  A search that failed at budget
-    B fails at every smaller one, its path being the same: ``_failed`` keeps
-    the largest such B per mu^2 for the run, and the spec keeps nothing.
+    mu^2 is R_O^2 / N(I') for I' = prod P_j^{v_j}, where R_O^2 is the
+    squared covering radius of O_K.  Proof: O_K is a PID, so I' = g*O_K
+    with N(g) = N(I') = prod p_j^{v_j}, and I'^-1 = g^-1 O_K; multiplying
+    by g^-1 is a similarity of C with factor 1/|g|, so it divides squared
+    covering radii by N(g).  R_O^2 = (-t)(1 - s - t)/|disc|: (1, w) is a
+    reduced basis of O_K, as |2B(1, w)| = s <= N(1) = 1 <= N(w) = -t, and
+    B(1, w) >= 0, so no angle of the triangle 0, 1, w is obtuse.  Its
+    translates and those of 1, w, 1 + w tile the plane, each holding its
+    circumcentre, so they are a Delaunay triangulation, and R_O is their
+    circumradius: with sides N(1), N(w), N(w - 1) = 1 - s - t squared and
+    area sqrt(|disc|)/4, R = abc/(4*area) gives the formula.  A tuple with
+    every v_j = 0 has the lattice O_K, which meets every disk of its
+    covering radius, and is never searched.  Each search for rho = mu is
+    ``_hole_search``, given at most ``budget(n)`` piece tests, the cost of
+    the sweep it could save.  ``hole`` is the largest hole found, which
+    certifies every drop, and ``dropped`` counts the tuples dropped.  A
+    search that failed at budget B fails at every smaller one, its path
+    being the same: ``_failed`` keeps the largest such B per mu^2 for the
+    run, and the spec keeps nothing.
     """
 
     def __init__(self, spec: IFSSpec, fact: ElementFactorization, budget: Callable[[tuple[int, ...]], int]):
@@ -468,15 +477,13 @@ class _Holes:
         self.budget = budget
         self.hole: Hole | None = None
         self.dropped = 0
-        self._radius: dict[tuple[int, ...], Fraction] = {}
         self._failed: dict[Fraction, int] = {}
 
     def radius_sq(self, v: tuple[int, ...]) -> Fraction:
-        """mu^2 of the lattice prod P_j^{-v_j}."""
-        if v not in self._radius:
-            ideal = prime_power_product(self.spec.field, self.fact.primes, v)
-            self._radius[v] = _covering_radius_sq(ideal) / ideal.norm**2
-        return self._radius[v]
+        """mu^2 of the lattice prod P_j^{-v_j}, R_O^2 / prod N(P_j)^{v_j}."""
+        field = self.spec.field
+        norm = math.prod(prime.norm**k for prime, k in zip(self.fact.primes, v))
+        return Fraction(-field.t * (1 - field.s - field.t), -field.disc * norm)
 
     def largest_kept(self, tuples: list[tuple[int, ...]], vs: list[tuple[int, ...]]) -> int:
         """The largest last exponent of ``tuples``, which share every other
@@ -586,27 +593,6 @@ def _reduced(ideal: IdealHNF) -> tuple[tuple[int, int], tuple[int, int]]:
 def _shortest(ideal: IdealHNF) -> QuadInt:
     """A nonzero element of least norm in the ideal (``_reduced``)."""
     return QuadInt(ideal.field, *_reduced(ideal)[0])
-
-
-def _covering_radius_sq(ideal: IdealHNF) -> Fraction:
-    """The squared covering radius of the ideal as a lattice in C: the
-    largest squared distance from a point of C to its nearest lattice point.
-
-    Take a reduced basis (u, v) (``_reduced``) with B(u, v) >= 0, flipping v
-    if needed.  Then every angle of the triangle 0, u, v is at most 90
-    degrees: B(u, v) >= 0 at 0, and Q(u) - B(u, v) and Q(v) - B(u, v) are
-    positive as 2B(u, v) <= Q(u) <= Q(v).  Its translates and those of
-    u, v, u + v tile the plane, each holding its circumcentre, so they are
-    a Delaunay triangulation: the circumcentre is its farthest point from
-    the lattice, at the circumradius R.  With sides Q(u), Q(v), Q(v - u)
-    squared and area |det|*sqrt(|disc|)/4, det = u_x*v_y - u_y*v_x, the
-    formula R = abc/(4*area) gives R^2 = Q(u)*Q(v)*Q(v - u) / (det^2*|disc|).
-    """
-    u, v = (QuadInt(ideal.field, x, y) for x, y in _reduced(ideal))
-    if (u + v).norm() < u.norm() + v.norm():
-        v = -v
-    det = u.x * v.y - u.y * v.x
-    return Fraction(u.norm() * v.norm() * (v - u).norm(), det * det * -ideal.field.disc)
 
 
 class _Plan(NamedTuple):

@@ -70,9 +70,9 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# Primes below this are found by trial division in an n below its square and
-# by one gcd with their product in a larger n; composites left over have no
-# factor below it, so every rho call works on a product of two or more of them.
+# Primes below this are found by one gcd with their product; what is left has
+# no factor below it, so a cofactor below its square is prime and every rho
+# call works on a product of two or more larger primes.
 _TRIAL_LIMIT = 1000
 
 
@@ -98,11 +98,10 @@ _RHO_STEP_BUDGET = 1 << 22
 def factor_int(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1, {p: exponent}.
 
-    The primes below ``_TRIAL_LIMIT`` that divide n are found by trial
-    division up to sqrt(n) when n is below ``_TRIAL_LIMIT``^2; in a larger n
-    they are read off one gcd with their product, and each is divided out
-    with its p-adic valuation.  Every cofactor left is then either found
-    prime by ``is_prime`` or split by Pollard-Brent rho.
+    The primes below ``_TRIAL_LIMIT`` that divide n are read off one gcd
+    with their product, and each is divided out with its p-adic valuation.
+    Every cofactor left is then prime when below ``_TRIAL_LIMIT``^2, found
+    prime by ``is_prime``, or split by Pollard-Brent rho.
     Every key of the result is a proven prime, so a cofactor that is already
     a key is counted again without a second proof.
     Raises ``CapExceededError`` when rho spends ``_RHO_STEP_BUDGET`` steps on
@@ -112,36 +111,23 @@ def factor_int(n: int) -> dict[int, int]:
     if n < 1:
         raise ValueError("factor_int expects a positive integer")
     out: dict[int, int] = {}
-    if n < _TRIAL_LIMIT * _TRIAL_LIMIT:
-        # trial division up to sqrt(n), at this size cheaper than the gcd; it
-        # leaves 1 or a prime, which needs no proof below _TRIAL_LIMIT
-        for p in _TRIAL_PRIMES:
-            if p * p > n:
-                break
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-        if 1 < n < _TRIAL_LIMIT:
-            out[n] = 1
-            n = 1
-    else:
-        # the trial primes dividing n are those of g, which is squarefree, so
-        # a p with p^2 > the rest of g leaves that rest prime
-        g = math.gcd(n, _TRIAL_PRODUCT)
-        for p in _TRIAL_PRIMES:
-            if p * p > g:
-                break
-            if g % p == 0:
-                g //= p
-                out[p] = k = padic_valuation(n, p)
-                n //= p**k
-        if g > 1:
-            out[g] = k = padic_valuation(n, g)
-            n //= g**k
+    # the trial primes dividing n are those of g, which is squarefree, so a
+    # p with p^2 > the rest of g leaves that rest prime
+    g = math.gcd(n, _TRIAL_PRODUCT)
+    for p in _TRIAL_PRIMES:
+        if p * p > g:
+            break
+        if g % p == 0:
+            g //= p
+            out[p] = k = padic_valuation(n, p)
+            n //= p**k
+    if g > 1:
+        out[g] = k = padic_valuation(n, g)
+        n //= g**k
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m in out or is_prime(m):
+        if m < _TRIAL_LIMIT * _TRIAL_LIMIT or m in out or is_prime(m):
             out[m] = out.get(m, 0) + 1
         else:
             g = _brent_factor(m)

@@ -15,8 +15,8 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import PreconditionError
-from .ideals import IdealHNF, PrimeIdeal, ideal_from_generators, ideal_mul, ideal_pow
+from .errors import FieldError, PreconditionError
+from .ideals import IdealHNF, PrimeIdeal, ideal_mul, ideal_pow
 from .ntheory import factor_int
 from .quadring import QuadInt
 
@@ -61,12 +61,6 @@ class LowerBoundSpec(NamedTuple):
     stabilizations: tuple[StabilizationData, ...]
 
 
-def _check_invertible(beta: QuadInt, ideal: IdealHNF) -> None:
-    combined = ideal_from_generators([beta, *ideal.basis()])
-    if not combined.is_unit():
-        raise PreconditionError(f"{beta} is not a unit modulo {ideal}")
-
-
 def _power_mod(ideal: IdealHNF):
     """``pw(x, y, k)``: the residue of (x + y*w)^k modulo the ideal.
 
@@ -99,11 +93,15 @@ def ord_mod(beta: QuadInt, ideal: IdealHNF) -> int:
 
     The exponent of (O/I)^* divides M = N(I) * prod_{p | N(I)} (p^2 - 1):
     each component (O/P^k)^* has order N(P)^(k-1) * (N(P) - 1), and N(P) - 1
-    divides p^2 - 1.  Each prime q of M is then stripped from m = M while
+    divides p^2 - 1.  So beta^M = 1 (mod I) exactly when beta is a unit
+    modulo I: a unit's order divides M, and beta^M = 1 makes beta^(M-1) its
+    inverse.  Each prime q of M is then stripped from m = M while
     beta^(m/q) stays 1 (Cohen, A Course in Computational Algebraic Number
     Theory, Alg. 1.4.3), so the cost is O(log^2 M) products, not N(I).
+    Raises ``PreconditionError`` when beta is not a unit modulo I.
     """
-    _check_invertible(beta, ideal)
+    if beta.field != ideal.field:
+        raise FieldError("generators from different fields")
     pw = _power_mod(ideal)
     one = pw(1, 0, 0)
     bx, by = beta.x, beta.y
@@ -113,7 +111,7 @@ def ord_mod(beta: QuadInt, ideal: IdealHNF) -> int:
         factors.update(factor_int(p + 1))
     m = math.prod(q**e for q, e in factors.items())
     if pw(bx, by, m) != one:
-        raise ArithmeticError("beta^M != 1 for the group-order multiple M")
+        raise PreconditionError(f"{beta} is not a unit modulo {ideal}")
     for q, e in factors.items():
         m //= q**e
         gx, gy = pw(bx, by, m)

@@ -15,18 +15,43 @@ from quadcantor import FieldElement, make_field
 from quadcantor import intersection
 from quadcantor.fractal import Hole, _hole_search, covering_exponent
 from quadcantor.ideals import (
+    factor_element,
     factor_rational_prime,
     ideal_from_generators,
     prime_power_product,
     reduce_mod,
 )
-from quadcantor.intersection import _covering_radius_sq, _hole_exponents, survivors
+from quadcantor.intersection import _Holes, _hole_exponents, _reduced, _shortest, survivors
+from quadcantor.ntheory import is_prime
 
 FIELDS = (-1, -2, -3, -7, -11)
+# the nine imaginary quadratic fields whose ring of integers is a UFD
+UFD_FIELDS = (-1, -2, -3, -7, -11, -19, -43, -67, -163)
 
 
 def _q(field, x, y):
     return x * x + field.s * x * y - field.t * y * y
+
+
+def _covering_radius_sq(ideal):
+    """The squared covering radius of the ideal as a lattice in C: the
+    largest squared distance from a point of C to its nearest lattice point.
+
+    Take a reduced basis (u, v) (``_reduced``) with B(u, v) >= 0, flipping v
+    if needed.  Then every angle of the triangle 0, u, v is at most 90
+    degrees: B(u, v) >= 0 at 0, and Q(u) - B(u, v) and Q(v) - B(u, v) are
+    positive as 2B(u, v) <= Q(u) <= Q(v).  Its translates and those of
+    u, v, u + v tile the plane, each holding its circumcentre, so they are
+    a Delaunay triangulation: the circumcentre is its farthest point from
+    the lattice, at the circumradius R.  With sides Q(u), Q(v), Q(v - u)
+    squared and area |det|*sqrt(|disc|)/4, det = u_x*v_y - u_y*v_x, the
+    formula R = abc/(4*area) gives R^2 = Q(u)*Q(v)*Q(v - u) / (det^2*|disc|).
+    """
+    u, v = (qc.QuadInt(ideal.field, x, y) for x, y in _reduced(ideal))
+    if (u + v).norm() < u.norm() + v.norm():
+        v = -v
+    det = u.x * v.y - u.y * v.x
+    return Fraction(u.norm() * v.norm() * (v - u).norm(), det * det * -ideal.field.disc)
 
 
 def _grid_covering(ideal, mu_sq, grid):
@@ -88,12 +113,42 @@ class TestCoveringRadius:
         for d, want in ((-1, Fraction(1, 2)), (-3, Fraction(1, 3)), (-2, Fraction(3, 4))):
             field = make_field(d)
             assert _covering_radius_sq(ideal_from_generators([field.one])) == want
+        # R_O^2 = (-t)(1 - s - t)/|disc|, the mu^2 of _Holes with every v_j = 0
+        for d in UFD_FIELDS:
+            field = make_field(d)
+            want = Fraction(-field.t * (1 - field.s - field.t), -field.disc)
+            assert _covering_radius_sq(ideal_from_generators([field.one])) == want
+            holes = _holes_of(field, [_split_primes(field, random.Random(d), 1, 200)[0]])
+            assert holes.radius_sq((0,)) == want
+
+    def test_hole_radii_match_the_lattice(self):
+        # mu^2 of prod P_j^{-v_j} = mu^2(I') / N(I')^2 for I' = prod P_j^{v_j},
+        # as I'^-1 = conj(I')/N(I') and conjugation is an isometry
+        rng = random.Random(37)
+        for d in UFD_FIELDS:
+            field = make_field(d)
+            for count in (1, 2, 3):
+                for _ in range(4):
+                    holes = _holes_of(field, _split_primes(field, rng, count, 200))
+                    for _ in range(3):
+                        v = tuple(rng.randint(0, 6) for _ in holes.fact.primes)
+                        ideal = prime_power_product(field, holes.fact.primes, v)
+                        want = _covering_radius_sq(ideal) / ideal.norm**2
+                        assert holes.radius_sq(v) == want, (d, v)
 
 
-def _split_primes(field, rng, count):
-    """One random prime of degree 1 above each of ``count`` distinct split p."""
+def _holes_of(field, primes):
+    """A ``_Holes`` over the factorization of the product of generators of
+    ``primes``, split primes over distinct rational primes of a UFD."""
+    fact = factor_element(math.prod((_shortest(prime.hnf) for prime in primes), start=field.one))
+    spec = qc.ifs_new(field.element(3), [field.zero, field.one])
+    return _Holes(spec, fact, lambda n: 0)
+
+
+def _split_primes(field, rng, count, below=38):
+    """One random prime of degree 1 above each of ``count`` distinct split p < ``below``."""
     out = []
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in filter(is_prime, range(2, below)):
         splitting = factor_rational_prime(field, p)
         if splitting.kind == "split":
             out.append(rng.choice(splitting.primes))

@@ -146,6 +146,24 @@ class TestPrimeSplitting:
                 rebuilt = qc.ideal_mul(rebuilt, qc.ideal_pow(prime.hnf, mult))
             assert rebuilt == qc.principal_ideal(field.element(p))
 
+    # the nine UFD fields and seven with class numbers 2 to 4
+    @pytest.mark.parametrize(
+        "d", [-1, -2, -3, -7, -11, -19, -43, -67, -163, -5, -6, -10, -13, -14, -15, -23]
+    )
+    def test_prime_from_root_is_the_generated_ideal(self, d):
+        field = make_field(d)
+        for p in _primes_upto(400):
+            roots = _brute_roots(field, p)
+            e = 2 if field.disc % p == 0 else 1
+            for r in roots:
+                want = qc.ideal_from_generators([field.element(p), field.element(-r, 1)])
+                assert ideals._prime_from_root(field, p, r, e).hnf == want
+                assert want.norm == p
+            # a non-root generates the unit ideal with p, not a prime
+            for r in sorted(set(range(p)) - set(roots))[:1]:
+                with pytest.raises(ArithmeticError, match="is not prime"):
+                    ideals._prime_from_root(field, p, r, e)
+
 
 class TestConjugate:
     def test_closed_form_matches_generators(self):
@@ -197,8 +215,9 @@ class TestFactorElement:
             qc.factor_element(gauss.zero)
 
     def test_one_primality_proof_per_prime(self, gauss, monkeypatch):
-        # norm 2^2 * 3^2 * 1009 * 1013 * 1019^2: the small primes come from
-        # trial division, unproven; each larger one is proven exactly once
+        # norm 2^2 * 3^2 * 1000033 * 1000037 * 1000003^2: the primes below
+        # 1000 come from one gcd, unproven; each one above 1000^2 is proven
+        # exactly once
         proofs = collections.Counter()
         real = ntheory.is_prime
 
@@ -209,10 +228,10 @@ class TestFactorElement:
 
         monkeypatch.setattr(ntheory, "is_prime", counted)
         monkeypatch.setattr(ideals, "is_prime", counted)
-        alpha = gauss.element(28, 15) * gauss.element(22, 23) * gauss.element(1019 * 6)
+        alpha = gauss.element(408, 913) * gauss.element(134, 991) * gauss.element(1000003 * 6)
         fact = qc.factor_element(alpha)
-        assert sorted({p.p for p in fact.primes}) == [2, 3, 1009, 1013, 1019]
-        assert +proofs == collections.Counter({1009: 1, 1013: 1, 1019: 1})
+        assert sorted({p.p for p in fact.primes}) == [2, 3, 1000003, 1000033, 1000037]
+        assert +proofs == collections.Counter({1000003: 1, 1000033: 1, 1000037: 1})
         with pytest.raises(ValueError):
             qc.factor_rational_prime(gauss, 91)
 

@@ -143,8 +143,7 @@ def test_is_prime_at_each_ladder_bound(k):
 def test_factor_int_matches_sympy_on_seeded_inputs():
     # products of trial primes at high powers, primes on both sides of the
     # trial limit, rho-sized primes, the ladder's psi_12, and every n near
-    # _TRIAL_LIMIT^2, below which trial division to sqrt(n) takes the gcd's
-    # place
+    # _TRIAL_LIMIT^2, below which a cofactor is prime with no is_prime call
     sympy = pytest.importorskip("sympy")
     rng = random.Random(36)
     small = list(sympy.primerange(2, 1100))

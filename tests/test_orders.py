@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,42 @@ class TestOrdMod:
         p2 = _prime(gauss, 2)
         with pytest.raises(PreconditionError):
             qc.ord_mod(gauss.element(1, 1), p2.hnf)
+
+    def test_beta_from_another_field_rejected(self, gauss, eisenstein):
+        with pytest.raises(qc.FieldError):
+            qc.ord_mod(eisenstein.element(2), _prime(gauss, 5).hnf)
+
+    @pytest.mark.parametrize("d", [-1, -2, -3, -5, -7])
+    def test_unit_exactly_when_beta_and_the_ideal_are_coprime(self, d):
+        # beta^M = 1 decides invertibility; the reference is the HNF of
+        # (beta) + I, which is the unit ideal exactly when beta is a unit
+        field = make_field(d)
+        rng = random.Random(37 - d)
+        ideals = [qc.unit_ideal(field)]
+        for p in (2, 3, 5, 7, 11, 13):
+            splitting = qc.factor_rational_prime(field, p)
+            if splitting.kind == "split":
+                ideals.append(qc.ideal_mul(*(prime.hnf for prime in splitting.primes)))
+        while len(ideals) < 30:
+            gens = [field.element(rng.randint(-12, 12), rng.randint(-8, 8)) for _ in range(2)]
+            if not all(g.is_zero() for g in gens):
+                ideal = qc.ideal_from_generators(gens)
+                if ideal.norm <= 2000:
+                    ideals.append(ideal)
+        refused = 0
+        for ideal in ideals:
+            for _ in range(8):
+                beta = field.element(rng.randint(-15, 15), rng.randint(-15, 15))
+                # a multiple of a basis element, or one plus it
+                if (pick := rng.randrange(4)) < 2:
+                    beta = beta * ideal.basis()[rng.randint(0, 1)] + field.element(pick)
+                if qc.ideal_from_generators([beta, *ideal.basis()]).is_unit():
+                    assert qc.ord_mod(beta, ideal) == brute_ord_mod(beta, ideal)
+                else:
+                    with pytest.raises(PreconditionError, match="is not a unit modulo"):
+                        qc.ord_mod(beta, ideal)
+                    refused += 1
+        assert refused >= 20
 
 
 # Rational primes small enough that the brute-force oracle stays cheap; over
