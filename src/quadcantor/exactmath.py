@@ -3,8 +3,9 @@
 Floors and ceilings of a +- sqrt(b) with rational a, b are read from one
 integer square root, never from floating point.  Logarithm comparisons
 needed by the certificate search are made rigorous with dyadic brackets of
-log2 of a rational: directed-rounding mantissa squaring gives a provable
-(lo, hi) pair of Fractions whose width halves per extracted bit.
+log2 of a rational: the atanh series of its mantissa, summed in integer
+fixed point with directed rounding, gives a provable (lo, hi) pair of
+Fractions.
 """
 
 from __future__ import annotations
@@ -37,50 +38,58 @@ def _floor_log2(p: int, q: int) -> int:
     return e if q << max(e, 0) <= p << max(-e, 0) else e - 1
 
 
+def _atanh_scaled(x: int, y: int, s: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^s * atanh(x/y) <= hi, for integers 0 <= 3x <= y.
+
+    atanh(z) is the sum of z^(2k+1)/(2k+1).  The lower end sums powers and
+    terms rounded down, the upper end the same rounded up, until the upper
+    power is at most one unit; the terms left out then sum to at most
+    z^(2K+1)/(1 - z^2), which is 9/8 of the first power left out or less,
+    as z^2 <= 1/9.  The upper chain is carried negated, so that floor
+    division and shifts round it up.
+    """
+    yy = y * y
+    lo, neg_hi = (x << s) // y, (-x << s) // y
+    sq_lo, sq_hi = (x * x << s) // yy, -((-x * x << s) // yy)
+    lo_sum = neg_sum = 0
+    k = 1
+    while neg_hi < -1:
+        lo_sum += lo // k
+        neg_sum += neg_hi // k
+        lo = lo * sq_lo >> s
+        neg_hi = neg_hi * sq_hi >> s
+        k += 2
+    return lo_sum, -neg_sum - (9 * neg_hi >> 3)
+
+
 def log2_interval(r: Fraction, prec_bits: int = 64) -> tuple[Fraction, Fraction]:
     """Rigorous bracket (lo, hi) with lo <= log2(r) <= hi, for rational r > 0.
 
-    Powers of two come back as lo == hi == log2(r); otherwise the width is
-    at most 2^(1-prec_bits) plus directed-rounding slack already absorbed
-    into the bracket.
+    Powers of two come back as lo == hi == log2(r); otherwise hi - lo is at
+    most 2^(1-prec_bits).  With r = 2^e * m, m in [1, 2), and m replaced by
+    2/m when m >= sqrt(2) (log2 m = 1 - log2(2/m)), z = (m - 1)/(m + 1) is
+    at most 3 - 2*sqrt(2) < 1/3 and log2 m = atanh(z)/atanh(1/3).  Both
+    series are bracketed in fixed point at s bits (``_atanh_scaled``), so
+    the bracket is rigorous by its directed rounding alone.  The roundings
+    of their about s/3 terms each and of the quotient widen it by under
+    3s + 80 units of 2^-s, which the guard bits s - prec_bits = 8 +
+    bit_length(prec_bits) keep below 2^(1-prec_bits).
     """
     p, q = r.numerator, r.denominator
     if p <= 0:
         raise ValueError("log2 argument must be positive")
     e = _floor_log2(p, q)
-    exact_pow2 = (q << e) == p if e >= 0 else (p << -e) == q
-    if exact_pow2:
+    num, den = (p, q << e) if e >= 0 else (p << -e, q)  # m = num/den in [1, 2)
+    if num == den:
         return Fraction(e), Fraction(e)
-
-    guard = 16
-    s = prec_bits + guard
-    # fixed-point mantissa m/2^s for p/(q*2^e) in [1, 2)
-    if e >= 0:
-        num, den = p << s, q << e
-    else:
-        num, den = p << (s - e), q
-    m_lo = num // den
-    m_hi = m_lo + (1 if num % den else 0)
-
-    two = 2 << s
-    out = 0
-    for i in range(1, prec_bits + 1):
-        m_lo = (m_lo * m_lo) >> s
-        m_hi = -((-(m_hi * m_hi)) >> s)
-        out <<= 1
-        if m_lo >= two:
-            out |= 1
-            m_lo >>= 1
-            m_hi = -((-m_hi) >> 1)
-        elif m_hi < two:
-            pass
-        else:
-            # bracket straddles 2: residual log2 lies in [0, 2)
-            return (
-                Fraction(e) + Fraction(out, 1 << i),
-                Fraction(e) + Fraction(out + 2, 1 << i),
-            )
-    return (
-        Fraction(e) + Fraction(out, 1 << prec_bits),
-        Fraction(e) + Fraction(out + 1, 1 << prec_bits),
-    )
+    flip = num * num >= 2 * den * den
+    if flip:
+        num, den = 2 * den, num
+    s = prec_bits + prec_bits.bit_length() + 8
+    z_lo, z_hi = _atanh_scaled(num - den, num + den, s)
+    ln2_lo, ln2_hi = _atanh_scaled(1, 3, s)
+    lo, hi = (z_lo << s) // ln2_hi, -((-z_hi << s) // ln2_lo)
+    if flip:
+        e += 1
+        lo, hi = -hi, -lo
+    return Fraction((e << s) + lo, 1 << s), Fraction((e << s) + hi, 1 << s)

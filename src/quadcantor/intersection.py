@@ -194,7 +194,8 @@ def certified_bound(
     decided with rigorous brackets (lo, hi) of each logarithm.  Every
     argument is at least 1 (#A >= 2, N(beta) >= 2, 9*N(beta)*R'^2 > 9 and
     c2 <= 1), so every lower end is nonnegative: lower ends multiply to a
-    lower end of the product and upper ends to an upper end.
+    lower end of the product and upper ends to an upper end.  The floors are
+    taken in integers, with the eight ends over their common denominator.
     """
     case = report.applicable_case
     if case is None:
@@ -214,15 +215,17 @@ def certified_bound(
     prec = 64
     hi_candidate = None
     while prec <= 4096:
-        (a_lo, a_hi), (b_lo, b_hi), (g_lo, g_hi), (q_lo, q_hi) = (
-            log2_interval(x, prec) for x in args
+        ends = [end for x in args for end in log2_interval(x, prec)]
+        # the eight ends as integers over their common denominator D
+        den = math.lcm(*(end.denominator for end in ends))
+        a_lo, a_hi, b_lo, b_hi, g_lo, g_hi, q_lo, q_hi = (
+            end.numerator * (den // end.denominator) for end in ends
         )
         coeff_lo, coeff_hi = b_lo - k * a_hi, b_hi - k * a_lo
-        target_lo = scale * (a_lo * g_lo + b_lo * q_lo)
-        target_hi = scale * (a_hi * g_hi + b_hi * q_hi)
         if coeff_lo > 0:
-            lo_floor = math.floor(target_lo / coeff_hi)
-            hi_floor = math.floor(target_hi / coeff_lo)
+            # target/coeff = (T/D^2)/(C/D) = T/(C*D), floored in integers
+            lo_floor = scale * (a_lo * g_lo + b_lo * q_lo) // (coeff_hi * den)
+            hi_floor = scale * (a_hi * g_hi + b_hi * q_hi) // (coeff_lo * den)
             hi_candidate = max(1, hi_floor + 1)
             if lo_floor == hi_floor:
                 return max(1, lo_floor + 1)
@@ -378,7 +381,18 @@ def survivors(
                 uj = u * p ** (m - held)
             else:
                 m, uj = held, u
-            oj = math.lcm(order, order_j[nj])
+            if nj <= e:
+                oj = math.lcm(order, order_j[nj])
+            else:
+                if nj == e + 1:
+                    # past e, order_j[nj] = m * p^lift with lift = ceil((nj -
+                    # n0)/e) when positive (``order_factors``), so its lcm with
+                    # order is base = lcm(order, m) times p^(lift - v_p(base/m))
+                    # once that is positive, which is when nj > flat
+                    st = lb.stabilizations[j]
+                    base = math.lcm(order, st.m)
+                    flat = st.n0 + e * (padic_valuation(base, p) - padic_valuation(st.m, p))
+                oj = base if nj <= flat else base * p ** -((flat - nj) // e)
             if uj > u_max or oj > order_max:
                 break
             if j < last:

@@ -95,10 +95,15 @@ def ord_mod(beta: QuadInt, ideal: IdealHNF) -> int:
     each component (O/P^k)^* has order N(P)^(k-1) * (N(P) - 1), and N(P) - 1
     divides p^2 - 1.  So beta^M = 1 (mod I) exactly when beta is a unit
     modulo I: a unit's order divides M, and beta^M = 1 makes beta^(M-1) its
-    inverse.  Each prime q of M is then stripped from m = M while
-    beta^(m/q) stays 1 (Cohen, A Course in Computational Algebraic Number
-    Theory, Alg. 1.4.3), so the cost is O(log^2 M) products, not N(I).
-    Raises ``PreconditionError`` when beta is not a unit modulo I.
+    inverse.  Each prime power q^e of M is stripped from m in turn and
+    lifted back one factor q at a time until beta^m = 1 (Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 1.4.3), so the cost is
+    O(log^2 M) products, not N(I), and beta^M itself is never formed.
+    Lemma: at most e lifts are needed, and if e do not reach 1, beta is not
+    a unit.  Before the first loop closes m = M, so its e-th lift gives
+    beta^M, which is 1 for a unit.  Once a loop has closed, beta^m = 1, and
+    each later loop starts from m / q^e and returns to a divisor of m within
+    e lifts.  Raises ``PreconditionError`` when beta is not a unit modulo I.
     """
     if beta.field != ideal.field:
         raise FieldError("generators from different fields")
@@ -110,14 +115,16 @@ def ord_mod(beta: QuadInt, ideal: IdealHNF) -> int:
         factors.update(factor_int(p - 1))
         factors.update(factor_int(p + 1))
     m = math.prod(q**e for q, e in factors.items())
-    if pw(bx, by, m) != one:
-        raise PreconditionError(f"{beta} is not a unit modulo {ideal}")
     for q, e in factors.items():
         m //= q**e
-        gx, gy = pw(bx, by, m)
-        while (gx, gy) != one:
-            gx, gy = pw(gx, gy, q)
+        g = pw(bx, by, m)
+        for _ in range(e):
+            if g == one:
+                break
+            g = pw(*g, q)
             m *= q
+        if g != one:
+            raise PreconditionError(f"{beta} is not a unit modulo {ideal}")
     return m
 
 

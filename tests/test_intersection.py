@@ -219,6 +219,36 @@ class TestMinimalTuple:
         assert exps == (1,)
 
 
+def _squaring_log2_interval(r, prec_bits):
+    """A bracket of log2(r) for rational r > 0 by mantissa squaring, the
+    reference for ``log2_interval``: with r = 2^e * m, m in [1, 2), each
+    squaring of m with directed rounding gives one more bit of log2 m, and a
+    bracket of m^2 that straddles 2 leaves the rest of the bits in [0, 2)."""
+    p, q = r.numerator, r.denominator
+    e = p.bit_length() - q.bit_length()
+    if (q << max(e, 0)) > (p << max(-e, 0)):
+        e -= 1
+    if (q << e == p) if e >= 0 else (p << -e == q):
+        return Fraction(e), Fraction(e)
+    s = prec_bits + 16
+    num, den = (p << s, q << e) if e >= 0 else (p << (s - e), q)
+    m_lo = num // den
+    m_hi = m_lo + (1 if num % den else 0)
+    two = 2 << s
+    out = 0
+    for i in range(1, prec_bits + 1):
+        m_lo = (m_lo * m_lo) >> s
+        m_hi = -((-(m_hi * m_hi)) >> s)
+        out <<= 1
+        if m_lo >= two:
+            out |= 1
+            m_lo >>= 1
+            m_hi = -((-m_hi) >> 1)
+        elif m_hi >= two:
+            return e + Fraction(out, 1 << i), e + Fraction(out + 2, 1 << i)
+    return e + Fraction(out, 1 << prec_bits), e + Fraction(out + 1, 1 << prec_bits)
+
+
 class TestCertifiedBound:
     def test_wall_bound_finite_and_excluding(self, gauss, cantor):
         rep = qc.preconditions(gauss.element(2), cantor)
@@ -268,6 +298,16 @@ class TestCertifiedBound:
             assert sum(tup) == n0
             assert qc.tuple_is_excluded(cantor, lb, "case_i", tup)
 
+
+    def test_n0_matches_the_squaring_bracket(self, monkeypatch):
+        # a second rigorous log2, by mantissa squaring, gives the same n0
+        cases = list(_seeded_cases(random.Random(38), (-1, -2, -3, -7, -11), 30, 3000))
+        monkeypatch.setattr(intersection, "log2_interval", _squaring_log2_interval)
+        seen = set()
+        for spec, _, report, lb, n0, _ in cases:
+            assert qc.certified_bound(report, qc.covering_constants(spec), lb) == n0
+            seen.add(report.applicable_case)
+        assert seen == {"case_i", "case_ii"}
 
     @staticmethod
     def _widen_below(monkeypatch, top):
@@ -854,6 +894,30 @@ class TestSurvivors:
             lcm_needed += by_max != want
         # the cases exercise exclusion, and the lcm beyond the largest order
         assert excluded >= 10 and lcm_needed >= 2
+
+    @pytest.mark.parametrize(
+        "beta, digits, alpha",
+        [("-2-3*w", "-2-w 0", "8+2*w"), ("-5+3*w", "-2-w 1+w", "-2+10*w"), ("4+3*w", "-1-w w", "-8-2*w")],
+    )
+    def test_lcm_past_stabilization_at_a_ramified_prime(self, beta, digits, alpha):
+        # d = -3, alpha over (2), (3, w-2), (7, w-3): the orders modulo powers
+        # of (2) carry a 3 that the ramified prime's m lacks, so the walk's
+        # lcm past e is base * 3^k only from n_j > n0 + e*v_3(base/m) on;
+        # the reference takes the plain lcm of the orders over the whole box
+        field = make_field(-3)
+        spec = qc.ifs_new(qc.parse_element(beta, field), [qc.parse_element(t, field) for t in digits.split()])
+        report = qc.preconditions(qc.parse_element(alpha, field), spec)
+        fact = report.alpha_factorization
+        lb = qc.c2_constant(spec.beta, fact.primes)
+        assert [prime.e for prime in fact.primes] == [1, 2, 1]
+        n_max = 8
+        kept = []
+        for n in itertools.product(*(range(n_max * b + 1) for b in fact.exponents)):
+            order = math.lcm(*(st.order(k) for st, k in zip(lb.stabilizations, n) if k))
+            u = int(qc.order_lower_bound(lb, n) / lb.c2) if any(n) else 1
+            if order <= qc.period_bound(spec, intersection._u_norm(report.applicable_case, u)):
+                kept.append(n)
+        assert list(survivors(report, spec, lb, n_max)[0]) == _maximal(kept)
 
     def test_step_table_reads_the_period_bound(self):
         # A ** bisect_left(highs, u) is period_bound at every u up to the

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from order_oracle import brute_ord_mod
 
 import quadcantor as qc
 from quadcantor import PreconditionError, make_field
+from quadcantor.ntheory import factor_int, padic_valuation
 
 FIELDS = (-1, -2, -3, -7, -11)
 
@@ -75,6 +77,42 @@ class TestOrdMod:
                         qc.ord_mod(beta, ideal)
                     refused += 1
         assert refused >= 20
+
+    @pytest.mark.parametrize("d", [-1, -2, -3, -7, -11])
+    def test_seeded_prime_powers_against_the_oracle(self, d):
+        # ord_mod lifts each prime q^e of the group-order multiple M at most
+        # e times; orders whose q-part is all of M's test that bound, and a
+        # non-unit, which no e lifts bring back to 1, keeps its message.
+        # The primes include those over 2 and the ramified ones.
+        field = make_field(d)
+        rng = random.Random(400 - d)
+        primes = [
+            prime
+            for p in (2, 3, 5, 7, 11)
+            for prime in qc.factor_rational_prime(field, p).primes
+        ]
+        assert any(prime.e == 2 for prime in primes) and any(prime.p == 2 for prime in primes)
+        full = refused = 0
+        for prime in primes:
+            for k in range(1, 7):
+                ideal = qc.ideal_pow(prime.hnf, k)
+                if ideal.norm > NORM_LIMIT:
+                    break
+                group = ideal.norm * (prime.p**2 - 1)
+                for _ in range(12):
+                    beta = field.element(rng.randint(-30, 30), rng.randint(-30, 30))
+                    if prime.contains(beta):
+                        with pytest.raises(PreconditionError, match=f"^{re.escape(str(beta))} is not a unit modulo"):
+                            qc.ord_mod(beta, ideal)
+                        refused += 1
+                        continue
+                    order = qc.ord_mod(beta, ideal)
+                    assert order == brute_ord_mod(beta, ideal)
+                    full += any(
+                        padic_valuation(order, q) == padic_valuation(group, q)
+                        for q in factor_int(group)
+                    )
+        assert refused >= 5 and full >= 20
 
 
 # Rational primes small enough that the brute-force oracle stays cheap; over
